@@ -1,18 +1,11 @@
-//! The top-level checker: orchestrates the per-datatype analyses, assembles
-//! the IDSG, runs cycle search, and reasons about consistency models.
+//! The top-level checker: options, reports, and the batch driver of the
+//! analysis [`pipeline`](crate::pipeline).
 
 use crate::anomaly::{Anomaly, AnomalyType};
-use crate::counter;
-use crate::cycle_search::{find_cycle_anomalies_frozen, CycleSearchOptions};
-use crate::datatype::{self, Parallelism};
 use crate::deps::DepGraph;
-use crate::list_append;
 use crate::models::{strongest_satisfiable, violated_models, ConsistencyModel};
-use crate::observation::{DataType, ElemIndex, KeyTypes};
-use crate::orders;
-use crate::reference;
-use crate::rw_register::{self, RegisterOptions};
-use crate::set_add;
+use crate::pipeline;
+use crate::rw_register::RegisterOptions;
 use elle_history::History;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -266,7 +259,7 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    fn record(&mut self, name: &str, since: Instant) -> Instant {
+    pub(crate) fn record(&mut self, name: &str, since: Instant) -> Instant {
         self.stages
             .push((name.to_string(), since.elapsed().as_secs_f64()));
         Instant::now()
@@ -366,19 +359,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The Elle checker.
+/// The Elle checker: the batch driver of the [`crate::pipeline`] — one
+/// seal over the all-keys scope.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checker {
     opts: CheckOptions,
-}
-
-/// Output of the shared inference front half (datatype passes merged
-/// into one graph, plus everything the report path needs from them).
-struct InferredDeps {
-    anomalies: Vec<Anomaly>,
-    observed: rustc_hash::FxHashSet<(elle_history::Key, elle_history::Elem)>,
-    deps: DepGraph,
-    warnings: Vec<String>,
 }
 
 impl Checker {
@@ -389,7 +374,7 @@ impl Checker {
 
     /// Check a history, producing a [`Report`].
     pub fn check(&self, history: &History) -> Report {
-        self.check_inner(history, false, None)
+        pipeline::check(self.opts, history).report
     }
 
     /// Check a history with panic isolation: a panic anywhere on the
@@ -409,283 +394,24 @@ impl Checker {
     /// Check a history, also returning the per-stage wall-clock
     /// breakdown (parse time is the caller's to measure).
     pub fn check_timed(&self, history: &History) -> (Report, StageTimings) {
-        let mut t = StageTimings::default();
-        let report = self.check_inner(history, false, Some(&mut t));
-        (report, t)
+        let sealed = pipeline::check(self.opts, history);
+        (sealed.report, sealed.timings)
     }
 
-    /// Check a history through the preserved **seed per-read datatype
-    /// passes** ([`crate::reference`]) instead of the version-interned
-    /// ones. Differential-testing plumbing, not a supported API.
-    #[doc(hidden)]
-    pub fn check_seed_reference(&self, history: &History) -> Report {
-        self.check_inner(history, true, None)
-    }
-
-    /// Run only the inference half of [`Checker::check`]: the
-    /// per-datatype analyses plus the configured derived-order passes,
-    /// returning the assembled IDSG sealed with [`DepGraph::build`] —
-    /// no cycle search, no report. This is the export hook external
-    /// engines (the `elle-sat` cross-checker) encode from: every edge
-    /// in the returned graph is a sound inference about the history,
-    /// so a solver may assert each as a unit ordering constraint.
+    /// Run only the inference half of [`Checker::check`]: the pipeline's
+    /// stages up to edge build, returning the assembled IDSG sealed with
+    /// [`DepGraph::build`] — no cycle search, no report. This is the
+    /// export hook external engines (the `elle-sat` cross-checker)
+    /// encode from: every edge in the returned graph is a sound
+    /// inference about the history, so a solver may assert each as a
+    /// unit ordering constraint.
     pub fn infer_idsg(&self, history: &History) -> DepGraph {
-        let mut timings = None;
-        let mut clock = Instant::now();
-        let inferred = self.infer_deps(history, false, &mut timings, &mut clock);
-        let mut deps = inferred.deps;
-        if self.opts.process_edges {
-            orders::add_process_edges(&mut deps, history);
-        }
-        if self.opts.realtime_edges {
-            orders::add_realtime_edges(&mut deps, history);
-        }
-        if self.opts.timestamp_edges {
-            orders::add_timestamp_edges(&mut deps, history);
-        }
-        deps.build();
+        let deps = pipeline::infer(self.opts, history);
         // The datatype drivers charged their scratch to the shared
         // pool gauge; an inference-only caller must not leak that into
         // the next `check()`'s peak reading.
         let _ = crate::pool::take_peak_bytes();
         deps
-    }
-
-    /// The shared inference front half: key typing, element index, and
-    /// the per-datatype analysis passes, merged into one [`DepGraph`]
-    /// (not yet sealed, no derived-order edges). Both [`Checker::check`]
-    /// and [`Checker::infer_idsg`] build on this.
-    fn infer_deps(
-        &self,
-        history: &History,
-        seed_reference: bool,
-        timings: &mut Option<&mut StageTimings>,
-        clock: &mut Instant,
-    ) -> InferredDeps {
-        let opts = self.opts;
-        let kt = KeyTypes::infer(history);
-        let elems = ElemIndex::build(history);
-        if let Some(t) = timings.as_deref_mut() {
-            *clock = t.record("key typing + element index", *clock);
-        }
-
-        let mut warnings = Vec::new();
-        for k in &kt.conflicts {
-            warnings.push(format!(
-                "key {k} is used as more than one datatype; its inferences are unreliable"
-            ));
-        }
-
-        let mut anomalies: Vec<Anomaly> = Vec::new();
-        let mut observed: rustc_hash::FxHashSet<(elle_history::Key, elle_history::Elem)> =
-            rustc_hash::FxHashSet::with_capacity_and_hasher(elems.len(), Default::default());
-        let mut gather = datatype::GatherStats::default();
-        let mut deps = DepGraph::with_txns(history.len());
-        // The first datatype's graph is adopted wholesale; later ones
-        // merge into it via a sorted spine merge (cheap: keys partition
-        // edges across datatypes).
-        let absorb = |deps: &mut DepGraph, other: DepGraph| {
-            if deps.edge_count() == 0 {
-                let floor = std::mem::replace(deps, other);
-                deps.ensure_txns(floor.txns_floor());
-            } else {
-                deps.merge(other);
-            }
-        };
-
-        let list_keys = kt.keys_of(DataType::List);
-        if !list_keys.is_empty() {
-            let out = if seed_reference {
-                datatype::run_mode::<reference::ListAppendRef>(
-                    history,
-                    &elems,
-                    &list_keys,
-                    (),
-                    Parallelism::Auto,
-                )
-            } else {
-                datatype::run::<list_append::ListAppend>(history, &elems, &list_keys, ())
-            };
-            anomalies.extend(out.anomalies);
-            observed.extend(out.observed);
-            gather.absorb(out.gather);
-            absorb(&mut deps, out.deps);
-        }
-        let reg_keys = kt.keys_of(DataType::Register);
-        if !reg_keys.is_empty() {
-            let out = if seed_reference {
-                datatype::run_mode::<reference::RwRegisterRef>(
-                    history,
-                    &elems,
-                    &reg_keys,
-                    opts.registers,
-                    Parallelism::Auto,
-                )
-            } else {
-                datatype::run::<rw_register::RwRegister>(history, &elems, &reg_keys, opts.registers)
-            };
-            anomalies.extend(out.anomalies);
-            observed.extend(out.observed);
-            gather.absorb(out.gather);
-            absorb(&mut deps, out.deps);
-        }
-        let set_keys = kt.keys_of(DataType::Set);
-        if !set_keys.is_empty() {
-            let out = if seed_reference {
-                datatype::run_mode::<reference::SetAddRef>(
-                    history,
-                    &elems,
-                    &set_keys,
-                    (),
-                    Parallelism::Auto,
-                )
-            } else {
-                datatype::run::<set_add::SetAdd>(history, &elems, &set_keys, ())
-            };
-            anomalies.extend(out.anomalies);
-            observed.extend(out.observed);
-            gather.absorb(out.gather);
-            absorb(&mut deps, out.deps);
-        }
-        let counter_keys = kt.keys_of(DataType::Counter);
-        if !counter_keys.is_empty() {
-            let a = counter::analyze(history, &counter_keys);
-            anomalies.extend(a.anomalies);
-            gather.absorb(a.gather);
-            absorb(&mut deps, a.deps);
-        }
-        // The gather scans ran inside the datatype drivers; split their
-        // share out of the inference lap so both stages read true.
-        if let Some(t) = timings.as_deref_mut() {
-            t.stages.push(("gather".to_string(), gather.secs));
-            t.stages.push((
-                "datatype inference".to_string(),
-                (clock.elapsed().as_secs_f64() - gather.secs).max(0.0),
-            ));
-            t.gather_buf_peak = gather.buf_bytes;
-            *clock = Instant::now();
-        }
-
-        InferredDeps {
-            anomalies,
-            observed,
-            deps,
-            warnings,
-        }
-    }
-
-    fn check_inner(
-        &self,
-        history: &History,
-        seed_reference: bool,
-        mut timings: Option<&mut StageTimings>,
-    ) -> Report {
-        let opts = self.opts;
-        let mut clock = Instant::now();
-        let inferred = self.infer_deps(history, seed_reference, &mut timings, &mut clock);
-        let InferredDeps {
-            mut anomalies,
-            observed,
-            mut deps,
-            warnings,
-        } = inferred;
-        fn lap(timings: &mut Option<&mut StageTimings>, name: &str, clock: &mut Instant) {
-            if let Some(t) = timings.as_deref_mut() {
-                *clock = t.record(name, *clock);
-            }
-        }
-
-        if opts.process_edges {
-            orders::add_process_edges(&mut deps, history);
-        }
-        if opts.realtime_edges {
-            orders::add_realtime_edges(&mut deps, history);
-        }
-        if opts.timestamp_edges {
-            orders::add_timestamp_edges(&mut deps, history);
-        }
-        lap(&mut timings, "derived orders", &mut clock);
-
-        // Seal the flat edge buffer: one sort-based dedup merge instead
-        // of a hash probe per edge.
-        deps.build();
-        if let Some(t) = timings.as_deref_mut() {
-            t.edge_buf_peak = deps.edge_buf_peak();
-        }
-        lap(&mut timings, "edge build", &mut clock);
-
-        // Freeze the assembled IDSG once; every per-class search walks
-        // the same immutable CSR snapshot.
-        let frozen = deps.freeze();
-        lap(&mut timings, "freeze", &mut clock);
-        let cycles = find_cycle_anomalies_frozen(
-            &deps,
-            &frozen,
-            history,
-            CycleSearchOptions {
-                process_edges: opts.process_edges,
-                realtime_edges: opts.realtime_edges,
-                timestamp_edges: opts.timestamp_edges,
-                max_per_type: opts.max_cycles_per_type,
-                certificate: true,
-            },
-        );
-        lap(&mut timings, "cycle search", &mut clock);
-        anomalies.extend(cycles);
-
-        // Observation coverage (§3): which committed writes were ever
-        // read? The observed-pair sets were computed inside the datatype
-        // drivers' per-key passes (no second walk over read payloads);
-        // here we only count writes against them.
-        let mut committed_writes = 0usize;
-        let mut observed_writes = 0usize;
-        for t in history.txns() {
-            if !t.status.may_have_committed() {
-                continue;
-            }
-            for (_, key, e) in t.elem_writes() {
-                committed_writes += 1;
-                if observed.contains(&(key, e)) {
-                    observed_writes += 1;
-                }
-            }
-        }
-
-        let stats = CheckStats {
-            txns: history.len(),
-            mops: history.mop_count(),
-            committed: history
-                .txns()
-                .iter()
-                .filter(|t| t.status.is_committed())
-                .count(),
-            aborted: history
-                .txns()
-                .iter()
-                .filter(|t| t.status.is_aborted())
-                .count(),
-            indeterminate: history
-                .txns()
-                .iter()
-                .filter(|t| !t.status.is_committed() && !t.status.is_aborted())
-                .count(),
-            edges: BTreeMap::new(), // filled by assemble_report
-            committed_writes,
-            observed_writes,
-        };
-
-        let report = assemble_report(
-            opts.expected,
-            anomalies.into_iter().map(Arc::new).collect(),
-            &deps,
-            stats,
-            warnings,
-        );
-        lap(&mut timings, "report assembly", &mut clock);
-        if let Some(t) = timings {
-            t.pool_peak = crate::pool::take_peak_bytes();
-        }
-        report
     }
 }
 
@@ -694,10 +420,8 @@ impl Checker {
 /// counts, the violated-model set and the tenable frontier, and fill
 /// the per-class edge statistics from the graph's counters.
 ///
-/// Shared by the batch checker path above and by `elle_stream`'s
-/// epoch sealing, so a streamed prefix assembles its report through
-/// the *same* code — a precondition for the byte-for-byte streaming
-/// differential.
+/// The pipeline's report stage; public so oracles composed from the
+/// stage functions assemble their reports through the same code.
 #[doc(hidden)]
 pub fn assemble_report(
     expected: ConsistencyModel,

@@ -11,19 +11,22 @@
 //! * **internal consistency**: within one transaction, a read must equal
 //!   the previous read plus the transaction's own increments since.
 //!
-//! Like the recoverable datatypes, the analysis is split into a
-//! transaction-major internal pass, a **gather** phase partitioning the
-//! (scoped) transactions by key, and a per-key **finalize** — so the
-//! streaming checker can re-analyze only the keys an epoch touched and
-//! cache everything else.
+//! Counters run through the same [`DatatypeAnalysis`] driver as the
+//! recoverable datatypes — a transaction-major internal pass, a flat
+//! **gather** partitioning the (scoped) transactions by key, and a
+//! per-key **finalize** — so both checker drivers treat all four
+//! datatypes alike. Counters are not [`DatatypeAnalysis::RECOVERABLE`]:
+//! they skip the duplicate-write pass.
 
 use crate::anomaly::{Anomaly, AnomalyType, Witness};
-use crate::datatype::GatherStats;
+use crate::datatype::{
+    internal_pass, run_mode, AnalysisCtx, DatatypeAnalysis, GatherStats, InternalMismatch, KeySink,
+    Parallelism, Vocab,
+};
 use crate::deps::DepGraph;
-use crate::gather::{GatherBuf, KeySlots};
-use elle_history::{History, Key, Mop, ReadValue, TxnId, TxnStatus};
-use rustc_hash::FxHashMap;
-use std::time::Instant;
+use crate::gather::GatherBuf;
+use crate::observation::{DataType, ElemIndex};
+use elle_history::{Elem, History, Key, Mop, ReadValue, TxnId, TxnStatus};
 
 /// Result of the counter analysis.
 #[derive(Debug, Default)]
@@ -53,7 +56,7 @@ pub enum CounterOcc {
 
 /// Everything the per-key pass needs about one counter key.
 #[derive(Debug)]
-pub struct CounterKeyData {
+struct CounterKeyData {
     /// Every increment so far was strictly positive.
     all_positive: bool,
     /// Sum of positive increments by may-have-committed transactions.
@@ -74,9 +77,8 @@ impl Default for CounterKeyData {
 }
 
 impl CounterKeyData {
-    /// Fold one key's occurrence run into the per-key aggregate —
-    /// byte-identical to what the retained hash-map gather accumulated.
-    pub fn from_occs(occs: &[CounterOcc]) -> Self {
+    /// Fold one key's occurrence run into the per-key aggregate.
+    fn from_occs(occs: &[CounterOcc]) -> Self {
         let mut d = CounterKeyData::default();
         for occ in occs {
             match occ {
@@ -93,44 +95,9 @@ impl CounterKeyData {
     }
 }
 
-/// Scan the given transactions' counter operations into the flat gather
-/// buffer, one `(slot, occurrence)` tuple per relevant micro-op.
-pub fn gather<'h>(
-    txns: impl Iterator<Item = &'h elle_history::Transaction>,
-    keys: &KeySlots,
-    buf: &mut GatherBuf<CounterOcc>,
-) {
-    for t in txns {
-        for m in &t.mops {
-            match m {
-                Mop::Increment { key, amount } => {
-                    if let Some(slot) = keys.slot_of(*key) {
-                        buf.push(
-                            slot,
-                            CounterOcc::Inc {
-                                amount: *amount,
-                                may_commit: t.status.may_have_committed(),
-                            },
-                        );
-                    }
-                }
-                Mop::Read {
-                    key,
-                    value: Some(ReadValue::Counter(v)),
-                } if t.status == TxnStatus::Committed => {
-                    if let Some(slot) = keys.slot_of(*key) {
-                        buf.push(slot, CounterOcc::Read(t.id, *v));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 /// Analyze one counter key: bounds-check its reads and derive the `rr`
 /// chain. Returns `(anomalies, edges)` in emission order.
-pub fn analyze_key(
+fn analyze_key(
     history: &History,
     key: Key,
     data: &CounterKeyData,
@@ -173,86 +140,116 @@ pub fn analyze_key(
     (anomalies, edges)
 }
 
-/// Run the analysis over the counter keys.
-pub fn analyze(history: &History, counter_keys: &[Key]) -> CounterAnalysis {
-    let mut out = CounterAnalysis {
-        deps: DepGraph::with_txns(history.len()),
-        ..Default::default()
-    };
-    let keys: KeySlots = counter_keys.iter().copied().collect();
+/// The counter datatype: bounds and `rr` inference per key, internal
+/// consistency per transaction.
+#[derive(Debug)]
+pub struct Counter;
 
-    out.anomalies
-        .append(&mut internal_anomalies(history.txns().iter(), &keys));
+impl DatatypeAnalysis for Counter {
+    type Config = ();
+    type Aux<'h> = ();
+    type Occ<'h> = CounterOcc;
 
-    let start = Instant::now();
-    // `CounterOcc` is `'static` (it carries no history references), so
-    // the items side recycles through the typed buffer pool.
-    let mut buf = GatherBuf::new_pooled();
-    gather(history.txns().iter(), &keys, &mut buf);
-    let buf_bytes = buf.footprint_bytes();
-    let grouped = buf.group_pooled(keys.len());
-    out.gather = GatherStats {
-        secs: start.elapsed().as_secs_f64(),
-        buf_bytes: buf_bytes.max(grouped.footprint_bytes()),
+    const DATATYPE: DataType = DataType::Counter;
+    const VOCAB: Vocab = Vocab {
+        object: "counter",
+        item: "value",
+        wrote: "incremented",
+        written: "incremented",
+        wrote_to: "incremented",
+        rmw: "incremented",
+        garbage_per_reader: true,
     };
-    for slot in grouped.occupied() {
-        let key = keys.key(slot);
-        let data = CounterKeyData::from_occs(grouped.run(slot));
-        let (mut anomalies, edges) = analyze_key(history, key, &data);
-        out.anomalies.append(&mut anomalies);
-        for (a, b, w) in edges {
-            out.deps.add(a, b, w);
-        }
+    const RECOVERABLE: bool = false;
+
+    /// Internal consistency: a read equals the previous read plus the
+    /// transaction's own increments since. State per key: the last read
+    /// (if any) and the increments after it.
+    fn check_internal(cx: &AnalysisCtx<'_, ()>, sink: &mut KeySink) {
+        internal_pass(cx, sink, |_, m, key, st: &mut (Option<i64>, i64)| match m {
+            Mop::Increment { amount, .. } => {
+                st.1 += amount;
+                None
+            }
+            Mop::Read {
+                value: Some(ReadValue::Counter(v)),
+                ..
+            } => {
+                let expected = st.0.map(|prev| prev + st.1);
+                *st = (Some(*v), 0);
+                expected
+                    .filter(|e| e != v)
+                    .map(|expected| InternalMismatch {
+                        message: format!(
+                            "read {v} of counter {key}, but prior operations imply {expected}"
+                        ),
+                    })
+            }
+            _ => None,
+        });
     }
-    grouped.recycle();
-    out.deps.build();
-    out
-}
 
-/// Internal consistency: read = previous read + own increments since.
-/// Transaction-major over the given scope, so the streaming checker can
-/// run it on just an epoch's new transactions.
-pub fn internal_anomalies<'h>(
-    txns: impl Iterator<Item = &'h elle_history::Transaction>,
-    keys: &KeySlots,
-) -> Vec<Anomaly> {
-    let mut out = Vec::new();
-    for t in txns {
-        let mut base: FxHashMap<Key, i64> = FxHashMap::default(); // last read
-        let mut delta: FxHashMap<Key, i64> = FxHashMap::default(); // own incs since
-        for m in &t.mops {
-            match m {
-                Mop::Increment { key, amount } if keys.contains(*key) => {
-                    *delta.entry(*key).or_insert(0) += amount;
-                }
-                Mop::Read {
-                    key,
-                    value: Some(ReadValue::Counter(v)),
-                } if keys.contains(*key) => {
-                    if let Some(prev) = base.get(key) {
-                        let expected = prev + delta.get(key).copied().unwrap_or(0);
-                        if *v != expected {
-                            out.push(Anomaly {
-                                typ: AnomalyType::Internal,
-                                txns: vec![t.id],
-                                key: Some(*key),
-                                steps: vec![],
-                                explanation: format!(
-                                    "{}\n  read {v} of counter {key}, but prior operations \
-                                     imply {expected}",
-                                    t.to_notation()
-                                ),
-                            });
+    /// One `(slot, occurrence)` tuple per increment and per committed
+    /// counter read.
+    fn gather<'h>(cx: &AnalysisCtx<'h, ()>, buf: &mut GatherBuf<CounterOcc>) {
+        for t in cx.scoped_txns() {
+            for m in &t.mops {
+                match m {
+                    Mop::Increment { key, amount } => {
+                        if let Some(slot) = cx.keys.slot_of(*key) {
+                            buf.push(
+                                slot,
+                                CounterOcc::Inc {
+                                    amount: *amount,
+                                    may_commit: t.status.may_have_committed(),
+                                },
+                            );
                         }
                     }
-                    base.insert(*key, *v);
-                    delta.insert(*key, 0);
+                    Mop::Read {
+                        key,
+                        value: Some(ReadValue::Counter(v)),
+                    } if t.status == TxnStatus::Committed => {
+                        if let Some(slot) = cx.keys.slot_of(*key) {
+                            buf.push(slot, CounterOcc::Read(t.id, *v));
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
     }
-    out
+
+    /// Counters carry no elements, so they add nothing to coverage.
+    fn observed_elems(_: &[CounterOcc]) -> Vec<Elem> {
+        Vec::new()
+    }
+
+    fn analyze_key<'h>(
+        cx: &AnalysisCtx<'h, ()>,
+        _: &(),
+        key: Key,
+        occs: &[CounterOcc],
+        _: bool,
+        sink: &mut KeySink,
+    ) {
+        let (anomalies, edges) = analyze_key(cx.history, key, &CounterKeyData::from_occs(occs));
+        sink.anomalies = anomalies;
+        sink.edges = edges;
+    }
+}
+
+/// Run the counter analysis over `counter_keys` through the shared
+/// driver.
+pub fn analyze(history: &History, counter_keys: &[Key]) -> CounterAnalysis {
+    // Counters never consult element provenance.
+    let elems = ElemIndex::new();
+    let out = run_mode::<Counter>(history, &elems, counter_keys, (), Parallelism::Auto);
+    CounterAnalysis {
+        deps: out.deps,
+        anomalies: out.anomalies,
+        gather: out.gather,
+    }
 }
 
 #[cfg(test)]

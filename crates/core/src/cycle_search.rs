@@ -220,6 +220,27 @@ pub fn find_cycle_anomalies_mode(
     opts: CycleSearchOptions,
     mode: Parallelism,
 ) -> Vec<Anomaly> {
+    search(deps, csr, history, opts, mode).0
+}
+
+/// The union of every edge class the search admits — the certificate's
+/// Tarjan mask.
+pub(crate) fn admitted(opts: CycleSearchOptions) -> EdgeMask {
+    search_plan(opts)
+        .iter()
+        .fold(EdgeMask::NONE, |a, s| a.union(s.allowed))
+}
+
+/// The cycle search, also returning the certificate's SCCs (canonically
+/// ordered; empty when the graph is acyclic under [`admitted`] or the
+/// certificate is off) so callers need no second Tarjan pass.
+pub(crate) fn search(
+    deps: &DepGraph,
+    csr: &Csr,
+    history: &History,
+    opts: CycleSearchOptions,
+    mode: Parallelism,
+) -> (Vec<Anomaly>, Vec<Vec<u32>>) {
     let plan = search_plan(opts);
 
     // ── Phase 0: the early-acyclic certificate. One Tarjan pass under
@@ -260,7 +281,7 @@ pub fn find_cycle_anomalies_mode(
         if sccs.is_empty() {
             // Certified acyclic under every admitted class: skip all
             // per-class passes.
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         let mut region: Vec<u32> = sccs.iter().flatten().copied().collect();
         region.sort_unstable();
@@ -344,7 +365,7 @@ pub fn find_cycle_anomalies_mode(
         *c += 1;
         *c <= opts.max_per_type
     });
-    out
+    (out, cert.map(|(_, sccs)| sccs).unwrap_or_default())
 }
 
 /// Present, classify, deduplicate, and record one cycle.

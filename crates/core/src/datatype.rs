@@ -215,6 +215,11 @@ pub trait DatatypeAnalysis {
     const DATATYPE: DataType;
     /// Wording for the shared anomaly messages.
     const VOCAB: Vocab;
+    /// Whether written values identify their writer (§4.2.3). Only
+    /// recoverable datatypes take part in the duplicate-write pass:
+    /// counters are not, and a counter-typed key that also saw set adds
+    /// must not report those adds' duplicates.
+    const RECOVERABLE: bool = true;
 
     /// Internal-consistency pass (§6.1): transaction-major, cheap, and
     /// serial. Implementations usually delegate to [`internal_pass`].
@@ -281,7 +286,7 @@ pub fn run_mode<D: DatatypeAnalysis>(
     // ── Serial prelude: internal consistency, then write-level
     //    duplicates (which poison recoverability per key). ─────────────
     out.anomalies.append(&mut internal_anomalies::<D>(&cx));
-    let (mut dup_anomalies, poisoned) = duplicate_anomalies(&cx, &D::VOCAB);
+    let (mut dup_anomalies, poisoned) = duplicates::<D, _>(&cx);
     out.anomalies.append(&mut dup_anomalies);
 
     // ── Partition by key, analyze, and merge deterministically. ───────
@@ -317,7 +322,19 @@ pub fn internal_anomalies<D: DatatypeAnalysis>(cx: &AnalysisCtx<'_, D::Config>) 
     sink.anomalies
 }
 
-/// Phase 2: write-level duplicate anomalies for this datatype's keys,
+/// Phase 2 for datatype `D`: [`duplicate_anomalies`] in `D`'s wording,
+/// or nothing at all when `D` is not [`DatatypeAnalysis::RECOVERABLE`].
+pub fn duplicates<D: DatatypeAnalysis, C>(
+    cx: &AnalysisCtx<'_, C>,
+) -> (Vec<Anomaly>, FxHashSet<Key>) {
+    if D::RECOVERABLE {
+        duplicate_anomalies(cx, &D::VOCAB)
+    } else {
+        Default::default()
+    }
+}
+
+/// Write-level duplicate anomalies for this datatype's keys,
 /// plus the poisoned-key set (recoverability broken). Cheap — it walks
 /// the element index's (sorted) duplicate list, not the history.
 pub fn duplicate_anomalies<C>(
@@ -356,10 +373,9 @@ pub fn duplicate_anomalies<C>(
 /// Phase 3: gather the scoped transactions into flat per-key occurrence
 /// runs and analyze each occupied key, returning `(key, sink)` pairs in
 /// sorted key order (slot order *is* key order, so no separate key sort
-/// remains). This is the **finalize** half of the streaming split:
-/// batch runs it over every key with an unbounded scope; the streaming
-/// checker runs it over the epoch's dirty keys with the scope narrowed
-/// to their transactions and caches the sinks.
+/// remains). The [`crate::pipeline`] runs it over every key with an
+/// unbounded scope (all keys), or over a seal's dirty keys with the
+/// scope narrowed to their transactions, caching the sinks.
 pub fn analyze_keys<D: DatatypeAnalysis>(
     cx: &AnalysisCtx<'_, D::Config>,
     poisoned: &FxHashSet<Key>,

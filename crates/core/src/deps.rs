@@ -531,9 +531,9 @@ impl DepGraph {
     }
 
     /// Replace the retired-edge counts folded into
-    /// [`DepGraph::class_counts`]. The windowed stream checker owns the
-    /// authoritative tally (it survives full graph rebuilds) and
-    /// re-applies it here before assembling each report.
+    /// [`DepGraph::class_counts`]. The pipeline's windowed retirement
+    /// owns the authoritative tally (it survives full graph rebuilds)
+    /// and re-applies it here before assembling each report.
     pub fn set_extra_counts(&mut self, extra: [usize; 8]) {
         self.extra = extra;
     }

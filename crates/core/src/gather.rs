@@ -20,9 +20,7 @@
 //! `put_layout`): history-borrowing occurrence types can't be
 //! type-erased behind a `TypeId`, but their raw backing storage only
 //! has a `(size, align)`, so the scan-order buffer and the grouped copy
-//! both come back on later runs regardless of lifetimes. The
-//! `_pooled`/`recycle` entry points survive as aliases from the era
-//! when only `'static` occurrence types could recycle.
+//! both come back on later runs regardless of lifetimes.
 
 use crate::pool;
 use elle_history::Key;
@@ -106,23 +104,6 @@ pub struct GatherBuf<T> {
 impl<T> Default for GatherBuf<T> {
     fn default() -> Self {
         GatherBuf::new()
-    }
-}
-
-impl<T: 'static> GatherBuf<T> {
-    /// Alias of [`GatherBuf::new`], kept from when only `'static`
-    /// occurrence types could recycle their items side; the layout
-    /// arena now pools every element type.
-    pub fn new_pooled() -> Self {
-        GatherBuf::new()
-    }
-
-    /// Alias of [`GatherBuf::group`] (see [`GatherBuf::new_pooled`]).
-    pub fn group_pooled(self, n_slots: usize) -> Grouped<T>
-    where
-        T: Copy,
-    {
-        self.group(n_slots)
     }
 }
 
@@ -281,12 +262,6 @@ impl<T> Grouped<T> {
     }
 }
 
-impl<T: 'static> Grouped<T> {
-    /// Alias of dropping: `Drop` now returns the items allocation to
-    /// the layout arena for every element type.
-    pub fn recycle(self) {}
-}
-
 impl<T> Drop for Grouped<T> {
     fn drop(&mut self) {
         pool::put_u32(std::mem::take(&mut self.offsets));
@@ -363,20 +338,21 @@ mod tests {
                 buf.push(slot, item);
             }
         };
-        let mut plain: GatherBuf<u64> = GatherBuf::new();
-        let mut pooled: GatherBuf<u64> = GatherBuf::new_pooled();
-        fill(&mut plain);
-        fill(&mut pooled);
-        let gp = plain.group(3);
-        let gq = pooled.group_pooled(3);
+        let mut first: GatherBuf<u64> = GatherBuf::new();
+        let mut second: GatherBuf<u64> = GatherBuf::new();
+        fill(&mut first);
+        fill(&mut second);
+        let g1 = first.group(3);
+        let g2 = second.group(3);
         for s in 0..3 {
-            assert_eq!(gp.run(s), gq.run(s));
+            assert_eq!(g1.run(s), g2.run(s));
         }
-        drop(gp);
-        gq.recycle();
+        drop(g1);
+        drop(g2);
 
-        // The recycled items capacity comes back on the next pooled buffer.
-        let back: GatherBuf<u64> = GatherBuf::new_pooled();
+        // Dropping returns the items allocation to the pool; the next
+        // buffer gets it back.
+        let back: GatherBuf<u64> = GatherBuf::new();
         assert!(back.items.capacity() >= 5, "items allocation recycled");
     }
 

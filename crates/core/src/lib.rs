@@ -55,6 +55,7 @@ pub mod list_append;
 mod models;
 mod observation;
 mod orders;
+pub mod pipeline;
 pub mod pool;
 pub mod reference;
 pub mod rw_register;

@@ -8,9 +8,9 @@
 //! [`crate::rw_register`]) now run those passes once per *distinct
 //! version* and fan results out from [`crate::versions::VersionId`]s;
 //! `crates/core/tests/version_props.rs` asserts the two pipelines are
-//! byte-for-byte identical on arbitrary histories, and
-//! [`crate::Checker::check_seed_reference`] runs a whole check through
-//! this reference for end-to-end report comparison.
+//! byte-for-byte identical on arbitrary histories, and its staged
+//! oracle (`crates/core/tests/staged`) runs a whole check through this
+//! reference for end-to-end report comparison.
 //!
 //! One deliberate deviation from the seed, applied on **both** sides:
 //! list lost-update groups of equal read length are ordered by value

@@ -11,7 +11,7 @@
 //! differential (flat gather under random epoch splits == batch on
 //! every prefix) lives in `crates/stream/tests/stream_props.rs`.
 
-use elle_core::counter;
+use elle_core::counter::Counter;
 use elle_core::datatype::{
     analyze_keys, analyze_keys_ref, duplicate_anomalies, AnalysisCtx, DatatypeAnalysis, KeySink,
     Parallelism,
@@ -19,12 +19,11 @@ use elle_core::datatype::{
 use elle_core::list_append::ListAppend;
 use elle_core::rw_register::{RegisterOptions, RwRegister};
 use elle_core::set_add::SetAdd;
-use elle_core::{DataType, DepGraph, GatherBuf, KeySlots, KeyTypes, ProvenanceIndex};
+use elle_core::{KeyTypes, ProvenanceIndex};
 use elle_dbsim::{DbConfig, FaultPlan, IsolationLevel, ObjectKind};
 use elle_gen::{run_workload, GenParams};
-use elle_history::{History, Key, TxnId};
+use elle_history::{History, Key};
 use proptest::prelude::*;
-use rustc_hash::FxHashMap;
 
 fn arb_history(kind: ObjectKind) -> impl Strategy<Value = History> {
     (
@@ -139,50 +138,10 @@ proptest! {
         assert_flat_matches_ref::<RwRegister>(&h, opts)?;
     }
 
-    /// The counter pipeline is a free function rather than a
-    /// [`DatatypeAnalysis`] impl, so its reference is built inline: the
-    /// same occurrence stream (via [`GatherBuf::into_parts`]) bucketed
-    /// through `FxHashMap<Key, Vec<CounterOcc>>` with an explicit key
-    /// sort — the shape of the pre-flat gather.
+    /// Counters run through the same driver as the recoverable
+    /// datatypes, so they share the generic reference.
     #[test]
     fn counter_flat_gather_matches_hash_map_ref(h in arb_history(ObjectKind::Counter)) {
-        let keys = KeyTypes::infer(&h).keys_of(DataType::Counter);
-        let flat = counter::analyze(&h, &keys);
-
-        let slots: KeySlots = keys.iter().copied().collect();
-        let mut buf = GatherBuf::new();
-        counter::gather(h.txns().iter(), &slots, &mut buf);
-        let (slot_ids, items) = buf.into_parts();
-        let mut data: FxHashMap<Key, Vec<counter::CounterOcc>> = FxHashMap::default();
-        for (s, occ) in slot_ids.iter().zip(items) {
-            data.entry(slots.key(*s)).or_default().push(occ);
-        }
-        let mut sorted: Vec<Key> = data.keys().copied().collect();
-        sorted.sort_unstable();
-
-        let mut anomalies = counter::internal_anomalies(h.txns().iter(), &slots);
-        let mut deps = DepGraph::with_txns(h.len());
-        for key in sorted {
-            let kd = counter::CounterKeyData::from_occs(&data[&key]);
-            let (mut a, edges) = counter::analyze_key(&h, key, &kd);
-            anomalies.append(&mut a);
-            for (x, y, w) in edges {
-                deps.add(x, y, w);
-            }
-        }
-        deps.build();
-
-        prop_assert_eq!(&flat.anomalies, &anomalies);
-        prop_assert_eq!(flat.deps.edge_count(), deps.edge_count(), "edge counts diverge");
-        for (a, b, m) in deps.edges() {
-            prop_assert_eq!(flat.deps.edge_mask(a, b), m, "edge {} -> {}", a, b);
-            prop_assert_eq!(
-                flat.deps.witnesses(TxnId(a), TxnId(b)),
-                deps.witnesses(TxnId(a), TxnId(b)),
-                "witnesses diverge on {} -> {}",
-                a,
-                b
-            );
-        }
+        assert_flat_matches_ref::<Counter>(&h, ())?;
     }
 }

@@ -7,6 +7,8 @@
 //! version orders, same cyclic keys, same dependency edges and
 //! witnesses, in both sequential and parallel scheduling.
 
+mod staged;
+
 use elle_core::datatype::{run_mode, DriverOutput, Parallelism};
 use elle_core::list_append::ListAppend;
 use elle_core::reference::{ListAppendRef, RwRegisterRef, SetAddRef};
@@ -128,7 +130,8 @@ proptest! {
 
     /// End to end: the full checker report (anomalies, counts, models,
     /// stats) serializes to the same JSON bytes through the interned
-    /// pipeline as through the seed per-read pipeline. Runs under
+    /// pipeline as through the staged composition of the seed per-read
+    /// passes (`staged::check` with the reference datatypes). Runs under
     /// whatever scheduling `ELLE_SEQUENTIAL` pins, so the CI matrix
     /// exercises both.
     #[test]
@@ -137,9 +140,10 @@ proptest! {
         h_reg in arb_history(ObjectKind::Register),
     ) {
         for history in [&h, &h_reg] {
-            let checker = Checker::new(CheckOptions::strict_serializable());
-            let new = serde_json::to_string(&checker.check(history)).unwrap();
-            let seed = serde_json::to_string(&checker.check_seed_reference(history)).unwrap();
+            let opts = CheckOptions::strict_serializable();
+            let new = serde_json::to_string(&Checker::new(opts).check(history)).unwrap();
+            let seed = staged::check::<ListAppendRef, RwRegisterRef, SetAddRef>(history, opts);
+            let seed = serde_json::to_string(&seed).unwrap();
             prop_assert_eq!(&new, &seed);
         }
     }

@@ -11,13 +11,20 @@
 //! ## The epoch lifecycle
 //!
 //! ```text
-//! ingest ─▶ seal ─▶ delta-analyze ─▶ merge+freeze ─▶ search ─▶ report
-//!   │                   │                │                      │
-//!   │   only dirty keys re-analyzed      │      same report as batch
-//!   │   (gather scoped to their txns)    │      on the whole prefix
-//!   └── events dropped after pairing     └── sorted edge delta merged
-//!                                            into the carried spine
+//! ingest ──▶ seal ────────────────────────────────────────────────▶ retire
+//!   │         index → datatypes → orders → graph → build → freeze    │
+//!   │           → search → report   (elle_core::pipeline, dirty keys) │
+//!   │         only dirty keys re-analyzed; the edge delta appended    │
+//!   │         to the carried graph (rebuilt from cached results on a  │
+//!   │         retraction); the report is batch's on the whole prefix  │
+//!   └── events dropped after pairing          quiescent prefix leaves ┘
 //! ```
+//!
+//! Every stage of the seal is [`elle_core::pipeline`]'s: the batch
+//! checker runs the same sequence once over all keys, this crate runs
+//! it at every seal over the epoch's dirty keys. The stream crate owns
+//! only pairing, the ingest hooks, the window policy and its safety
+//! clamps, snapshot/restore, and poisoned-epoch isolation.
 //!
 //! ## The correctness anchor
 //!
@@ -34,18 +41,23 @@
 //! * the paired prefix (required: any future anomaly may name any past
 //!   transaction) and the open-invocation table — raw events are
 //!   dropped at ingest;
-//! * the incremental key-typing and element→writer indexes;
-//! * per-key posting lists and the latest per-key analysis sinks
+//! * the pipeline's [`Analysis`](elle_core::pipeline::Analysis) state:
+//!   key typing, the element index and per-key posting lists; per
+//!   datatype (list, register, set, counter) the latest per-key results
 //!   (anomalies interned behind `Arc`, so report assembly clones
-//!   pointers);
-//! * the accumulated dependency graph's sorted spine;
-//! * per-process / completion-order frontiers for the derived orders;
-//! * monotone coverage counters.
+//!   pointers) and per-transaction internal anomalies; monotone
+//!   coverage counters; the dependency graph's sorted spine; the
+//!   process, completion-order and timestamp frontiers; the running
+//!   statistics;
+//! * under a bounded [`WindowPolicy`], the retired prefix's summaries
+//!   (edge counts, statistics, anomaly stashes, compromised-key
+//!   markers, the pruned completion frontier) — the
+//!   [`RetiredPrefix`] a snapshot's [`WindowCarry`] persists.
 //!
 //! Everything epoch-scoped (delta transaction lists, dirty-key sets,
 //! gather scratch) is released at seal, so steady-state memory tracks
 //! the active window — open transactions and live keys — plus the
-//! prefix itself, not the number of epochs.
+//! retained prefix, not the number of epochs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,8 +67,8 @@ mod epoch;
 mod live;
 
 pub use checker::{
-    CheckerSnapshot, DtStashCarry, EpochReport, FrontierStats, StreamChecker, WindowCarry,
-    WindowPolicy, WindowStats,
+    CheckerSnapshot, DtStashCarry, EpochReport, FrontierStats, RetiredPrefix, StreamChecker,
+    WindowCarry, WindowPolicy, WindowStats,
 };
 pub use epoch::EpochPolicy;
 pub use live::{run_live, run_live_windowed};

@@ -62,40 +62,3 @@ pub fn run_live_windowed(
     on_epoch(&last);
     last
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use elle_dbsim::{IsolationLevel, ObjectKind};
-
-    #[test]
-    fn live_run_seals_multiple_epochs_and_matches_batch() {
-        let params = GenParams::contended(120, ObjectKind::ListAppend).with_seed(7);
-        let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
-            .with_processes(4)
-            .with_seed(7);
-        let mut n = 0usize;
-        let last = run_live(
-            params,
-            db,
-            EpochPolicy::every_txns(25),
-            CheckOptions::strict_serializable(),
-            |_| n += 1,
-        );
-        assert!(n >= 4, "expected several epochs, got {n}");
-        assert_eq!(last.txns, 120);
-        // The final verdict equals a batch check of the same workload.
-        let h = elle_gen::run_workload(
-            GenParams::contended(120, ObjectKind::ListAppend).with_seed(7),
-            DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
-                .with_processes(4)
-                .with_seed(7),
-        )
-        .unwrap();
-        let batch = elle_core::Checker::new(CheckOptions::strict_serializable()).check(&h);
-        assert_eq!(
-            serde_json::to_string(&last.report).unwrap(),
-            serde_json::to_string(&batch).unwrap()
-        );
-    }
-}

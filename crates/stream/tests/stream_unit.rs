@@ -265,3 +265,61 @@ fn reassigned_key_stays_consistent_when_redirtied_later() {
     ]);
     differential(&l, CheckOptions::serializable(), 2);
 }
+
+#[test]
+fn conflicted_counter_and_set_key_reports_no_duplicate_write() {
+    // Key 1 is both incremented and set-added, so it types as a
+    // counter; the two adds of element 5 collide in the element index,
+    // but counters take no part in the duplicate-write pass — in any
+    // epoch, on either driver.
+    let l = log(&[
+        inv(0, vec![Mop::increment(1, 1)]),
+        ok(0, vec![Mop::increment(1, 1)]),
+        inv(1, vec![Mop::add_to_set(1, 5)]),
+        ok(1, vec![Mop::add_to_set(1, 5)]),
+        inv(2, vec![Mop::add_to_set(1, 5)]),
+        ok(2, vec![Mop::add_to_set(1, 5)]),
+        inv(3, vec![Mop::read(1)]),
+        ok(3, vec![Mop::read_counter(1, 1)]),
+    ]);
+    for e in differential(&l, CheckOptions::serializable(), 2) {
+        assert!(!e
+            .report
+            .anomaly_counts
+            .contains_key(&elle_core::AnomalyType::DuplicateWrite));
+    }
+}
+
+#[test]
+fn live_run_seals_multiple_epochs_and_matches_batch() {
+    use elle_dbsim::{DbConfig, IsolationLevel, ObjectKind};
+    use elle_gen::GenParams;
+    use elle_stream::{run_live, EpochPolicy};
+    let params = GenParams::contended(120, ObjectKind::ListAppend).with_seed(7);
+    let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
+        .with_processes(4)
+        .with_seed(7);
+    let mut n = 0usize;
+    let last = run_live(
+        params,
+        db,
+        EpochPolicy::every_txns(25),
+        CheckOptions::strict_serializable(),
+        |_| n += 1,
+    );
+    assert!(n >= 4, "expected several epochs, got {n}");
+    assert_eq!(last.txns, 120);
+    // The final verdict equals a batch check of the same workload.
+    let h = elle_gen::run_workload(
+        GenParams::contended(120, ObjectKind::ListAppend).with_seed(7),
+        DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
+            .with_processes(4)
+            .with_seed(7),
+    )
+    .unwrap();
+    let batch = Checker::new(CheckOptions::strict_serializable()).check(&h);
+    assert_eq!(
+        serde_json::to_string(&last.report).unwrap(),
+        serde_json::to_string(&batch).unwrap()
+    );
+}

@@ -19,22 +19,50 @@ fn mix(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A key-rotating list-append history: every `span` transactions the
-/// active key advances and the previous key is never touched again —
-/// the Jepsen-style workload shape windowed retirement is built for
-/// (a hot key pins its touchers; a rotated-away key quiesces and can
-/// be retired).
-fn rotating_history(seed: u64, n_txns: usize, span: usize, procs: u32) -> History {
+/// The object kind a rotating history exercises.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    List,
+    Register,
+    Set,
+    Counter,
+}
+
+const KINDS: [Kind; 4] = [Kind::List, Kind::Register, Kind::Set, Kind::Counter];
+
+/// A key-rotating history over one object kind: every `span`
+/// transactions the active key advances and the previous key is never
+/// touched again — the Jepsen-style workload shape windowed retirement
+/// is built for (a hot key pins its touchers; a rotated-away key
+/// quiesces and can be retired). Each transaction writes the active
+/// key once; about half first read it, observing exactly the state the
+/// serial execution produced.
+fn rotating_history(kind: Kind, seed: u64, n_txns: usize, span: usize, procs: u32) -> History {
     let mut b = HistoryBuilder::new();
+    let mut state: Vec<u64> = Vec::new();
     for i in 0..n_txns {
         let key = (i / span.max(1)) as u64;
+        if i % span.max(1) == 0 {
+            state.clear();
+        }
         let p = (mix(seed, i as u64) % u64::from(procs.max(1))) as u32;
-        let t = b.txn(p).append(key, i as u64);
-        let t = if mix(seed, i as u64) & 2 != 0 {
-            t.read(key)
-        } else {
-            t
+        let mut t = b.txn(p);
+        if mix(seed, i as u64) & 2 != 0 {
+            t = match kind {
+                Kind::List => t.read_list(key, state.iter().copied()),
+                Kind::Register => t.read_register(key, state.last().copied()),
+                Kind::Set => t.read_set(key, state.iter().copied()),
+                Kind::Counter => t.read_counter(key, state.len() as i64),
+            };
+        }
+        let v = i as u64;
+        t = match kind {
+            Kind::List => t.append(key, v),
+            Kind::Register => t.write(key, v),
+            Kind::Set => t.add_to_set(key, v),
+            Kind::Counter => t.increment(key, 1),
         };
+        state.push(v);
         t.commit();
     }
     b.build()
@@ -106,6 +134,7 @@ proptest! {
     /// must be byte-identical to the unbounded checker's.
     #[test]
     fn windowed_equals_unbounded_on_rotating_keys(
+        kind in 0usize..4,
         seed in any::<u64>(),
         n in 40usize..140,
         span in 2usize..6,
@@ -113,7 +142,7 @@ proptest! {
         per_epoch in 3usize..9,
         derived in 0usize..3,
     ) {
-        let h = rotating_history(seed, n, span, 4);
+        let h = rotating_history(KINDS[kind], seed, n, span, 4);
         let events = events_of(&h);
         let mut opts = CheckOptions::strict_serializable();
         if derived >= 1 {
@@ -140,7 +169,7 @@ proptest! {
         span in 2usize..5,
         budget in 8usize..64,
     ) {
-        let h = rotating_history(seed, n, span, 4);
+        let h = rotating_history(Kind::List, seed, n, span, 4);
         let events = events_of(&h);
         let opts = CheckOptions::strict_serializable();
         assert_windowed_differential(
@@ -242,7 +271,7 @@ fn soak_resident_bytes_stays_flat_over_500_epochs() {
     let span = 3usize;
     let per_epoch = 3usize; // 500 epochs
     let budget = 48 * 1024usize;
-    let h = rotating_history(0xE11E_50A7, n_txns, span, 4);
+    let h = rotating_history(Kind::List, 0xE11E_50A7, n_txns, span, 4);
     let events = events_of(&h);
     let opts = CheckOptions::strict_serializable();
     let mut windowed = StreamChecker::with_window(opts, WindowPolicy::Bytes(budget));
@@ -295,48 +324,73 @@ fn soak_resident_bytes_stays_flat_over_500_epochs() {
     );
 }
 
-/// Snapshot + restore under an active window: the carry must bring
-/// back everything retirement folded out, so the restored checker's
-/// next verdicts are byte-identical to the uninterrupted checker's.
+/// Snapshot + restore under an active window, for every object kind:
+/// the carry must bring back everything retirement folded out, so the
+/// restored checker's next verdicts are byte-identical to the
+/// uninterrupted checker's.
 #[test]
 fn windowed_snapshot_restore_is_byte_identical() {
-    let h = rotating_history(77, 90, 3, 4);
-    let events = events_of(&h);
-    let opts = CheckOptions::strict_serializable().with_process_edges(true);
-    let mut original = StreamChecker::with_window(opts, WindowPolicy::TxnCount(12));
-    let split = 120usize; // 60 txns in, mid-stream
-    let mut since = 0usize;
-    for ev in &events[..split] {
-        original.ingest_event(ev).expect("well-formed");
-        since += 1;
-        if since >= 20 {
-            since = 0;
-            original.seal_epoch();
+    for kind in KINDS {
+        let h = rotating_history(kind, 77, 90, 3, 4);
+        let events = events_of(&h);
+        let opts = CheckOptions::strict_serializable().with_process_edges(true);
+        let mut original = StreamChecker::with_window(opts, WindowPolicy::TxnCount(12));
+        let split = 120usize; // 60 txns in, mid-stream
+        let mut since = 0usize;
+        for ev in &events[..split] {
+            original.ingest_event(ev).expect("well-formed");
+            since += 1;
+            if since >= 20 {
+                since = 0;
+                original.seal_epoch();
+            }
         }
+        assert!(
+            original.retired_txns() > 0,
+            "{kind:?}: the snapshot must span retirement"
+        );
+        let snap = original.snapshot();
+        let carry = snap.window.as_ref().expect("windowed snapshots carry");
+        // The carry is what elle-serve persists: it must survive the wire.
+        let wire = serde_json::to_string(carry).expect("carry serializes");
+        let back: WindowCarry = serde_json::from_str(&wire).expect("carry parses");
+        assert_eq!(carry, &back);
+        let mut restored = StreamChecker::restore(opts, &snap);
+        assert_eq!(restored.window_policy(), WindowPolicy::TxnCount(12));
+        assert_eq!(restored.retired_txns(), original.retired_txns());
+        for ev in &events[split..] {
+            original.ingest_event(ev).expect("well-formed");
+            restored.ingest_event(ev).expect("well-formed");
+        }
+        let eo = original.seal_epoch();
+        let er = restored.seal_epoch();
+        assert_eq!(
+            serde_json::to_string(&eo.report).unwrap(),
+            serde_json::to_string(&er.report).unwrap(),
+            "{kind:?}: restored verdict must be byte-identical"
+        );
+        assert_eq!(eo.window, er.window, "{kind:?}");
     }
-    assert!(
-        original.retired_txns() > 0,
-        "the snapshot must span retirement"
+}
+
+/// The carry's wire shape is flat — the retired-prefix fields follow
+/// `base` and `policy` in one map — so data directories written with
+/// that layout keep restoring, and re-serialize byte-identically.
+#[test]
+fn window_carry_wire_shape_is_flat() {
+    let wire = concat!(
+        r#"{"base":7,"policy":{"TxnCount":12},"retired_edge_counts":[1,2,0,0,3,0,0,0],"#,
+        r#""retired_mops":21,"retired_committed":6,"retired_aborted":1,"#,
+        r#""retired_committed_writes":9,"retired_observed_writes":8,"rt_seed_max":4,"#,
+        r#""rt_completes":[[5,3],[9,6]],"rt_prefix_max_invoke":[4,8],"#,
+        r#""proc_last_retired":[[0,6]],"retired_keys":[1,2],"#,
+        r#""retired_key_masks":[[1,1],[2,1]],"evicted":[],"#,
+        r#""stashes":[{"internal":[],"dups":[],"sinks":[]}]}"#,
     );
-    let snap = original.snapshot();
-    let carry = snap.window.as_ref().expect("windowed snapshots carry");
-    // The carry is what elle-serve persists: it must survive the wire.
-    let wire = serde_json::to_string(carry).expect("carry serializes");
-    let back: WindowCarry = serde_json::from_str(&wire).expect("carry parses");
-    assert_eq!(carry, &back);
-    let mut restored = StreamChecker::restore(opts, &snap);
-    assert_eq!(restored.window_policy(), WindowPolicy::TxnCount(12));
-    assert_eq!(restored.retired_txns(), original.retired_txns());
-    for ev in &events[split..] {
-        original.ingest_event(ev).expect("well-formed");
-        restored.ingest_event(ev).expect("well-formed");
-    }
-    let eo = original.seal_epoch();
-    let er = restored.seal_epoch();
-    assert_eq!(
-        serde_json::to_string(&eo.report).unwrap(),
-        serde_json::to_string(&er.report).unwrap(),
-        "restored verdict must be byte-identical"
-    );
-    assert_eq!(eo.window, er.window);
+    let carry: WindowCarry = serde_json::from_str(wire).expect("flat carry parses");
+    assert_eq!(carry.base, 7);
+    assert_eq!(carry.policy, WindowPolicy::TxnCount(12));
+    assert_eq!(carry.retired.retired_mops, 21);
+    assert_eq!(carry.retired.rt_completes, vec![(5, 3), (9, 6)]);
+    assert_eq!(serde_json::to_string(&carry).unwrap(), wire);
 }
