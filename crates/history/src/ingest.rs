@@ -188,6 +188,24 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// Decode one NDJSON event line, its newline and surrounding blanks
+/// ignored: `Ok(None)` for a blank line, an [`IngestCause::Decode`]
+/// error at `pos` for a line that is not an event.
+pub fn decode_event_line(raw: &str, pos: SourcePos) -> Result<Option<Event>, IngestError> {
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    serde_json::from_str(trimmed)
+        .map(Some)
+        .map_err(|e| IngestError {
+            pos,
+            cause: IngestCause::Decode {
+                message: e.to_string(),
+            },
+        })
+}
+
 /// A streaming NDJSON → [`History`] pipeline with positions, policy,
 /// and diagnostics: the fault-tolerant counterpart of
 /// [`events_from_ndjson`](crate::events_from_ndjson)` + `[`EventLog::pair`].
@@ -261,19 +279,10 @@ impl NdjsonIngestor {
         let pos = self.pos();
         self.line += 1;
         self.byte += raw.len();
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            return Ok(None);
-        }
-        let ev: Event = match serde_json::from_str(trimmed) {
-            Ok(ev) => ev,
-            Err(e) => {
-                let err = IngestError {
-                    pos,
-                    cause: IngestCause::Decode {
-                        message: e.to_string(),
-                    },
-                };
+        let ev = match decode_event_line(raw, pos) {
+            Ok(Some(ev)) => ev,
+            Ok(None) => return Ok(None),
+            Err(err) => {
                 return match self.policy {
                     RecoveryPolicy::Strict => Err(err),
                     RecoveryPolicy::Quarantine => {
@@ -364,29 +373,19 @@ pub fn events_from_ndjson_with(
     for (i, raw) in s.split_inclusive('\n').enumerate() {
         let pos = SourcePos { line: i + 1, byte };
         byte += raw.len();
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let cause = match serde_json::from_str::<Event>(trimmed) {
-            Ok(ev) => {
-                if last_index.is_some_and(|last| ev.index <= last) {
-                    IngestCause::Ordering { index: ev.index }
-                } else {
-                    last_index = Some(ev.index);
-                    events.push(ev);
-                    continue;
-                }
+        let (error, action) = match decode_event_line(raw, pos) {
+            Ok(None) => continue,
+            Ok(Some(ev)) if last_index.is_some_and(|last| ev.index <= last) => {
+                let cause = IngestCause::Ordering { index: ev.index };
+                (IngestError { pos, cause }, RecoveryAction::SkippedEvent)
             }
-            Err(e) => IngestCause::Decode {
-                message: e.to_string(),
-            },
+            Ok(Some(ev)) => {
+                last_index = Some(ev.index);
+                events.push(ev);
+                continue;
+            }
+            Err(error) => (error, RecoveryAction::SkippedLine),
         };
-        let action = match cause {
-            IngestCause::Decode { .. } => RecoveryAction::SkippedLine,
-            _ => RecoveryAction::SkippedEvent,
-        };
-        let error = IngestError { pos, cause };
         match policy {
             RecoveryPolicy::Strict => return Err(error),
             RecoveryPolicy::Quarantine => diagnostics.push(Diagnostic { error, action }),

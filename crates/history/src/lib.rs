@@ -44,8 +44,8 @@ pub use builder::{duplicate_written_elems, HistoryBuilder, TxnBuilder};
 pub use event::{Event, EventKind, EventLog};
 pub use ids::{Elem, Key, ProcessId, TxnId};
 pub use ingest::{
-    events_from_ndjson_with, Diagnostic, IngestCause, IngestError, NdjsonIngestor, Recovered,
-    RecoveryAction, RecoveryPolicy, SourcePos,
+    decode_event_line, events_from_ndjson_with, Diagnostic, IngestCause, IngestError,
+    NdjsonIngestor, Recovered, RecoveryAction, RecoveryPolicy, SourcePos,
 };
 pub use mop::{Mop, ReadValue};
 pub use pairing::{Ingest, PairingError, StreamingPairer};

@@ -31,7 +31,9 @@ mod imp {
     use std::sync::atomic::Ordering;
 
     const SIGINT: i32 = 2;
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
+    const SIG_DFL: usize = 0;
 
     extern "C" {
         // POSIX `signal(2)`. Takes and returns the previous handler as
@@ -49,15 +51,33 @@ mod imp {
             signal(SIGINT, on_signal as *const () as usize);
         }
     }
+
+    pub fn default_sigpipe() {
+        // SAFETY: `signal` only swaps the process's disposition for
+        // SIGPIPE; SIG_DFL installs no handler code.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
 }
 
 #[cfg(not(unix))]
 mod imp {
     pub fn install() {}
+    pub fn default_sigpipe() {}
 }
 
 /// Install SIGTERM/SIGINT handlers that arm the shutdown latch. A
 /// no-op on non-unix targets (EOF / `shutdown` op still drain).
 pub fn install() {
     imp::install();
+}
+
+/// Restore the default `SIGPIPE` disposition, which the Rust runtime
+/// sets to ignored: a one-shot CLI whose reader closes stdout (`| head`)
+/// then stops quietly, as `cat` does, instead of panicking on `EPIPE`.
+/// The service must not call this: a client that disconnects must never
+/// kill it.
+pub fn default_sigpipe() {
+    imp::default_sigpipe();
 }

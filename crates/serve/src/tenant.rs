@@ -24,7 +24,7 @@
 use crate::config::ServeConfig;
 use crate::store::{Restored, TenantStore};
 use elle_history::{Event, Recovered, RecoveryPolicy, SnapshotMeta};
-use elle_stream::{CheckerSnapshot, EpochReport, StreamChecker, WindowCarry, WindowPolicy};
+use elle_stream::{CheckerSnapshot, EpochReport, Gauges, StreamChecker, WindowCarry, WindowPolicy};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::time::{Duration, Instant};
@@ -492,42 +492,22 @@ impl Tenant {
     /// crash-recovery contract promises. Gauges appear only when
     /// nonzero, keeping healthy tenants' envelopes byte-stable.
     fn envelope(&self, epoch: &EpochReport) -> String {
-        let ok = match &epoch.poisoned {
-            None => epoch.report.ok().to_string(),
-            Some(_) => "null".to_string(),
-        };
-        let mut extra = String::new();
-        if let Some(m) = &epoch.poisoned {
-            extra.push_str(&format!(
-                ",\"poisoned\":{}",
-                serde_json::to_string(m).expect("string serializes")
-            ));
+        let mut gauges = String::new();
+        Gauges {
+            quarantined: self.quarantined_total(),
+            forced_seals: self.forced_seals,
+            budget_seals: self.budget_seals,
+            forced_window: self.forced_window,
+            ..epoch.gauges()
         }
-        let q = self.quarantined_total();
-        if q > 0 {
-            extra.push_str(&format!(",\"quarantined\":{q}"));
-        }
-        if self.forced_seals > 0 {
-            extra.push_str(&format!(",\"forced_seals\":{}", self.forced_seals));
-        }
-        if self.budget_seals > 0 {
-            extra.push_str(&format!(",\"budget_seals\":{}", self.budget_seals));
-        }
-        if self.forced_window > 0 {
-            extra.push_str(&format!(",\"forced_window\":{}", self.forced_window));
-        }
-        if let Some(w) = &epoch.window {
-            extra.push_str(&format!(
-                ",\"window\":{{\"retired_txns\":{},\"retained_txns\":{},\"resident_bytes\":{},\"exact\":{}}}",
-                w.retired_txns, w.retained_txns, w.resident_bytes, w.exact,
-            ));
-        }
+        .write(&mut gauges);
         format!(
-            "{{\"tenant\":\"{}\",\"epoch\":{},\"txns\":{},\"events\":{},\"ok\":{ok},\"open_txns\":{}{extra},\"report\":{}}}",
+            "{{\"tenant\":\"{}\",\"epoch\":{},\"txns\":{},\"events\":{},\"ok\":{},\"open_txns\":{}{gauges},\"report\":{}}}",
             self.name,
             epoch.epoch,
             epoch.txns,
             epoch.events,
+            epoch.ok_json(),
             epoch.frontier.open_txns,
             serde_json::to_string(&epoch.report).expect("report serializes"),
         )

@@ -63,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 mod checker;
+mod envelope;
 mod epoch;
 mod live;
 
@@ -70,5 +71,6 @@ pub use checker::{
     CheckerSnapshot, DtStashCarry, EpochReport, FrontierStats, RetiredPrefix, StreamChecker,
     WindowCarry, WindowPolicy, WindowStats,
 };
+pub use envelope::Gauges;
 pub use epoch::EpochPolicy;
 pub use live::{run_live, run_live_windowed};

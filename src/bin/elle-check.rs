@@ -13,14 +13,11 @@
 //! usage or input errors, 3 on an internal checker error, an exhausted
 //! engine budget (verdict unknown), or an `--engine both` disagreement.
 
+use elle::cli::{self, Args, Cli, Status, Stop};
 use elle::history::{NdjsonIngestor, RecoveryPolicy};
 use elle::prelude::*;
 use std::process::ExitCode;
 use std::time::Duration;
-
-fn parse_model(s: &str) -> Option<ConsistencyModel> {
-    ConsistencyModel::ALL.into_iter().find(|m| m.name() == s)
-}
 
 /// Which verdict engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,65 +42,35 @@ fn parse_engine(s: &str) -> Option<Engine> {
     }
 }
 
-fn usage_text() -> String {
-    format!(
-        "usage: elle-check <history.json | events.ndjson> [options]\n\
-         \n\
-         A *.ndjson input is parsed as an event stream (one invoke/ok/fail/info\n\
-         event per line) and paired; anything else as a JSON history.\n\
-         \n\
-         options:\n\
-         --model <name>   expected model (default strict-serializable):\n\
-         {}\n\
-         --engine <name>  verdict engine (default cycle):\n\
-         \u{20}                  cycle  Elle's sound cycle search over the inferred IDSG\n\
-         \u{20}                  sat    complete SAT check; requires --model serializable\n\
-         \u{20}                         or snapshot-isolation, decodes a witness order or\n\
-         \u{20}                         a minimal counterexample\n\
-         \u{20}                  dfs    WGL-style DFS linearization search; only for the\n\
-         \u{20}                         default strict-serializable model on list/register\n\
-         \u{20}                         histories\n\
-         \u{20}                  both   run cycle and sat on the same history and diff\n\
-         \u{20}                         the verdicts (disagreement is exit 3)\n\
-         --time-budget-ms <n>  dfs: wall-clock budget (default 100000)\n\
-         --max-states <n>      dfs: explored-state cap\n\
-         --process        derive session-order edges\n\
-         --realtime       derive real-time edges\n\
-         --timestamps     derive start-ordered (database timestamp) edges\n\
-         --linearizable-keys  assume per-key linearizability (registers)\n\
-         --sequential-keys    assume per-key sequential consistency\n\
-         --max-cycles <n> cap reported cycles per anomaly type\n\
-         --quarantine     salvage damaged .ndjson input: skip undecodable or\n\
-         \u{20}                misordered lines, adopt orphan completions, abandon\n\
-         \u{20}                overlapping invocations (one stderr diagnostic each)\n\
-         --json           print the full report as JSON\n\
-         --timing         print a per-stage wall-clock breakdown on stderr\n\
-         --demo           check a built-in anomalous example\n\
-         \n\
-         exit status:\n\
-         0  the expected model holds\n\
-         1  the expected model is violated\n\
-         2  usage or input error (strict-mode ingest failures included,\n\
-         \u{20}   histories the chosen engine cannot model)\n\
-         3  internal checker error, an engine budget exhausted (verdict\n\
-         \u{20}   unknown), or an --engine both disagreement",
-        ConsistencyModel::ALL
-            .map(|m| format!("                   {}", m.name()))
-            .join("\n")
-    )
-}
+const CLI: Cli = Cli {
+    about: "\
+usage: elle-check <history.json | events.ndjson> [options]
 
-/// A usage *error*: help on stderr, exit 2.
-fn usage() -> ExitCode {
-    eprintln!("{}", usage_text());
-    ExitCode::from(2)
-}
-
-/// An explicit help request: help on stdout, exit 0.
-fn help() -> ExitCode {
-    println!("{}", usage_text());
-    ExitCode::SUCCESS
-}
+A *.ndjson input is parsed as an event stream (one invoke/ok/fail/info
+event per line) and paired; anything else as a JSON history.",
+    options: "\
+--engine <name>  verdict engine (default cycle):
+                   cycle  Elle's sound cycle search over the inferred IDSG
+                   sat    complete SAT check; requires --model serializable
+                          or snapshot-isolation, decodes a witness order or
+                          a minimal counterexample
+                   dfs    WGL-style DFS linearization search; only for the
+                          default strict-serializable model on list/register
+                          histories
+                   both   run cycle and sat on the same history and diff
+                          the verdicts (disagreement is exit 3)
+--time-budget-ms <n>  dfs: wall-clock budget (default 100000)
+--max-states <n>      dfs: explored-state cap
+--quarantine     salvage damaged .ndjson input: skip undecodable or
+                 misordered lines, adopt orphan completions, abandon
+                 overlapping invocations (one stderr diagnostic each)
+--json           print the full report as JSON
+--timing         print a per-stage wall-clock breakdown on stderr
+--demo           check a built-in anomalous example",
+    exit_notes: "\
+2 also covers a history the chosen engine cannot model; 3 also covers an
+engine budget exhausted (verdict unknown) and an --engine both disagreement.",
+};
 
 fn demo_history() -> History {
     // The paper's §7.1 TiDB trio.
@@ -125,106 +92,56 @@ fn demo_history() -> History {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
+    elle::serve::signal::default_sigpipe();
+    CLI.run(run)
+}
 
+fn run(args: &mut Args) -> Result<Status, Stop> {
     let mut path: Option<String> = None;
     let mut opts = CheckOptions::strict_serializable()
         .with_process_edges(false)
         .with_realtime_edges(false);
-    let mut registers = RegisterOptions::default();
     let mut as_json = false;
     let mut timing = false;
     let mut demo = false;
-    let mut quarantine = false;
+    let mut recovery = RecoveryPolicy::Strict;
     let mut engine = Engine::Cycle;
     let mut time_budget_ms: u64 = 100_000;
     let mut max_states: Option<usize> = None;
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--engine" => {
-                let Some(e) = it.next().and_then(|s| parse_engine(s)) else {
-                    return usage();
-                };
-                engine = e;
-            }
-            "--time-budget-ms" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                time_budget_ms = n;
-            }
-            "--max-states" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                max_states = Some(n);
-            }
-            "--model" => {
-                let Some(name) = it.next() else {
-                    return usage();
-                };
-                let Some(m) = parse_model(name) else {
-                    eprintln!("unknown model {name:?}");
-                    return usage();
-                };
-                opts.expected = m;
-            }
-            "--process" => opts = opts.with_process_edges(true),
-            "--realtime" => opts = opts.with_realtime_edges(true),
-            "--timestamps" => opts = opts.with_timestamp_edges(true),
-            "--linearizable-keys" => registers.linearizable_keys = true,
-            "--sequential-keys" => registers.sequential_keys = true,
-            "--max-cycles" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                opts = opts.with_max_cycles(n);
-            }
+            "--engine" => engine = args.parse_with(parse_engine)?,
+            "--time-budget-ms" => time_budget_ms = args.parse()?,
+            "--max-states" => max_states = Some(args.parse()?),
             "--json" => as_json = true,
             "--timing" => timing = true,
             "--demo" => demo = true,
-            "--quarantine" => quarantine = true,
-            "--help" | "-h" => return help(),
+            "--quarantine" => recovery = RecoveryPolicy::Quarantine,
+            "--help" | "-h" => return Err(Stop::Help),
+            flag if cli::check_flag(flag, args, &mut opts)? => {}
             other if path.is_none() && !other.starts_with('-') => {
                 path = Some(other.to_string());
             }
-            other => {
-                eprintln!("unrecognized argument {other:?}");
-                return usage();
-            }
+            other => return Err(Stop::unrecognized(other)),
         }
     }
-    opts = opts.with_registers(registers);
 
     let parse_start = std::time::Instant::now();
     let mut quarantined = 0usize;
     let history = if demo {
         demo_history()
     } else {
-        let Some(path) = path else { return usage() };
-        let raw = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
+        let Some(path) = path else {
+            return Err(Stop::Usage(None));
         };
+        let raw = std::fs::read_to_string(&path)
+            .map_err(|e| Stop::Input(format!("cannot read {path}: {e}")))?;
         if path.ends_with(".ndjson") {
-            let policy = if quarantine {
-                RecoveryPolicy::Quarantine
-            } else {
-                RecoveryPolicy::Strict
-            };
-            let mut ingestor = NdjsonIngestor::new(policy);
-            if let Err(e) = ingestor.feed_str(&raw) {
-                eprintln!("cannot ingest {path}: {e}");
-                return ExitCode::from(2);
-            }
+            let mut ingestor = NdjsonIngestor::new(recovery);
+            ingestor
+                .feed_str(&raw)
+                .map_err(|e| Stop::Input(format!("cannot ingest {path}: {e}")))?;
             let (h, diags) = ingestor.finish();
             for d in &diags {
                 eprintln!("quarantined: {d}");
@@ -232,24 +149,25 @@ fn main() -> ExitCode {
             quarantined = diags.len();
             h
         } else {
-            match elle::history::history_from_json(&raw) {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            elle::history::history_from_json(&raw)
+                .map_err(|e| Stop::Input(format!("cannot parse {path}: {e}")))?
         }
     };
     let parse_secs = parse_start.elapsed().as_secs_f64();
 
     match engine {
         Engine::Cycle => {}
-        Engine::Sat => return run_sat(&history, opts.expected, as_json, timing),
+        Engine::Sat => return Ok(run_sat(&history, opts.expected, as_json, timing)),
         Engine::Dfs => {
-            return run_dfs(&history, opts.expected, time_budget_ms, max_states, as_json)
+            return Ok(run_dfs(
+                &history,
+                opts.expected,
+                time_budget_ms,
+                max_states,
+                as_json,
+            ))
         }
-        Engine::Both => return run_both(&history, opts, as_json, timing),
+        Engine::Both => return Ok(run_both(&history, opts, as_json, timing)),
     }
 
     let checker = Checker::new(opts);
@@ -264,7 +182,7 @@ fn main() -> ExitCode {
                     "internal checker error: {}",
                     elle::core::panic_message(p.as_ref())
                 );
-                return ExitCode::from(3);
+                return Ok(Status::Unknown);
             }
         };
         stages.quarantined_events = quarantined;
@@ -277,7 +195,7 @@ fn main() -> ExitCode {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::from(3);
+                return Ok(Status::Unknown);
             }
         }
     };
@@ -294,10 +212,7 @@ fn main() -> ExitCode {
                 ));
             }
         }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&v).expect("report serializes")
-        );
+        print_pretty(&v);
     } else {
         print!("{}", report.summary());
         for w in &report.warnings {
@@ -307,20 +222,29 @@ fn main() -> ExitCode {
             println!("\n{a}");
         }
     }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    Ok(Status::verdict(report.ok()))
+}
+
+fn print_pretty(v: &serde::Value) {
+    println!(
+        "{}",
+        serde_json::to_string_pretty(v).expect("report serializes")
+    );
 }
 
 /// The SAT engine's model universe: the two isolation levels the
-/// encoding covers.
-fn sat_model_of(m: ConsistencyModel) -> Option<SatModel> {
+/// encoding covers. Any other model is a usage error for `--engine`.
+fn sat_model_of(m: ConsistencyModel, engine: &str) -> Option<SatModel> {
     match m {
         ConsistencyModel::Serializable => Some(SatModel::Serializable),
         ConsistencyModel::SnapshotIsolation => Some(SatModel::SnapshotIsolation),
-        _ => None,
+        _ => {
+            eprintln!(
+                "--engine {engine} checks --model serializable or snapshot-isolation \
+                 (expected model is {m})"
+            );
+            None
+        }
     }
 }
 
@@ -333,12 +257,12 @@ fn sat_verdict_word(v: &SatVerdict) -> &'static str {
     }
 }
 
-fn sat_exit(v: &SatVerdict) -> ExitCode {
+fn sat_exit(v: &SatVerdict) -> Status {
     match v {
-        SatVerdict::Satisfiable { .. } => ExitCode::SUCCESS,
-        SatVerdict::Violated { .. } => ExitCode::from(1),
-        SatVerdict::Unsupported { .. } => ExitCode::from(2),
-        SatVerdict::Unknown { .. } => ExitCode::from(3),
+        SatVerdict::Satisfiable { .. } => Status::Holds,
+        SatVerdict::Violated { .. } => Status::Violated,
+        SatVerdict::Unsupported { .. } => Status::BadInput,
+        SatVerdict::Unknown { .. } => Status::Unknown,
     }
 }
 
@@ -444,23 +368,16 @@ fn sat_timing_line(report: &SatReport) {
     );
 }
 
-fn run_sat(history: &History, expected: ConsistencyModel, as_json: bool, timing: bool) -> ExitCode {
-    let Some(model) = sat_model_of(expected) else {
-        eprintln!(
-            "--engine sat checks --model serializable or snapshot-isolation \
-             (expected model is {expected})"
-        );
-        return ExitCode::from(2);
+fn run_sat(history: &History, expected: ConsistencyModel, as_json: bool, timing: bool) -> Status {
+    let Some(model) = sat_model_of(expected, "sat") else {
+        return Status::BadInput;
     };
     let report = elle::sat::check(history, model, &SatOptions::default());
     if timing {
         sat_timing_line(&report);
     }
     if as_json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&sat_json(model, &report)).expect("report serializes")
-        );
+        print_pretty(&sat_json(model, &report));
     } else {
         print_sat_human(model, &report);
     }
@@ -473,10 +390,10 @@ fn run_dfs(
     time_budget_ms: u64,
     max_states: Option<usize>,
     as_json: bool,
-) -> ExitCode {
+) -> Status {
     if expected != ConsistencyModel::StrictSerializable {
         eprintln!("--engine dfs checks strict-serializable only (expected model is {expected})");
-        return ExitCode::from(2);
+        return Status::BadInput;
     }
     let unsupported = history.txns().iter().flat_map(|t| t.mops.iter()).any(|m| {
         matches!(m, Mop::Increment { .. } | Mop::AddToSet { .. })
@@ -493,7 +410,7 @@ fn run_dfs(
             "--engine dfs models list/register histories only \
              (found counter/set operations)"
         );
-        return ExitCode::from(2);
+        return Status::BadInput;
     }
     let mut k = KnossosOptions::default().with_budget(Duration::from_millis(time_budget_ms));
     if let Some(n) = max_states {
@@ -520,10 +437,7 @@ fn run_dfs(
                 Value::Float(res.elapsed.as_secs_f64() * 1e3),
             ),
         ]);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&v).expect("report serializes")
-        );
+        print_pretty(&v);
     } else {
         let word = match res.outcome {
             KnossosOutcome::Ok => "ok",
@@ -537,33 +451,28 @@ fn run_dfs(
         );
     }
     match res.outcome {
-        KnossosOutcome::Ok => ExitCode::SUCCESS,
-        KnossosOutcome::Violation => ExitCode::from(1),
-        KnossosOutcome::Unknown => ExitCode::from(3),
+        KnossosOutcome::Ok => Status::Holds,
+        KnossosOutcome::Violation => Status::Violated,
+        KnossosOutcome::Unknown => Status::Unknown,
     }
 }
 
-fn run_both(history: &History, opts: CheckOptions, as_json: bool, timing: bool) -> ExitCode {
-    let Some(model) = sat_model_of(opts.expected) else {
-        eprintln!(
-            "--engine both checks --model serializable or snapshot-isolation \
-             (expected model is {})",
-            opts.expected
-        );
-        return ExitCode::from(2);
+fn run_both(history: &History, opts: CheckOptions, as_json: bool, timing: bool) -> Status {
+    let Some(model) = sat_model_of(opts.expected, "both") else {
+        return Status::BadInput;
     };
     if opts.process_edges || opts.realtime_edges || opts.timestamp_edges {
         // Derived-order obligations (session/real-time/timestamp) are
         // cycle-engine-only; diffing against a SAT encoding that does
         // not model them would manufacture disagreements.
         eprintln!("--engine both does not combine with --process/--realtime/--timestamps");
-        return ExitCode::from(2);
+        return Status::BadInput;
     }
     let cycle = match Checker::new(opts).try_check(history) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(3);
+            return Status::Unknown;
         }
     };
     let sat = elle::sat::check(history, model, &SatOptions::default());
@@ -583,10 +492,7 @@ fn run_both(history: &History, opts: CheckOptions, as_json: bool, timing: bool) 
             ("cycle".into(), serde::Serialize::serialize(&cycle)),
             ("sat".into(), sat_json(model, &sat)),
         ]);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&v).expect("report serializes")
-        );
+        print_pretty(&v);
     } else {
         if cycle.ok() {
             println!("cycle: {} ok", opts.expected);
@@ -610,12 +516,12 @@ fn run_both(history: &History, opts: CheckOptions, as_json: bool, timing: bool) 
         }
     }
     if disagreement {
-        return ExitCode::from(3);
+        return Status::Unknown;
     }
     match &sat.verdict {
-        SatVerdict::Unsupported { .. } => ExitCode::from(2),
-        SatVerdict::Unknown { .. } => ExitCode::from(3),
-        _ if !cycle.ok() || sat.verdict.is_violated() => ExitCode::from(1),
-        _ => ExitCode::SUCCESS,
+        SatVerdict::Unsupported { .. } => Status::BadInput,
+        SatVerdict::Unknown { .. } => Status::Unknown,
+        _ if !cycle.ok() || sat.verdict.is_violated() => Status::Violated,
+        _ => Status::Holds,
     }
 }

@@ -18,6 +18,7 @@
 //! expected model, 1 when any is violated, 2 on usage errors or failed
 //! (strict-mode) tenants, 3 when any final epoch was poisoned.
 
+use elle::cli::{self, read_line_capped, Args, Cli, LineRead, Status, Stop};
 use elle::prelude::*;
 use elle::serve::{signal, solo_verdict, ServeConfig, Server, Sink, Submitted, TenantFinal};
 use elle_history::RecoveryPolicy;
@@ -28,148 +29,50 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-fn parse_model(s: &str) -> Option<ConsistencyModel> {
-    ConsistencyModel::ALL.into_iter().find(|m| m.name() == s)
-}
+const CLI: Cli = Cli {
+    about: "\
+usage: elle-serve [options]
 
-fn usage_text() -> String {
-    format!(
-        "usage: elle-serve [options]\n\
-         \n\
-         Serve many independent checker streams (one per tenant) from one resident\n\
-         process. Requests are NDJSON: {{\"tenant\":\"t1\",\"event\":{{…}}}} ingests one\n\
-         event; {{\"tenant\":\"t1\",\"op\":\"seal\"|\"status\"|\"close\"}} and {{\"op\":\"status\"|\n\
-         \"shutdown\"}} control. Responses (verdicts, warnings, rejects) are NDJSON too.\n\
-         Reads stdin by default; EOF, a shutdown op, or SIGTERM/SIGINT drain\n\
-         gracefully: every tenant is final-sealed and its verdict printed.\n\
-         \n\
-         options:\n\
-         --listen <addr>    accept TCP connections speaking the same protocol\n\
-         \u{20}                  (responses go to the requesting connection)\n\
-         --data-dir <path>  durability root: per-tenant write-ahead journals and\n\
-         \u{20}                  snapshots; on restart every tenant recovers and\n\
-         \u{20}                  converges to the uninterrupted run's verdicts\n\
-         --workers <n>      worker threads; tenants are sharded by id (default 4)\n\
-         --epoch-txns <n>   per-tenant: seal every n transactions (default 1000)\n\
-         --epoch-events <n> per-tenant: seal every n events\n\
-         --max-epoch-ms <ms>  watchdog: force-seal any tenant whose epoch stays\n\
-         \u{20}                  open this long with events buffered\n\
-         --snapshot-events <n>  rotate a tenant's snapshot after n accepted\n\
-         \u{20}                  events (default 4096)\n\
-         --max-line-bytes <n>   reject request lines larger than this (default 1 MiB)\n\
-         --max-tenant-bytes <n> per-tenant buffered-byte budget (default 4 MiB)\n\
-         --max-total-bytes <n>  global buffered-byte budget (default 64 MiB)\n\
-         --max-tenants <n>      live-tenant cap (default 1024)\n\
-         --window-txns <n>      bounded memory per tenant: retire provably\n\
-         \u{20}                  cycle-safe transactions beyond the most recent n\n\
-         --max-tenant-resident-bytes <n>  per-tenant checker-state budget; at 3/4\n\
-         \u{20}                  force a retirement seal, at the budget tighten the\n\
-         \u{20}                  tenant's window (forced-window) and keep serving\n\
-         --strict           fail a tenant on its first damaged line instead of\n\
-         \u{20}                  quarantining (other tenants unaffected)\n\
-         --model <name>     expected model (default strict-serializable):\n\
-         {}\n\
-         --process          derive session-order edges\n\
-         --realtime         derive real-time edges\n\
-         --timestamps       derive start-ordered (database timestamp) edges\n\
-         --linearizable-keys  assume per-key linearizability (registers)\n\
-         --sequential-keys    assume per-key sequential consistency\n\
-         --max-cycles <n>   cap reported cycles per anomaly type\n\
-         --chaos <n>        self-test: n concurrent chaos tenants (kills,\n\
-         \u{20}                  reconnects, damaged wires) against the in-process\n\
-         \u{20}                  engine, each verdict checked against a solo oracle\n\
-         --seeds <n>        chaos schedules to run (default 4)\n\
-         --chaos-txns <n>   transactions per chaos tenant (default 120)\n\
-         \n\
-         exit status:\n\
-         0  every tenant's final verdict satisfies the expected model\n\
-         1  some tenant's expected model is violated\n\
-         2  usage error, or a strict-mode tenant failed on damaged input\n\
-         3  some tenant's final epoch was poisoned by an internal error",
-        ConsistencyModel::ALL
-            .map(|m| format!("                   {}", m.name()))
-            .join("\n")
-    )
-}
-
-fn usage() -> ExitCode {
-    eprintln!("{}", usage_text());
-    ExitCode::from(2)
-}
-
-fn help() -> ExitCode {
-    println!("{}", usage_text());
-    ExitCode::SUCCESS
-}
-
-/// Severity-ordered exit code over all final verdicts.
-fn verdict_exit(finals: &[TenantFinal]) -> ExitCode {
-    let mut code = 0u8;
-    for f in finals {
-        let c = if f.poisoned {
-            3
-        } else if f.ok.is_none() {
-            2
-        } else if f.ok == Some(false) {
-            1
-        } else {
-            0
-        };
-        code = code.max(c);
-    }
-    ExitCode::from(code)
-}
-
-enum LineRead {
-    Eof,
-    Line,
-    /// The line exceeded the cap; it was discarded up to its newline.
-    /// Carries the number of bytes seen.
-    Oversized(usize),
-}
-
-/// Read one newline-terminated line into `buf` without ever buffering
-/// more than `cap` bytes of it — an oversized line is *discarded* as it
-/// streams past, so a hostile or broken client cannot balloon memory.
-/// A final unterminated fragment (torn connection) is surfaced as a
-/// line, like `read_line` would.
-fn read_line_capped(r: &mut impl BufRead, buf: &mut Vec<u8>, cap: usize) -> io::Result<LineRead> {
-    buf.clear();
-    let mut over = 0usize;
-    loop {
-        let chunk = match r.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            return Ok(if over > 0 {
-                LineRead::Oversized(over)
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line
-            });
-        }
-        let nl = chunk.iter().position(|&b| b == b'\n');
-        let take = nl.unwrap_or(chunk.len());
-        if over == 0 && buf.len() + take <= cap {
-            buf.extend_from_slice(&chunk[..take]);
-        } else {
-            over += buf.len() + take;
-            buf.clear();
-        }
-        let consumed = nl.map_or(chunk.len(), |i| i + 1);
-        r.consume(consumed);
-        if nl.is_some() {
-            return Ok(if over > 0 {
-                LineRead::Oversized(over)
-            } else {
-                LineRead::Line
-            });
-        }
-    }
-}
+Serve many independent checker streams (one per tenant) from one resident
+process. Requests are NDJSON: {\"tenant\":\"t1\",\"event\":{…}} ingests one
+event; {\"tenant\":\"t1\",\"op\":\"seal\"|\"status\"|\"close\"} and {\"op\":\"status\"|
+\"shutdown\"} control. Responses (verdicts, warnings, rejects) are NDJSON too.
+Reads stdin by default; EOF, a shutdown op, or SIGTERM/SIGINT drain
+gracefully: every tenant is final-sealed and its verdict printed.",
+    options: "\
+--listen <addr>    accept TCP connections speaking the same protocol
+                   (responses go to the requesting connection)
+--data-dir <path>  durability root: per-tenant write-ahead journals and
+                   snapshots; on restart every tenant recovers and
+                   converges to the uninterrupted run's verdicts
+--workers <n>      worker threads; tenants are sharded by id (default 4)
+--epoch-txns <n>   per-tenant: seal every n transactions (default 1000)
+--epoch-events <n> per-tenant: seal every n events
+--max-epoch-ms <ms>  watchdog: force-seal any tenant whose epoch stays
+                   open this long with events buffered
+--snapshot-events <n>  rotate a tenant's snapshot after n accepted
+                   events (default 4096)
+--max-line-bytes <n>   reject request lines larger than this (default 1 MiB)
+--max-tenant-bytes <n> per-tenant buffered-byte budget (default 4 MiB)
+--max-total-bytes <n>  global buffered-byte budget (default 64 MiB)
+--max-tenants <n>      live-tenant cap (default 1024)
+--window-txns <n>      bounded memory per tenant: retire provably
+                   cycle-safe transactions beyond the most recent n
+--max-tenant-resident-bytes <n>  per-tenant checker-state budget; at 3/4
+                   force a retirement seal, at the budget tighten the
+                   tenant's window (forced-window) and keep serving
+--strict           fail a tenant on its first damaged line instead of
+                   quarantining (other tenants unaffected)
+--chaos <n>        self-test: n concurrent chaos tenants (kills,
+                   reconnects, damaged wires) against the in-process
+                   engine, each verdict checked against a solo oracle
+--seeds <n>        chaos schedules to run (default 4)
+--chaos-txns <n>   transactions per chaos tenant (default 120)",
+    exit_notes: "\
+The status is the worst final verdict over all tenants: a strict-mode
+tenant that failed on damaged input counts as 2, a poisoned final epoch
+as 3.",
+};
 
 /// Feed one NDJSON source into the server. Returns true if a shutdown
 /// was requested (op, or the signal latch between lines).
@@ -181,14 +84,16 @@ fn pump(server: &Server, reader: &mut impl BufRead, sink: &Sink, cap: usize) -> 
         }
         match read_line_capped(reader, &mut buf, cap)? {
             LineRead::Eof => return Ok(false),
-            LineRead::Oversized(n) => {
+            LineRead::Oversized { bytes, .. } => {
                 sink(&elle::serve::reject(
                     None,
                     400,
-                    &format!("line of {n} bytes exceeds the {cap}-byte limit — discarded"),
+                    &format!("line of {bytes} bytes exceeds the {cap}-byte limit — discarded"),
                 ));
             }
-            LineRead::Line => {
+            // A final fragment without its newline is a torn connection's
+            // last line, submitted as it is.
+            LineRead::Line { .. } => {
                 let line = String::from_utf8_lossy(&buf);
                 if let Submitted::Shutdown = server.submit(&line, sink) {
                     return Ok(true);
@@ -198,63 +103,51 @@ fn pump(server: &Server, reader: &mut impl BufRead, sink: &Sink, cap: usize) -> 
     }
 }
 
-fn stdout_sink() -> Sink {
-    let out = Arc::new(Mutex::new(io::stdout()));
+fn cannot_start(e: io::Error) -> Stop {
+    Stop::Input(format!("elle-serve: cannot start: {e}"))
+}
+
+/// A sink that writes each response line to `w` and flushes it.
+fn line_sink(w: impl Write + Send + 'static) -> Sink {
+    let w = Mutex::new(w);
     Arc::new(move |line: &str| {
-        let mut out = out.lock().expect("stdout lock");
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
+        let mut w = w.lock().expect("sink lock");
+        let _ = writeln!(w, "{line}");
+        let _ = w.flush();
     })
 }
 
-fn emit_finals(finals: &[TenantFinal]) {
+/// Print every tenant's final verdict; the worst is the exit status.
+fn emit_finals(finals: &[TenantFinal]) -> Status {
     let mut out = io::stdout().lock();
     for f in finals {
         let _ = writeln!(out, "{}", f.verdict);
     }
     let _ = out.flush();
+    Status::tenants(finals)
 }
 
-fn run_stdin(cfg: ServeConfig) -> ExitCode {
-    let sink = stdout_sink();
+fn run_stdin(cfg: ServeConfig) -> Result<Status, Stop> {
+    let sink = line_sink(io::stdout());
     let cap = cfg.max_line_bytes;
-    let server = match Server::start(cfg, Arc::clone(&sink)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("elle-serve: cannot start: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let server = Server::start(cfg, Arc::clone(&sink)).map_err(cannot_start)?;
     let mut reader = BufReader::new(io::stdin());
     if let Err(e) = pump(&server, &mut reader, &sink, cap) {
         eprintln!("elle-serve: stdin read failed: {e}");
     }
     let finals = server.drain();
-    emit_finals(&finals);
-    verdict_exit(&finals)
+    Ok(emit_finals(&finals))
 }
 
-fn run_listen(cfg: ServeConfig, addr: &str) -> ExitCode {
-    let listener = match TcpListener::bind(addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("elle-serve: cannot bind {addr}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("elle-serve: cannot poll {addr}: {e}");
-        return ExitCode::from(2);
-    }
+fn run_listen(cfg: ServeConfig, addr: &str) -> Result<Status, Stop> {
+    let listener = TcpListener::bind(addr)
+        .map_err(|e| Stop::Input(format!("elle-serve: cannot bind {addr}: {e}")))?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| Stop::Input(format!("elle-serve: cannot poll {addr}: {e}")))?;
     let cap = cfg.max_line_bytes;
-    let default_sink = stdout_sink();
-    let server = match Server::start(cfg, Arc::clone(&default_sink)) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("elle-serve: cannot start: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let default_sink = line_sink(io::stdout());
+    let server = Arc::new(Server::start(cfg, Arc::clone(&default_sink)).map_err(cannot_start)?);
     let drain_requested = Arc::new(AtomicBool::new(false));
     eprintln!("elle-serve: listening on {addr}");
     loop {
@@ -288,21 +181,15 @@ fn run_listen(cfg: ServeConfig, addr: &str) -> ExitCode {
             Vec::new()
         }
     };
-    emit_finals(&finals);
-    verdict_exit(&finals)
+    Ok(emit_finals(&finals))
 }
 
 fn serve_conn(server: &Server, stream: TcpStream, cap: usize, drain_requested: &AtomicBool) {
     let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
+    let Ok(writer) = stream.try_clone() else {
+        return;
     };
-    let sink: Sink = Arc::new(move |line: &str| {
-        let mut w = writer.lock().expect("conn lock");
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    });
+    let sink = line_sink(writer);
     let mut reader = BufReader::new(stream);
     if let Ok(true) = pump(server, &mut reader, &sink, cap) {
         drain_requested.store(true, Ordering::SeqCst);
@@ -311,7 +198,12 @@ fn serve_conn(server: &Server, stream: TcpStream, cap: usize, drain_requested: &
 
 /// `--chaos`: concurrent seeded chaos tenants against the in-process
 /// engine, every final verdict byte-checked against the solo oracle.
-fn run_chaos(mut cfg: ServeConfig, tenants: usize, seeds: u64, txns: usize) -> ExitCode {
+fn run_chaos(
+    mut cfg: ServeConfig,
+    tenants: usize,
+    seeds: u64,
+    txns: usize,
+) -> Result<Status, Stop> {
     use elle::dbsim::{chaos_session, delivered_lines, drive, FaultSchedule};
 
     cfg.data_dir = None;
@@ -345,13 +237,8 @@ fn run_chaos(mut cfg: ServeConfig, tenants: usize, seeds: u64, txns: usize) -> E
             })
             .collect();
         let discard: Sink = Arc::new(|_| {});
-        let server = match Server::start(cfg.clone(), Arc::clone(&discard)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("elle-serve: chaos start failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
+        let server = Server::start(cfg.clone(), Arc::clone(&discard))
+            .map_err(|e| Stop::Input(format!("elle-serve: chaos start failed: {e}")))?;
         std::thread::scope(|scope| {
             for session in &sessions {
                 let server = &server;
@@ -389,11 +276,10 @@ fn run_chaos(mut cfg: ServeConfig, tenants: usize, seeds: u64, txns: usize) -> E
     }
     if bad == 0 {
         println!("chaos: all {} verdicts converged", seeds as usize * tenants);
-        ExitCode::SUCCESS
     } else {
         println!("chaos: {bad} verdicts diverged");
-        ExitCode::FAILURE
     }
+    Ok(Status::verdict(bad == 0))
 }
 
 /// An in-process "connection": buffers written bytes, submits each
@@ -431,158 +317,49 @@ impl Drop for SubmitWriter<'_> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    CLI.run(run)
+}
+
+fn run(args: &mut Args) -> Result<Status, Stop> {
     let mut cfg = ServeConfig::default();
-    let mut registers = RegisterOptions::default();
     let mut listen: Option<String> = None;
     let mut chaos: Option<usize> = None;
     let mut seeds = 4u64;
     let mut chaos_txns = 120usize;
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--listen" => {
-                let Some(addr) = it.next() else {
-                    return usage();
-                };
-                listen = Some(addr.clone());
-            }
-            "--data-dir" => {
-                let Some(p) = it.next() else {
-                    return usage();
-                };
-                cfg.data_dir = Some(p.into());
-            }
-            "--workers" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.workers = n;
-            }
-            "--epoch-txns" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.epoch_txns = Some(n);
-            }
-            "--epoch-events" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.epoch_events = Some(n);
-            }
-            "--max-epoch-ms" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_epoch = Some(Duration::from_millis(n));
-            }
-            "--snapshot-events" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.snapshot_events = n;
-            }
-            "--max-line-bytes" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_line_bytes = n;
-            }
-            "--max-tenant-bytes" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_tenant_bytes = n;
-            }
-            "--max-total-bytes" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_total_bytes = n;
-            }
-            "--max-tenants" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_tenants = n;
-            }
-            "--window-txns" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.window = elle::stream::WindowPolicy::TxnCount(n);
-            }
-            "--max-tenant-resident-bytes" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.max_tenant_resident_bytes = Some(n);
-            }
+            "--listen" => listen = Some(args.parse()?),
+            "--data-dir" => cfg.data_dir = Some(args.parse()?),
+            "--workers" => cfg.workers = args.parse()?,
+            "--epoch-txns" => cfg.epoch_txns = Some(args.parse()?),
+            "--epoch-events" => cfg.epoch_events = Some(args.parse()?),
+            "--max-epoch-ms" => cfg.max_epoch = Some(Duration::from_millis(args.parse()?)),
+            "--snapshot-events" => cfg.snapshot_events = args.parse()?,
+            "--max-line-bytes" => cfg.max_line_bytes = args.parse()?,
+            "--max-tenant-bytes" => cfg.max_tenant_bytes = args.parse()?,
+            "--max-total-bytes" => cfg.max_total_bytes = args.parse()?,
+            "--max-tenants" => cfg.max_tenants = args.parse()?,
+            "--window-txns" => cfg.window = elle::stream::WindowPolicy::TxnCount(args.parse()?),
+            "--max-tenant-resident-bytes" => cfg.max_tenant_resident_bytes = Some(args.parse()?),
             "--strict" => cfg.recovery = RecoveryPolicy::Strict,
-            "--model" => {
-                let Some(name) = it.next() else {
-                    return usage();
-                };
-                let Some(m) = parse_model(name) else {
-                    eprintln!("unknown model {name:?}");
-                    return usage();
-                };
-                cfg.opts.expected = m;
-            }
-            "--process" => cfg.opts = cfg.opts.with_process_edges(true),
-            "--realtime" => cfg.opts = cfg.opts.with_realtime_edges(true),
-            "--timestamps" => cfg.opts = cfg.opts.with_timestamp_edges(true),
-            "--linearizable-keys" => registers.linearizable_keys = true,
-            "--sequential-keys" => registers.sequential_keys = true,
-            "--max-cycles" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cfg.opts = cfg.opts.with_max_cycles(n);
-            }
             // Undocumented test hook: panic inside the named tenant's
             // seal of epoch N ("tenant:N"), to exercise poisoned-epoch
             // isolation across tenants end to end.
             "--inject-seal-panic" => {
-                let Some(spec) = it.next() else {
-                    return usage();
-                };
-                let Some((tenant, epoch)) = spec.rsplit_once(':') else {
-                    return usage();
-                };
-                let Ok(epoch) = epoch.parse() else {
-                    return usage();
-                };
-                cfg.inject_seal_panic = Some((tenant.to_string(), epoch));
+                cfg.inject_seal_panic = Some(args.parse_with(|spec| {
+                    let (tenant, epoch) = spec.rsplit_once(':')?;
+                    Some((tenant.to_string(), epoch.parse().ok()?))
+                })?);
             }
-            "--chaos" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                chaos = Some(n);
-            }
-            "--seeds" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                seeds = n;
-            }
-            "--chaos-txns" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                chaos_txns = n;
-            }
-            "--help" | "-h" => return help(),
-            other => {
-                eprintln!("unrecognized argument {other:?}");
-                return usage();
-            }
+            "--chaos" => chaos = Some(args.parse()?),
+            "--seeds" => seeds = args.parse()?,
+            "--chaos-txns" => chaos_txns = args.parse()?,
+            "--help" | "-h" => return Err(Stop::Help),
+            flag if cli::check_flag(flag, args, &mut cfg.opts)? => {}
+            other => return Err(Stop::unrecognized(other)),
         }
     }
-    cfg.opts = cfg.opts.with_registers(registers);
 
     signal::install();
     match (chaos, listen) {

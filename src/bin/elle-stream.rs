@@ -16,10 +16,11 @@
 //! 1 when violated, 2 on usage or input errors, 3 when the final epoch
 //! was poisoned by an internal checker error.
 
-use elle::history::{IngestCause, IngestError, RecoveryPolicy, SourcePos};
+use elle::cli::{self, read_line_capped, Args, Cli, LineRead, Status, Stop};
+use elle::history::{decode_event_line, IngestCause, IngestError, RecoveryPolicy, SourcePos};
 use elle::prelude::*;
 use elle::stream::{EpochPolicy, EpochReport, StreamChecker, WindowPolicy};
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -32,111 +33,51 @@ fn jitter_ms(attempt: u32, cap: u64) -> u64 {
     (z ^ (z >> 31)) % cap.max(1)
 }
 
-fn parse_model(s: &str) -> Option<ConsistencyModel> {
-    ConsistencyModel::ALL.into_iter().find(|m| m.name() == s)
-}
+const CLI: Cli = Cli {
+    about: "\
+usage: elle-stream [<events.ndjson> | -] [options]
 
-fn usage_text() -> String {
-    format!(
-        "usage: elle-stream [<events.ndjson> | -] [options]\n\
-         \n\
-         Ingest an NDJSON event stream (one invoke/ok/fail/info event per line),\n\
-         sealing an epoch — and printing a full-prefix verdict — at each watermark.\n\
-         \n\
-         options:\n\
-         --epoch-txns <n>   seal every n transactions (default 1000)\n\
-         --epoch-events <n> seal every n events\n\
-         --epoch-ms <ms>    also seal when this much wall time has passed\n\
-         --max-epoch-ms <ms>  force a seal when an epoch stays open this long,\n\
-         \u{20}                   even mid-watermark (a stalled producer cannot\n\
-         \u{20}                   leave buffered events unreported)\n\
-         --follow           keep reading as the file grows (tail -f)\n\
-         --retries <n>      bounded retries (exponential backoff + jitter) on\n\
-         \u{20}                  read errors in --follow mode (default 5)\n\
-         --max-buffered-bytes <n>  abandon any single line larger than this\n\
-         --quarantine       salvage damaged input: skip undecodable or misordered\n\
-         \u{20}                  lines, adopt orphan completions, abandon overlapping\n\
-         \u{20}                  invocations (one stderr diagnostic each)\n\
-         --gen <n>          check a generated n-txn live workload instead of a file\n\
-         --model <name>     expected model (default strict-serializable):\n\
-         {}\n\
-         --process          derive session-order edges\n\
-         --realtime         derive real-time edges\n\
-         --timestamps       derive start-ordered (database timestamp) edges\n\
-         --linearizable-keys  assume per-key linearizability (registers)\n\
-         --sequential-keys    assume per-key sequential consistency\n\
-         --max-cycles <n>   cap reported cycles per anomaly type\n\
-         --window-txns <n>  bounded memory: retire provably cycle-safe\n\
-         \u{20}                  transactions beyond the most recent n\n\
-         --window-bytes <n> bounded memory: retire down toward an n-byte\n\
-         \u{20}                  resident budget (checker state, not input)\n\
-         --json             one JSON object per epoch on stdout\n\
-         --timing           per-epoch stage breakdown on stderr\n\
-         \n\
-         exit status:\n\
-         0  the final epoch satisfies the expected model\n\
-         1  the expected model is violated\n\
-         2  usage or input error (strict-mode ingest failures included)\n\
-         3  the final epoch was poisoned by an internal checker error",
-        ConsistencyModel::ALL
-            .map(|m| format!("                   {}", m.name()))
-            .join("\n")
-    )
-}
-
-fn usage() -> ExitCode {
-    eprintln!("{}", usage_text());
-    ExitCode::from(2)
-}
-
-fn help() -> ExitCode {
-    println!("{}", usage_text());
-    ExitCode::SUCCESS
-}
+Ingest an NDJSON event stream (one invoke/ok/fail/info event per line),
+sealing an epoch — and printing a full-prefix verdict — at each watermark.",
+    options: "\
+--epoch-txns <n>   seal every n transactions (default 1000)
+--epoch-events <n> seal every n events
+--epoch-ms <ms>    also seal when this much wall time has passed
+--max-epoch-ms <ms>  force a seal when an epoch stays open this long,
+                   even mid-watermark (a stalled producer cannot
+                   leave buffered events unreported)
+--follow           keep reading as the file grows (tail -f)
+--retries <n>      bounded retries (exponential backoff + jitter) on
+                   read errors in --follow mode (default 5)
+--max-buffered-bytes <n>  abandon any single line larger than this
+--quarantine       salvage damaged input: skip undecodable or misordered
+                   lines, adopt orphan completions, abandon overlapping
+                   invocations (one stderr diagnostic each)
+--gen <n>          check a generated n-txn live workload instead of a file
+--window-txns <n>  bounded memory: retire provably cycle-safe
+                   transactions beyond the most recent n
+--window-bytes <n> bounded memory: retire down toward an n-byte
+                   resident budget (checker state, not input)
+--json             one JSON object per epoch on stdout
+--timing           per-epoch stage breakdown on stderr",
+    exit_notes: "\
+The status is the final epoch's; 3 means its seal was poisoned by an
+internal checker error.",
+};
 
 fn emit(epoch: &EpochReport, as_json: bool, timing: bool) {
     if as_json {
         // One self-contained JSON line per epoch; `report` is the full
-        // batch-identical report object. A poisoned epoch's verdict is
-        // indeterminate: `ok` becomes null and `poisoned` carries the
-        // panic payload (the field is absent on healthy epochs, keeping
-        // the default output byte-stable).
-        let ok = match &epoch.poisoned {
-            None => epoch.report.ok().to_string(),
-            Some(_) => "null".to_string(),
-        };
-        let mut poisoned = match &epoch.poisoned {
-            None => String::new(),
-            Some(m) => format!(
-                ",\"poisoned\":{}",
-                serde_json::to_string(m).expect("string serializes")
-            ),
-        };
-        // Degradation gauges, only when nonzero: healthy streams keep
-        // byte-stable envelopes, degraded ones say so in the verdict
-        // itself instead of only under --timing.
-        if epoch.frontier.quarantined_events > 0 {
-            poisoned.push_str(&format!(
-                ",\"quarantined\":{}",
-                epoch.frontier.quarantined_events
-            ));
-        }
-        if epoch.timings.forced_seals > 0 {
-            poisoned.push_str(&format!(",\"forced_seals\":{}", epoch.timings.forced_seals));
-        }
-        // Window semantics, only when a retirement policy is active:
-        // unbounded runs keep byte-identical envelopes.
-        if let Some(w) = &epoch.window {
-            poisoned.push_str(&format!(
-                ",\"window\":{{\"retired_txns\":{},\"retained_txns\":{},\"resident_bytes\":{},\"exact\":{}}}",
-                w.retired_txns, w.retained_txns, w.resident_bytes, w.exact,
-            ));
-        }
+        // batch-identical report object, after the gauges that appear
+        // only when set (a poisoned epoch's `ok` is null).
+        let mut gauges = String::new();
+        epoch.gauges().write(&mut gauges);
         println!(
-            "{{\"epoch\":{},\"txns\":{},\"events\":{},\"ok\":{ok},\"rebuilt\":{},\"open_txns\":{}{poisoned},\"report\":{}}}",
+            "{{\"epoch\":{},\"txns\":{},\"events\":{},\"ok\":{},\"rebuilt\":{},\"open_txns\":{}{gauges},\"report\":{}}}",
             epoch.epoch,
             epoch.txns,
             epoch.events,
+            epoch.ok_json(),
             epoch.rebuilt,
             epoch.frontier.open_txns,
             serde_json::to_string(&epoch.report).expect("report serializes"),
@@ -193,6 +134,84 @@ struct ReaderConfig {
     window: WindowPolicy,
 }
 
+/// What [`Lines::next`] found.
+enum Next<'a> {
+    /// End of input (in follow mode: for now).
+    Eof,
+    /// A complete line and where it starts.
+    Line(&'a str, SourcePos),
+    /// An over-budget line, already discarded, and where it starts.
+    Oversized(SourcePos),
+}
+
+/// The lines of an NDJSON source under a byte budget, with positions.
+/// In follow mode a line still being written is kept across EOF polls.
+/// An over-budget line is reported once and skipped to its newline; its
+/// bytes still count toward later offsets.
+struct Lines<'a> {
+    reader: &'a mut dyn BufRead,
+    follow: bool,
+    cap: usize,
+    line: Vec<u8>,
+    /// Follow mode: the start of a line still being written.
+    partial: Vec<u8>,
+    /// Inside an over-budget line that was already reported.
+    skipping: bool,
+    /// Lines completed so far.
+    lineno: usize,
+    /// Bytes consumed so far.
+    consumed: usize,
+}
+
+impl Lines<'_> {
+    fn next(&mut self) -> io::Result<Next<'_>> {
+        loop {
+            let pos = SourcePos {
+                line: self.lineno + 1,
+                byte: self.consumed - self.partial.len(),
+            };
+            let room = self.cap.saturating_sub(self.partial.len());
+            let (n, ended) = match read_line_capped(self.reader, &mut self.line, room)? {
+                LineRead::Eof => return Ok(Next::Eof),
+                LineRead::Line { ended } => (self.line.len() + usize::from(ended), ended),
+                LineRead::Oversized { bytes, ended } => (bytes + usize::from(ended), ended),
+            };
+            self.consumed += n;
+            if self.skipping || self.partial.len() + n > self.cap {
+                // An over-budget line: reported once, then skipped up to
+                // its newline, which may arrive on a later poll.
+                let report = !self.skipping;
+                self.partial.clear();
+                self.skipping = !ended;
+                self.lineno += usize::from(ended);
+                if report {
+                    return Ok(Next::Oversized(pos));
+                }
+                continue;
+            }
+            if !ended && self.follow {
+                // A producer is mid-write on this line; wait for the rest
+                // rather than mis-parsing a truncated event.
+                self.partial.extend_from_slice(&self.line);
+                continue;
+            }
+            self.lineno += 1;
+            if !self.partial.is_empty() {
+                self.partial.extend_from_slice(&self.line);
+                std::mem::swap(&mut self.partial, &mut self.line);
+                self.partial.clear();
+            }
+            let text = std::str::from_utf8(&self.line).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            return Ok(Next::Line(text, pos));
+        }
+    }
+}
+
 /// Seal (guarded), surface the CLI-level gauges on the report, emit.
 fn seal_and_emit(
     checker: &mut StreamChecker,
@@ -213,12 +232,17 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
     if let Some(e) = cfg.inject_seal_panic {
         checker.inject_seal_panic(e);
     }
-    let quarantine = matches!(cfg.recovery, RecoveryPolicy::Quarantine);
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    let mut consumed = 0usize; // bytes read so far
-    let mut line_start = 0usize; // byte offset where the current line began
-    let mut discarding = false; // inside an over-budget line, skipping to '\n'
+    let cap = cfg.max_line_bytes.unwrap_or(usize::MAX);
+    let mut lines = Lines {
+        reader,
+        follow: cfg.follow,
+        cap,
+        line: Vec::new(),
+        partial: Vec::new(),
+        skipping: false,
+        lineno: 0,
+        consumed: 0,
+    };
     let mut txns_since = 0usize;
     let mut events_since = 0usize;
     let mut since_seal = Instant::now();
@@ -226,15 +250,10 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
     let mut forced_seals = 0usize;
     let mut cli_quarantined = 0usize;
     loop {
-        // `read_line` appends, so a partially-written line left over
-        // from the previous pass (follow mode) is completed in place.
-        if line.is_empty() {
-            line_start = consumed;
-        }
-        let n = match reader.read_line(&mut line) {
-            Ok(n) => {
+        let next = match lines.next() {
+            Ok(next) => {
                 attempts = 0;
-                n
+                next
             }
             Err(e) if cfg.follow && attempts < cfg.retries => {
                 // Transient source errors (rotating file, flaky mount):
@@ -251,86 +270,19 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
             }
             Err(e) => return Err(format!("read error: {e}")),
         };
-        if n == 0 {
-            if cfg.follow {
-                let due = cfg.policy.should_seal(txns_since, events_since, since_seal);
-                let forced = cfg.max_epoch.is_some_and(|m| since_seal.elapsed() >= m);
-                if (due || forced) && (txns_since > 0 || events_since > 0) {
-                    if forced && !due {
-                        forced_seals += 1;
-                    }
-                    seal_and_emit(&mut checker, cfg, forced_seals, cli_quarantined);
-                    txns_since = 0;
-                    events_since = 0;
-                    since_seal = Instant::now();
-                }
+        let skipped = match next {
+            Next::Eof if !cfg.follow => break,
+            Next::Eof => {
                 std::thread::sleep(Duration::from_millis(50));
-                continue;
+                None
             }
-            break;
-        }
-        consumed += n;
-        if discarding {
-            // Still inside a line already reported as over budget.
-            let done = line.ends_with('\n');
-            line.clear();
-            if done {
-                discarding = false;
-                lineno += 1;
+            Next::Oversized(pos) => {
+                let cause = IngestCause::Oversized { limit: cap };
+                Some(IngestError { pos, cause })
             }
-            continue;
-        }
-        if let Some(cap) = cfg.max_line_bytes {
-            if line.len() > cap {
-                let err = IngestError {
-                    pos: SourcePos {
-                        line: lineno + 1,
-                        byte: line_start,
-                    },
-                    cause: IngestCause::Oversized { limit: cap },
-                };
-                if !quarantine {
-                    return Err(err.to_string());
-                }
-                eprintln!("quarantined: {err} — line skipped");
-                cli_quarantined += 1;
-                if line.ends_with('\n') {
-                    lineno += 1;
-                } else {
-                    discarding = true;
-                }
-                line.clear();
-                continue;
-            }
-        }
-        if cfg.follow && !line.ends_with('\n') {
-            // A producer is mid-write on this line; wait for the rest
-            // rather than mis-parsing a truncated event.
-            continue;
-        }
-        lineno += 1;
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            let pos = SourcePos {
-                line: lineno,
-                byte: line_start,
-            };
-            match serde_json::from_str::<elle::history::Event>(trimmed) {
-                Err(e) => {
-                    let err = IngestError {
-                        pos,
-                        cause: IngestCause::Decode {
-                            message: e.to_string(),
-                        },
-                    };
-                    if !quarantine {
-                        return Err(err.to_string());
-                    }
-                    eprintln!("quarantined: {err} — line skipped");
-                    cli_quarantined += 1;
-                }
-                Ok(ev) => {
-                    let is_invoke = ev.kind == EventKind::Invoke;
+            Next::Line(text, pos) => match decode_event_line(text, pos) {
+                Ok(None) => continue,
+                Ok(Some(ev)) => {
                     match checker.ingest_event_with(&ev, cfg.recovery) {
                         Err(e) => return Err(IngestError::from_pairing(pos, e).to_string()),
                         Ok(recovered) => {
@@ -340,25 +292,34 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
                         }
                     }
                     events_since += 1;
-                    if is_invoke {
+                    if ev.kind == EventKind::Invoke {
                         txns_since += 1;
                     }
+                    None
                 }
+                Err(err) => Some(err),
+            },
+        };
+        if let Some(err) = skipped {
+            if cfg.recovery == RecoveryPolicy::Strict {
+                return Err(err.to_string());
             }
-            let due = cfg.policy.should_seal(txns_since, events_since, since_seal);
-            let forced =
-                cfg.max_epoch.is_some_and(|m| since_seal.elapsed() >= m) && events_since > 0;
-            if due || forced {
-                if forced && !due {
-                    forced_seals += 1;
-                }
-                seal_and_emit(&mut checker, cfg, forced_seals, cli_quarantined);
-                txns_since = 0;
-                events_since = 0;
-                since_seal = Instant::now();
-            }
+            eprintln!("quarantined: {err} — line skipped");
+            cli_quarantined += 1;
         }
-        line.clear();
+        // Seal when events are pending and a watermark fired or the
+        // epoch has stayed open longer than --max-epoch-ms.
+        let due = cfg.policy.should_seal(txns_since, events_since, since_seal);
+        let forced = cfg.max_epoch.is_some_and(|m| since_seal.elapsed() >= m);
+        if (due || forced) && events_since > 0 {
+            if !due {
+                forced_seals += 1;
+            }
+            seal_and_emit(&mut checker, cfg, forced_seals, cli_quarantined);
+            txns_since = 0;
+            events_since = 0;
+            since_seal = Instant::now();
+        }
     }
     // Final seal at end of stream.
     Ok(seal_and_emit(
@@ -370,141 +331,65 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
+    elle::serve::signal::default_sigpipe();
+    CLI.run(run)
+}
 
+fn run(args: &mut Args) -> Result<Status, Stop> {
     let mut path: Option<String> = None;
-    let mut opts = CheckOptions::strict_serializable()
-        .with_process_edges(false)
-        .with_realtime_edges(false);
-    let mut registers = RegisterOptions::default();
-    let mut as_json = false;
-    let mut timing = false;
-    let mut follow = false;
-    let mut quarantine = false;
     let mut gen_txns: Option<usize> = None;
-    let mut epoch_txns: Option<usize> = None;
-    let mut epoch_events: Option<usize> = None;
-    let mut epoch_ms: Option<u64> = None;
-    let mut max_epoch_ms: Option<u64> = None;
-    let mut max_buffered_bytes: Option<usize> = None;
-    let mut retries = 5u32;
-    let mut inject_seal_panic: Option<usize> = None;
-    let mut window = WindowPolicy::Unbounded;
+    let mut cfg = ReaderConfig {
+        follow: false,
+        policy: EpochPolicy {
+            txns: None,
+            events: None,
+            wall: None,
+        },
+        opts: CheckOptions::strict_serializable()
+            .with_process_edges(false)
+            .with_realtime_edges(false),
+        as_json: false,
+        timing: false,
+        recovery: RecoveryPolicy::Strict,
+        max_epoch: None,
+        max_line_bytes: None,
+        retries: 5,
+        inject_seal_panic: None,
+        window: WindowPolicy::Unbounded,
+    };
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--model" => {
-                let Some(name) = it.next() else {
-                    return usage();
-                };
-                let Some(m) = parse_model(name) else {
-                    eprintln!("unknown model {name:?}");
-                    return usage();
-                };
-                opts.expected = m;
-            }
-            "--process" => opts = opts.with_process_edges(true),
-            "--realtime" => opts = opts.with_realtime_edges(true),
-            "--timestamps" => opts = opts.with_timestamp_edges(true),
-            "--linearizable-keys" => registers.linearizable_keys = true,
-            "--sequential-keys" => registers.sequential_keys = true,
-            "--max-cycles" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                opts = opts.with_max_cycles(n);
-            }
-            "--epoch-txns" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                epoch_txns = Some(n);
-            }
-            "--epoch-events" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                epoch_events = Some(n);
-            }
-            "--epoch-ms" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                epoch_ms = Some(n);
-            }
-            "--gen" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                gen_txns = Some(n);
-            }
-            "--max-epoch-ms" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                max_epoch_ms = Some(n);
-            }
-            "--max-buffered-bytes" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                max_buffered_bytes = Some(n);
-            }
-            "--retries" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                retries = n;
-            }
+            "--epoch-txns" => cfg.policy.txns = Some(args.parse::<usize>()?.max(1)),
+            "--epoch-events" => cfg.policy.events = Some(args.parse::<usize>()?.max(1)),
+            "--epoch-ms" => cfg.policy.wall = Some(Duration::from_millis(args.parse()?)),
+            "--gen" => gen_txns = Some(args.parse()?),
+            "--max-epoch-ms" => cfg.max_epoch = Some(Duration::from_millis(args.parse()?)),
+            "--max-buffered-bytes" => cfg.max_line_bytes = Some(args.parse()?),
+            "--retries" => cfg.retries = args.parse()?,
             // Undocumented test hook: panic inside the seal of epoch N,
             // to exercise poisoned-epoch isolation end to end.
-            "--inject-seal-panic" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                inject_seal_panic = Some(n);
-            }
-            "--window-txns" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                window = WindowPolicy::TxnCount(n);
-            }
-            "--window-bytes" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                window = WindowPolicy::Bytes(n);
-            }
-            "--follow" => follow = true,
-            "--quarantine" => quarantine = true,
-            "--json" => as_json = true,
-            "--timing" => timing = true,
-            "--help" | "-h" => return help(),
+            "--inject-seal-panic" => cfg.inject_seal_panic = Some(args.parse()?),
+            "--window-txns" => cfg.window = WindowPolicy::TxnCount(args.parse()?),
+            "--window-bytes" => cfg.window = WindowPolicy::Bytes(args.parse()?),
+            "--follow" => cfg.follow = true,
+            "--quarantine" => cfg.recovery = RecoveryPolicy::Quarantine,
+            "--json" => cfg.as_json = true,
+            "--timing" => cfg.timing = true,
+            "--help" | "-h" => return Err(Stop::Help),
+            flag if cli::check_flag(flag, args, &mut cfg.opts)? => {}
             other if path.is_none() && (other == "-" || !other.starts_with('-')) => {
                 path = Some(other.to_string());
             }
-            other => {
-                eprintln!("unrecognized argument {other:?}");
-                return usage();
-            }
+            other => return Err(Stop::unrecognized(other)),
         }
     }
-    opts = opts.with_registers(registers);
 
     // Watermarks compose with *or*; default to a 1000-txn epoch when
     // none was given.
-    let mut policy = EpochPolicy {
-        txns: epoch_txns.map(|n| n.max(1)),
-        events: epoch_events.map(|n| n.max(1)),
-        wall: epoch_ms.map(Duration::from_millis),
-    };
-    if policy.txns.is_none() && policy.events.is_none() && policy.wall.is_none() {
-        policy = EpochPolicy::every_txns(1000);
+    let p = &cfg.policy;
+    if p.txns.is_none() && p.events.is_none() && p.wall.is_none() {
+        cfg.policy = EpochPolicy::every_txns(1000);
     }
 
     if let Some(n) = gen_txns {
@@ -514,59 +399,24 @@ fn main() -> ExitCode {
         let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
             .with_processes(8)
             .with_seed(0xE11E);
-        let last = elle::stream::run_live_windowed(params, db, policy, opts, window, |epoch| {
-            emit(epoch, as_json, timing)
-        });
-        return verdict_exit(&last);
+        let last =
+            elle::stream::run_live_windowed(params, db, cfg.policy, cfg.opts, cfg.window, |e| {
+                emit(e, cfg.as_json, cfg.timing)
+            });
+        return Ok(Status::epoch(&last));
     }
 
-    let Some(path) = path else { return usage() };
+    let Some(path) = path else {
+        return Err(Stop::Usage(None));
+    };
     let mut reader: Box<dyn BufRead> = if path == "-" {
         Box::new(BufReader::new(std::io::stdin()))
     } else {
-        match std::fs::File::open(&path) {
-            Ok(f) => Box::new(BufReader::new(f)),
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let f = std::fs::File::open(&path)
+            .map_err(|e| Stop::Input(format!("cannot read {path}: {e}")))?;
+        Box::new(BufReader::new(f))
     };
 
-    let cfg = ReaderConfig {
-        follow,
-        policy,
-        opts,
-        as_json,
-        timing,
-        recovery: if quarantine {
-            RecoveryPolicy::Quarantine
-        } else {
-            RecoveryPolicy::Strict
-        },
-        max_epoch: max_epoch_ms.map(Duration::from_millis),
-        max_line_bytes: max_buffered_bytes,
-        retries,
-        inject_seal_panic,
-        window,
-    };
-    match run_reader(&mut *reader, &cfg) {
-        Ok(last) => verdict_exit(&last),
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Map the final epoch to the process exit status: a poisoned final
-/// epoch means the checker — not the database — failed, exit 3.
-fn verdict_exit(last: &EpochReport) -> ExitCode {
-    if last.poisoned.is_some() {
-        ExitCode::from(3)
-    } else if last.report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    let last = run_reader(&mut *reader, &cfg).map_err(Stop::Input)?;
+    Ok(Status::epoch(&last))
 }

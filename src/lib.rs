@@ -14,7 +14,8 @@
 //! * [`knossos`] — the baseline strict-serializability checker,
 //! * [`sat`] — the SAT-backed complete cross-checker,
 //! * [`stream`] — the incremental epoch-based checker for live histories,
-//! * [`serve`] — the fault-isolated multi-tenant checking service.
+//! * [`serve`] — the fault-isolated multi-tenant checking service,
+//! * [`cli`] — the command-line layer the three binaries share.
 //!
 //! ```
 //! use elle::prelude::*;
@@ -29,6 +30,8 @@
 //! let report = Checker::new(CheckOptions::strict_serializable()).check(&history);
 //! assert!(report.anomalies.is_empty());
 //! ```
+
+pub mod cli;
 
 pub use elle_core as core;
 pub use elle_dbsim as dbsim;

@@ -156,3 +156,179 @@ fn bad_usage_exits_2() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A flag and, if it takes one, a valid value.
+type Flag = (&'static str, Option<&'static str>);
+
+/// Each binary's accepted flags. `--help`/`-h` count as one flag;
+/// `--inject-seal-panic` is the undocumented test hook.
+fn flag_surfaces() -> [(&'static str, Vec<Flag>); 3] {
+    let check_options = [
+        ("--model", Some("serializable")),
+        ("--process", None),
+        ("--realtime", None),
+        ("--timestamps", None),
+        ("--linearizable-keys", None),
+        ("--sequential-keys", None),
+        ("--max-cycles", Some("3")),
+        ("--help", None),
+        ("-h", None),
+    ];
+    let with = |own: &[Flag]| {
+        let mut all = own.to_vec();
+        all.extend(check_options);
+        all
+    };
+    [
+        (
+            "elle-check",
+            with(&[
+                ("--engine", Some("sat")),
+                ("--time-budget-ms", Some("10")),
+                ("--max-states", Some("10")),
+                ("--quarantine", None),
+                ("--json", None),
+                ("--timing", None),
+                ("--demo", None),
+            ]),
+        ),
+        (
+            "elle-stream",
+            with(&[
+                ("--epoch-txns", Some("5")),
+                ("--epoch-events", Some("5")),
+                ("--epoch-ms", Some("5")),
+                ("--max-epoch-ms", Some("5")),
+                ("--follow", None),
+                ("--retries", Some("2")),
+                ("--max-buffered-bytes", Some("4096")),
+                ("--quarantine", None),
+                ("--gen", Some("10")),
+                ("--window-txns", Some("5")),
+                ("--window-bytes", Some("4096")),
+                ("--json", None),
+                ("--timing", None),
+                ("--inject-seal-panic", Some("1")),
+            ]),
+        ),
+        (
+            "elle-serve",
+            with(&[
+                ("--listen", Some("127.0.0.1:0")),
+                ("--data-dir", Some("/nonexistent")),
+                ("--workers", Some("2")),
+                ("--epoch-txns", Some("5")),
+                ("--epoch-events", Some("5")),
+                ("--max-epoch-ms", Some("5")),
+                ("--snapshot-events", Some("5")),
+                ("--max-line-bytes", Some("4096")),
+                ("--max-tenant-bytes", Some("4096")),
+                ("--max-total-bytes", Some("4096")),
+                ("--max-tenants", Some("5")),
+                ("--window-txns", Some("5")),
+                ("--max-tenant-resident-bytes", Some("4096")),
+                ("--strict", None),
+                ("--chaos", Some("1")),
+                ("--seeds", Some("1")),
+                ("--chaos-txns", Some("5")),
+                ("--inject-seal-panic", Some("t0:1")),
+            ]),
+        ),
+    ]
+}
+
+fn binary(name: &str) -> Command {
+    Command::new(match name {
+        "elle-check" => env!("CARGO_BIN_EXE_elle-check"),
+        "elle-stream" => env!("CARGO_BIN_EXE_elle-stream"),
+        _ => env!("CARGO_BIN_EXE_elle-serve"),
+    })
+}
+
+#[test]
+fn every_binary_keeps_its_flag_surface() {
+    for ((name, flags), count) in flag_surfaces().into_iter().zip([15, 22, 26]) {
+        assert_eq!(flags.len() - 1, count, "{name}: --help and -h count once");
+        let usage = format!("usage: {name}");
+        let help = binary(name).arg("--help").output().expect("binary runs");
+        let help = String::from_utf8_lossy(&help.stdout).into_owned();
+        for &(flag, value) in &flags {
+            // The parser stops at the trailing --help, so exit 0 means
+            // the flag and its value were accepted.
+            let out = binary(name)
+                .arg(flag)
+                .args(value)
+                .arg("--help")
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{name} {flag}: {stderr}");
+            assert!(!stderr.contains("unrecognized argument"), "{name} {flag}");
+            assert!(String::from_utf8_lossy(&out.stdout).starts_with(&usage));
+            if !matches!(flag, "--help" | "-h" | "--inject-seal-panic") {
+                let listed = help.lines().any(|l| {
+                    let l = l.trim_start();
+                    l.strip_prefix(flag)
+                        .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+                });
+                assert!(listed, "{name} --help does not list {flag}:\n{help}");
+            }
+            if value.is_some() {
+                let out = binary(name).arg(flag).output().expect("binary runs");
+                assert_eq!(out.status.code(), Some(2), "{name} {flag} without a value");
+                assert!(String::from_utf8_lossy(&out.stderr).contains(&usage));
+            }
+        }
+        let out = binary(name)
+            .arg("--no-such-flag")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("unrecognized argument \"--no-such-flag\"\n"));
+        assert!(stderr.contains(&usage), "{stderr}");
+    }
+}
+
+/// A reader that closes stdout early (`| head -1`) stops the binary
+/// quietly, as it stops `cat`: no panic, no exit 101.
+#[test]
+fn closed_stdout_stops_quietly() {
+    use std::io::{BufRead as _, BufReader};
+    use std::process::Stdio;
+    let params = GenParams::contended(300, ObjectKind::ListAppend).with_seed(4);
+    let db = DbConfig::new(IsolationLevel::ReadCommitted, ObjectKind::ListAppend)
+        .with_processes(4)
+        .with_seed(4);
+    let log = elle::gen::run_workload_log(params, db);
+    let path = std::env::temp_dir().join("elle_cli_closed_stdout.ndjson");
+    std::fs::write(&path, elle::history::events_to_ndjson(&log)).unwrap();
+    let path = path.to_str().unwrap();
+    // Both outputs are well past a pipe buffer, so the binary is still
+    // writing when the reader goes away.
+    for (name, args) in [
+        ("elle-check", vec![path, "--json", "--max-cycles", "1000"]),
+        (
+            "elle-stream",
+            vec!["--gen", "3000", "--epoch-txns", "10", "--json"],
+        ),
+    ] {
+        let mut child = binary(name)
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut first = String::new();
+        stdout.read_line(&mut first).unwrap();
+        assert!(first.starts_with('{'), "{name}: {first}");
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{name}: {stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}

@@ -254,3 +254,118 @@ fn oversized_lines_are_capped() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let _ = std::fs::remove_file(&nd_path);
 }
+
+/// `--max-buffered-bytes` bounds memory: a 256 MiB line without a
+/// newline, piped through stdin under a 150 MB address-space limit, is
+/// skipped as it streams past instead of being buffered whole.
+#[cfg(unix)]
+#[test]
+fn buffered_bytes_budget_bounds_memory_on_a_newline_free_line() {
+    use std::io::Write as _;
+    use std::process::Stdio;
+    let script = format!(
+        "ulimit -v 150000; exec '{}' - --max-buffered-bytes 4096 --quarantine",
+        env!("CARGO_BIN_EXE_elle-stream")
+    );
+    let run = |mib: usize| {
+        let mut child = Command::new("sh")
+            .args(["-c", &script])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh spawns");
+        let mut stdin = child.stdin.take().unwrap();
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..mib {
+            // A child that ran out of memory closes the pipe early.
+            if stdin.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+        drop(stdin);
+        child.wait_with_output().unwrap()
+    };
+    // The limit leaves room for a short input...
+    let out = run(0);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // ...and for a line far larger than the limit.
+    let out = run(256);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains(
+            "quarantined: line 1 (byte 0): line exceeds the 4096-byte buffer budget — line skipped"
+        ),
+        "{stderr}"
+    );
+}
+
+/// `--follow` keeps a line the producer is still writing across EOF
+/// polls and decodes it once its newline arrives (strict mode would
+/// exit 2 on a torn line).
+#[test]
+fn follow_mode_resumes_a_partial_line() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::process::Stdio;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let line = |index: usize, process: u32, kind: &str, elem: u32| {
+        format!(
+            "{{\"index\":{index},\"process\":{process},\"kind\":\"{kind}\",\
+             \"mops\":[{{\"Append\":{{\"key\":1,\"elem\":{elem}}}}}],\"time_ns\":null}}\n"
+        )
+    };
+    let third = line(2, 1, "Invoke", 2);
+    let (head, tail) = third.split_at(third.len() / 2);
+    let path = std::env::temp_dir().join("elle_stream_cli_follow.ndjson");
+    std::fs::write(&path, line(0, 0, "Invoke", 1) + &line(1, 0, "Ok", 1) + head).unwrap();
+
+    let mut child = stream_bin()
+        .args([
+            path.to_str().unwrap(),
+            "--follow",
+            "--epoch-events",
+            "2",
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let (tx, rx) = mpsc::channel();
+    let stdout = child.stdout.take().unwrap();
+    std::thread::spawn(move || {
+        for l in BufReader::new(stdout).lines() {
+            if tx.send(l.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    let next = || rx.recv_timeout(Duration::from_secs(20));
+    let first = next().expect("epoch 0 is sealed");
+    assert!(first.starts_with("{\"epoch\":0,\"txns\":1,"), "{first}");
+    // Give the reader time to reach the partial line and poll at EOF.
+    std::thread::sleep(Duration::from_millis(300));
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    f.write_all((tail.to_string() + &line(3, 1, "Ok", 2)).as_bytes())
+        .unwrap();
+    let second = next();
+    let _ = child.kill();
+    let out = child.wait_with_output().unwrap();
+    let second =
+        second.unwrap_or_else(|_| panic!("no epoch 1: {}", String::from_utf8_lossy(&out.stderr)));
+    assert!(
+        second.starts_with("{\"epoch\":1,\"txns\":2,\"events\":2,\"ok\":true,"),
+        "{second}"
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_file(&path);
+}
