@@ -17,7 +17,7 @@
 //! 1-based wire line it landed on, so tests can demand that every fault
 //! was either recovered or surfaced as a positioned diagnostic.
 
-use elle_history::{Event, EventLog, ProcessId};
+use elle_history::{event_to_json, Event, EventLog, ProcessId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -182,7 +182,8 @@ impl FaultSchedule {
         let mut out = String::new();
         for (lineno0, ev) in wire.iter().enumerate() {
             let lineno = lineno0 + 1;
-            let mut line = serde_json::to_string(ev).expect("event serialization is infallible");
+            let mut line = String::new();
+            event_to_json(ev, &mut line);
             if self.torn_prob > 0.0 && rng.gen_bool(self.torn_prob) {
                 let cut = rng.gen_range(0..line.len().max(1));
                 line.truncate(cut);

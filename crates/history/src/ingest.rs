@@ -39,7 +39,9 @@
 //! * **Mismatched completion** (pairing impossible): the completion is
 //!   dropped; the invocation stays open and ends indeterminate.
 
-use crate::{Event, EventLog, History, Ingest, PairingError, StreamingPairer, TxnId};
+use crate::{
+    event_from_json, Event, EventLog, History, Ingest, PairingError, StreamingPairer, TxnId,
+};
 use std::fmt;
 
 /// What to do when ingestion hits a damaged event.
@@ -196,14 +198,12 @@ pub fn decode_event_line(raw: &str, pos: SourcePos) -> Result<Option<Event>, Ing
     if trimmed.is_empty() {
         return Ok(None);
     }
-    serde_json::from_str(trimmed)
-        .map(Some)
-        .map_err(|e| IngestError {
-            pos,
-            cause: IngestCause::Decode {
-                message: e.to_string(),
-            },
-        })
+    event_from_json(trimmed).map(Some).map_err(|e| IngestError {
+        pos,
+        cause: IngestCause::Decode {
+            message: e.to_string(),
+        },
+    })
 }
 
 /// A streaming NDJSON → [`History`] pipeline with positions, policy,

@@ -32,6 +32,7 @@
 
 mod builder;
 mod event;
+mod event_json;
 mod ids;
 pub mod ingest;
 mod mop;
@@ -42,6 +43,7 @@ mod txn;
 
 pub use builder::{duplicate_written_elems, HistoryBuilder, TxnBuilder};
 pub use event::{Event, EventKind, EventLog};
+pub use event_json::{event_from_json, event_to_json};
 pub use ids::{Elem, Key, ProcessId, TxnId};
 pub use ingest::{
     decode_event_line, events_from_ndjson_with, Diagnostic, IngestCause, IngestError,

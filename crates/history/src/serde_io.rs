@@ -15,7 +15,7 @@
 //! re-pairing reproduces it exactly).
 
 use crate::ingest::{events_from_ndjson_with, IngestError, RecoveryPolicy};
-use crate::{Event, EventLog, History, Mop, TxnStatus};
+use crate::{event_to_json, Event, EventLog, History, Mop, TxnStatus};
 use serde::de::Error as _;
 
 /// Serialize a history to a JSON string.
@@ -43,7 +43,7 @@ pub fn history_from_json(s: &str) -> Result<History, serde_json::Error> {
 pub fn events_to_ndjson(log: &EventLog) -> String {
     let mut s = String::new();
     for ev in log.events() {
-        s.push_str(&serde_json::to_string(ev).expect("event serialization is infallible"));
+        event_to_json(ev, &mut s);
         s.push('\n');
     }
     s
@@ -102,7 +102,7 @@ pub fn history_to_ndjson(h: &History) -> String {
     events.sort_by_key(|e| e.index);
     let mut s = String::new();
     for ev in &events {
-        s.push_str(&serde_json::to_string(ev).expect("event serialization is infallible"));
+        event_to_json(ev, &mut s);
         s.push('\n');
     }
     s

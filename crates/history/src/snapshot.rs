@@ -24,7 +24,7 @@
 //! restart) — never a state that replays an event twice or loses one.
 
 use crate::ingest::{events_from_ndjson_with, IngestCause, IngestError, RecoveryPolicy, SourcePos};
-use crate::Event;
+use crate::{event_to_json, Event};
 use serde::{Deserialize, Serialize};
 
 /// The supported snapshot format version.
@@ -86,7 +86,7 @@ pub fn snapshot_to_string(meta: &SnapshotMeta, events: &[Event]) -> String {
     let mut s = serde_json::to_string(meta).expect("meta serialization is infallible");
     s.push('\n');
     for ev in events {
-        s.push_str(&serde_json::to_string(ev).expect("event serialization is infallible"));
+        event_to_json(ev, &mut s);
         s.push('\n');
     }
     s

@@ -23,15 +23,24 @@
 
 use crate::config::ServeConfig;
 use crate::store::{Restored, TenantStore};
-use elle_history::{Event, Recovered, RecoveryPolicy, SnapshotMeta};
+use elle_history::{
+    event_from_json, event_to_json, Event, Recovered, RecoveryPolicy, SnapshotMeta,
+};
 use elle_stream::{CheckerSnapshot, EpochReport, Gauges, StreamChecker, WindowCarry, WindowPolicy};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::time::{Duration, Instant};
 
-/// Journal form of a line whose event body did not decode: it fails
-/// event decoding again on replay, so the quarantine gauge reproduces.
-const UNDECODABLE_SENTINEL: &str = "{\"undecodable\":true}";
+/// Journal form of a line whose event body did not decode,
+/// `{"undecodable":"<message>"}`: it fails event decoding again on
+/// replay, so the quarantine gauge reproduces, and it carries the
+/// decoder's message, so a strict tenant fails again for the live
+/// reason. (Older journals hold `{"undecodable":true}`, which replays
+/// with the event decoder's own message.)
+#[derive(Serialize, Deserialize)]
+struct Undecodable {
+    undecodable: String,
+}
 
 /// What one ingested event produced, beyond mutating the tenant.
 #[derive(Debug, Default)]
@@ -194,16 +203,14 @@ impl Tenant {
         // replayed.
         let mut replayed = Vec::new();
         for line in &journal_lines {
-            match serde_json::from_str::<serde::Value>(line)
-                .map_err(|e| e.to_string())
-                .and_then(|v| {
-                    <Event as serde::Deserialize>::deserialize(&v).map_err(|e| e.to_string())
-                }) {
+            match event_from_json(line) {
                 Ok(ev) => {
                     let reply = t.apply_event(cfg, &ev, false)?;
                     replayed.extend(reply.sealed);
                 }
-                Err(msg) => {
+                Err(e) => {
+                    let msg = serde_json::from_str::<Undecodable>(line)
+                        .map_or_else(|_| e.to_string(), |u| u.undecodable);
                     t.cli_quarantined += 1;
                     if t.recovery == RecoveryPolicy::Strict && t.failed.is_none() {
                         t.failed = Some(msg);
@@ -236,21 +243,27 @@ impl Tenant {
     /// it bumps the gauge; under strict it fails the tenant.
     pub fn ingest_bad(&mut self, cfg: &ServeConfig, message: &str) -> io::Result<IngestReply> {
         if let Some(store) = &mut self.store {
-            store.append_event(UNDECODABLE_SENTINEL)?;
+            let sentinel = Undecodable {
+                undecodable: message.to_string(),
+            };
+            store.append_event(&serde_json::to_string(&sentinel).expect("strings serialize"))?;
         }
         self.events_since_snapshot += 1;
         self.cli_quarantined += 1;
         let mut reply = IngestReply::default();
         match self.recovery {
             RecoveryPolicy::Strict => {
+                // No rotation: a snapshot cannot record the failure, so
+                // the sentinel stays in the journal for a restart to
+                // fail the tenant again.
                 self.failed = Some(message.to_string());
                 reply.failed = Some(message.to_string());
             }
             RecoveryPolicy::Quarantine => {
                 reply.warning = Some(format!("quarantined: {message} — line skipped"));
+                self.maybe_rotate(cfg)?;
             }
         }
-        self.maybe_rotate(cfg)?;
         Ok(reply)
     }
 
@@ -263,9 +276,9 @@ impl Tenant {
         let mut reply = IngestReply::default();
         if live {
             if let Some(store) = &mut self.store {
-                store.append_event(
-                    &serde_json::to_string(ev).expect("event serialization is infallible"),
-                )?;
+                let mut line = String::new();
+                event_to_json(ev, &mut line);
+                store.append_event(&line)?;
             }
             self.events_since_snapshot += 1;
         }

@@ -21,10 +21,12 @@
 //! Parsing is staged — the envelope first, the event second — so a
 //! malformed event body is still *attributed* to its tenant and flows
 //! through that tenant's recovery policy instead of being an anonymous
-//! protocol error.
+//! protocol error. A line in [`tag_event_line`]'s own layout whose body
+//! decodes as an event skips the staging: the body goes straight to
+//! [`event_from_json`], with the staged parse's exact result.
 
 use crate::config::valid_tenant_id;
-use elle_history::Event;
+use elle_history::{event_from_json, Event};
 use serde::{Deserialize, Value};
 
 /// One parsed request line.
@@ -88,7 +90,20 @@ impl WireError {
 
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let v: Value = serde_json::from_str(line.trim())
+    let line = line.trim();
+    match tagged_event(line) {
+        Some((tenant, event)) => Ok(Request::Event {
+            tenant: tenant.to_string(),
+            event: Box::new(event),
+        }),
+        None => parse_staged(line),
+    }
+}
+
+/// The staged parse: the envelope as a JSON object first, the event
+/// body second.
+fn parse_staged(line: &str) -> Result<Request, WireError> {
+    let v: Value = serde_json::from_str(line)
         .map_err(|e| WireError::bad(format!("undecodable request line: {e}")))?;
     let Some(map) = v.as_map() else {
         return Err(WireError::bad("request line is not a JSON object"));
@@ -148,6 +163,20 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
             reason: "request carries neither an op nor an event".into(),
         }),
     }
+}
+
+/// The [`tag_event_line`] layout, `{"tenant":"<id>","event":<body>}`,
+/// with a valid id and a body that decodes as an event. Only then is
+/// the line one object with exactly those two keys, so the staged
+/// parse would return this same event; anything else is `None` and
+/// takes the staged parse.
+fn tagged_event(line: &str) -> Option<(&str, Event)> {
+    let (tenant, rest) = line.strip_prefix("{\"tenant\":\"")?.split_once('"')?;
+    let body = rest.strip_prefix(",\"event\":")?.strip_suffix('}')?;
+    if !valid_tenant_id(tenant) {
+        return None;
+    }
+    Some((tenant, event_from_json(body).ok()?))
 }
 
 /// Render a reject line. Tenant ids are pre-validated, so they embed
@@ -232,6 +261,45 @@ mod tests {
             Request::BadEvent { tenant, .. } => assert_eq!(tenant, "a"),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The tagged-layout shortcut returns exactly what the staged
+    /// parse returns, on the lines it takes and on the ones it must
+    /// leave alone.
+    #[test]
+    fn tagged_lines_parse_as_staged() {
+        let body = serde_json::to_string(&ev()).unwrap();
+        let spaced = body.replace(',', ", ").replace(':', ": ");
+        let mut lines = vec![
+            tag_event_line("t-1", &body),
+            tag_event_line("t-1", &spaced),
+            format!("  {{\"tenant\":\"a\",\"event\": {body} }}\n"),
+            // op and event together resolve as the op, in either order.
+            format!("{{\"tenant\":\"a\",\"event\":{body},\"op\":\"seal\"}}"),
+            format!("{{\"tenant\":\"a\",\"op\":\"seal\",\"event\":{body}}}"),
+            format!("{{\"event\":{body},\"tenant\":\"a\"}}"),
+            // Escaped and invalid tenant ids.
+            format!("{{\"tenant\":\"t\\u0031\",\"event\":{body}}}"),
+            format!("{{\"tenant\":\"../x\",\"event\":{body}}}"),
+            format!("{{\"tenant\":\"\",\"event\":{body}}}"),
+            // Bodies that are not events, or not alone.
+            "{\"tenant\":\"a\",\"event\":{\"index\":1}}".to_string(),
+            "{\"tenant\":\"a\",\"event\":null}".to_string(),
+            format!("{{\"tenant\":\"a\",\"event\":{body}}}}}"),
+            format!("{{\"tenant\":\"a\",\"event\":{body},\"tenant\":\"b\"}}"),
+            tag_event_line("a", &body.replace("Invoke", "Okk")),
+            tag_event_line("a", &body.replace("\"index\"", "\"\\u0069ndex\"")),
+        ];
+        // Torn at every byte.
+        let whole = tag_event_line("t-1", &body);
+        lines.extend((0..whole.len()).map(|cut| whole[..cut].to_string()));
+        for line in &lines {
+            assert_eq!(parse_request(line), parse_staged(line.trim()), "{line}");
+        }
+        assert!(matches!(
+            parse_request(&lines[0]),
+            Ok(Request::Event { .. })
+        ));
     }
 
     #[test]

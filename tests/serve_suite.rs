@@ -680,3 +680,48 @@ fn windowed_crash_recovery_preserves_budget_state() {
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
+
+/// A strict durable tenant failed by an undecodable event body stays
+/// failed across a restart, for the live reason: the restarted
+/// service's final verdict for it is byte-identical to the live one.
+/// With `snapshot_events` 2 the failing line is also the one that
+/// reaches the rotation threshold; with 1000 no rotation happens and
+/// the reason can only come back from the journal.
+#[test]
+fn strict_failure_survives_restart_with_its_reason() {
+    let invoke = r#"{"tenant":"s0","event":{"index":0,"process":0,"kind":"Invoke","mops":[{"Append":{"key":1,"elem":1}}],"time_ns":null}}"#;
+    let bad = r#"{"tenant":"s0","event":{"index":1,"process":0,"kind":"Okk","mops":[{"Append":{"key":1,"elem":1}}],"time_ns":null}}"#;
+    for snapshot_events in [2, 1000] {
+        let dir = tmp_dir(&format!("strict_restart_{snapshot_events}"));
+        let cfg = ServeConfig {
+            recovery: elle::history::RecoveryPolicy::Strict,
+            snapshot_events,
+            data_dir: Some(dir.clone()),
+            ..small_cfg()
+        };
+        let discard: Sink = Arc::new(|_| {});
+        let server = Server::start(cfg.clone(), Arc::clone(&discard)).unwrap();
+        server.submit(invoke, &discard);
+        server.submit(bad, &discard);
+        let live = server.drain();
+        let live = final_for(&live, "s0");
+        assert!(
+            live.verdict.contains("\"code\":422")
+                && live.verdict.contains("unknown variant `Okk` for EventKind"),
+            "snapshot_events {snapshot_events}: live verdict {}",
+            live.verdict
+        );
+
+        // Restart on the same data directory; any request opens the
+        // tenant, which replays its store.
+        let server = Server::start(cfg, Arc::clone(&discard)).unwrap();
+        server.submit(r#"{"tenant":"s0","op":"status"}"#, &discard);
+        let restarted = server.drain();
+        assert_eq!(
+            final_for(&restarted, "s0").verdict,
+            live.verdict,
+            "snapshot_events {snapshot_events}: the restarted verdict diverged"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
