@@ -43,29 +43,35 @@ fn bench_length(c: &mut Criterion) {
     g.finish();
 }
 
-/// The early-acyclic certificate on a clean history: one Tarjan pass
-/// under the full mask versus the per-class passes it skips.
-fn bench_acyclic_certificate(c: &mut Criterion) {
+/// The IDSG the checker searches: list-append inference plus session
+/// and real-time orders, frozen.
+fn idsg(h: &History) -> (elle_core::DepGraph, elle_graph::Csr) {
     use elle_core::datatype::{run_mode, Parallelism};
-    use elle_core::{
-        add_process_edges, add_realtime_edges, find_cycle_anomalies_mode, CycleSearchOptions,
-        DataType, KeyTypes, ProvenanceIndex,
-    };
-    let n = if quick() { 2_000 } else { 16_000 };
-    let h = history(n, 20, IsolationLevel::Serializable);
-    let elems = ProvenanceIndex::build(&h);
-    let keys = KeyTypes::infer(&h).keys_of(DataType::List);
+    use elle_core::{add_process_edges, add_realtime_edges, DataType, KeyTypes, ProvenanceIndex};
+    let elems = ProvenanceIndex::build(h);
+    let keys = KeyTypes::infer(h).keys_of(DataType::List);
     let out = run_mode::<elle_core::list_append::ListAppend>(
-        &h,
+        h,
         &elems,
         &keys,
         (),
         Parallelism::Sequential,
     );
     let mut deps = out.deps;
-    add_process_edges(&mut deps, &h);
-    add_realtime_edges(&mut deps, &h);
+    add_process_edges(&mut deps, h);
+    add_realtime_edges(&mut deps, h);
     let csr = deps.freeze();
+    (deps, csr)
+}
+
+/// The early-acyclic certificate on a clean history: one Tarjan pass
+/// under the full mask versus the per-class passes it skips.
+fn bench_acyclic_certificate(c: &mut Criterion) {
+    use elle_core::datatype::Parallelism;
+    use elle_core::{find_cycle_anomalies_mode, CycleSearchOptions};
+    let n = if quick() { 2_000 } else { 16_000 };
+    let h = history(n, 20, IsolationLevel::Serializable);
+    let (deps, csr) = idsg(&h);
     let base = CycleSearchOptions::default();
 
     let mut g = c.benchmark_group("elle_cycle_search_clean");
@@ -86,6 +92,40 @@ fn bench_acyclic_certificate(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// Cycle search on an anomalous history — a read-committed list-append
+/// history on 10 active keys: thousands of candidate cycles, of which
+/// the per-type cap keeps a few dozen.
+fn bench_cycle_search_anomalous(c: &mut Criterion) {
+    use elle_core::datatype::Parallelism;
+    use elle_core::{find_cycle_anomalies_mode, CycleSearchOptions};
+    let n = if quick() { 4_000 } else { 16_000 };
+    let params = GenParams {
+        active_keys: 10,
+        ..GenParams::paper_perf(n)
+    }
+    .with_seed(n as u64);
+    let db = DbConfig::new(IsolationLevel::ReadCommitted, ObjectKind::ListAppend)
+        .with_processes(20)
+        .with_seed(n as u64 + 20);
+    let h = run_workload(params, db).expect("history pairs");
+    let (deps, csr) = idsg(&h);
+
+    let mut g = c.benchmark_group("elle_cycle_search_anomalous");
+    g.sample_size(10);
+    g.bench_function(&format!("read_committed_{n}"), |b| {
+        b.iter(|| {
+            find_cycle_anomalies_mode(
+                &deps,
+                &csr,
+                &h,
+                CycleSearchOptions::default(),
+                Parallelism::Sequential,
+            )
+        })
+    });
     g.finish();
 }
 
@@ -188,6 +228,7 @@ criterion_group!(
     bench_concurrency,
     bench_anomalous,
     bench_acyclic_certificate,
+    bench_cycle_search_anomalous,
     bench_stream_epoch
 );
 criterion_main!(benches);

@@ -31,15 +31,31 @@
 //! SCC index, discovery order) — reports are byte-identical whether the
 //! fan-out ran on one thread or many. `ELLE_SEQUENTIAL=1` pins the stage
 //! (and the datatype pipeline) to the sequential path.
+//!
+//! The merge runs in three steps:
+//!
+//! 1. *select*: in merge order, deduplicate each candidate (by rotation)
+//!    and classify it from the class of each step's presented witness —
+//!    a compact record of type, cycle and admitted mask;
+//! 2. *cap*: stable-sort the records by (type, length) and keep the
+//!    first [`CycleSearchOptions::max_per_type`] of each type;
+//! 3. *explain*: only for the survivors, build the witness steps and the
+//!    Figure-2 explanation.
+//!
+//! Explaining after the cap yields the same report as explaining every
+//! candidate first: neither the sort key nor the cap reads an
+//! explanation, and an explanation is a pure function of the history and
+//! the steps. A search with `max_per_type: 0` stops after the certificate
+//! pass.
 
-use crate::anomaly::{Anomaly, AnomalyType, CycleStep};
+use crate::anomaly::{Anomaly, AnomalyType, CycleStep, Witness};
 use crate::datatype::Parallelism;
 use crate::deps::DepGraph;
 use crate::explain::explain_cycle;
 use elle_graph::{Csr, CycleSpec, EdgeClass, EdgeMask, Scratch};
 use elle_history::{History, TxnId};
 use rayon::prelude::*;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Cycle-search configuration.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +67,11 @@ pub struct CycleSearchOptions {
     /// Admit database-timestamp (time-precedes) edges — §5.1's
     /// start-ordered serialization graph.
     pub timestamp_edges: bool,
-    /// Cap on reported cycles per anomaly type.
+    /// Cap on reported cycles per anomaly type: the shortest cycles
+    /// first, ties broken by merge order. Only the survivors are
+    /// explained, and `0` skips the search after the certificate pass.
+    /// It also bounds how many candidates each G1c, G-single or G2-item
+    /// search takes from one SCC.
     pub max_per_type: usize,
     /// Run the early-acyclic certificate: one Tarjan pass under the
     /// union of every admitted class first; when the graph is SCC-free
@@ -289,6 +309,12 @@ pub(crate) fn search(
     } else {
         None
     };
+    if opts.max_per_type == 0 {
+        // The cap would drop every candidate: skip the per-class passes.
+        // The certificate's SCCs still go back (the window clamp reads
+        // them).
+        return (Vec::new(), cert.map(|(_, sccs)| sccs).unwrap_or_default());
+    }
 
     // ── Phase 1: SCCs per *distinct* admitted mask (parallel across
     //    masks). Searches that admit the same classes — G-single and G2
@@ -311,14 +337,15 @@ pub(crate) fn search(
         masks.iter().map(|m| sccs_for(*m, &mut scratch)).collect()
     };
 
-    // ── Phase 2: flatten to (search, SCC) work items in merge order. ──
-    let items: Vec<(u32, Vec<u32>)> = plan
+    // ── Phase 2: flatten to (search, SCC) work items in merge order;
+    //    each item borrows its SCC. ─────────────────────────────────────
+    let items: Vec<(u32, &[u32])> = plan
         .iter()
         .enumerate()
         .flat_map(|(i, _)| {
             sccs_per_mask[mask_of[i]]
                 .iter()
-                .map(move |scc| (i as u32, scc.clone()))
+                .map(move |scc| (i as u32, scc.as_slice()))
         })
         .collect();
 
@@ -342,77 +369,121 @@ pub(crate) fn search(
     };
 
     // ── Phase 4: strictly ordered sequential merge. ───────────────────
-    let mut out: Vec<Anomaly> = Vec::new();
-    let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
-    for ((i, _), cycles) in items.iter().zip(&found) {
-        for cyc in cycles {
-            push_classified(
-                deps,
-                history,
-                cyc,
-                plan[*i as usize].allowed,
-                &mut seen,
-                &mut out,
-            );
-        }
-    }
-
-    // Cap per type (keep shortest cycles — they make the best witnesses).
-    out.sort_by_key(|a| (a.typ, a.txns.len()));
-    let mut counts: rustc_hash::FxHashMap<AnomalyType, usize> = rustc_hash::FxHashMap::default();
-    out.retain(|a| {
-        let c = counts.entry(a.typ).or_insert(0);
-        *c += 1;
-        *c <= opts.max_per_type
+    let candidates = items.iter().zip(&found).flat_map(|((i, _), cycles)| {
+        let allowed = plan[*i as usize].allowed;
+        cycles.iter().map(move |cyc| (cyc.as_slice(), allowed))
     });
+    let out = merge(deps, history, candidates, opts.max_per_type);
     (out, cert.map(|(_, sccs)| sccs).unwrap_or_default())
 }
 
-/// Present, classify, deduplicate, and record one cycle.
-fn push_classified(
+/// Phase 4: deduplicate and classify each candidate in merge order (each
+/// with the admitted mask of the search that found it), keep the
+/// shortest `max_per_type` per type, and explain only those survivors.
+fn merge<'a>(
     deps: &DepGraph,
     history: &History,
-    cyc: &[u32],
+    candidates: impl IntoIterator<Item = (&'a [u32], EdgeMask)>,
+    max_per_type: usize,
+) -> Vec<Anomaly> {
+    let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
+    let mut selected: Vec<Selected> = Vec::new();
+    for (cycle, allowed) in candidates {
+        if !seen.insert(canonical(cycle)) {
+            continue;
+        }
+        // `None`: a start-ordered cycle with ≥ 2 anti-dependencies —
+        // legal under snapshot isolation (write skew with start edges),
+        // and timestamp edges are not value dependencies, so it
+        // witnesses nothing.
+        if let Some(typ) = select(deps, cycle, allowed) {
+            selected.push(Selected {
+                typ,
+                cycle,
+                allowed,
+            });
+        }
+    }
+
+    // Cap per type (keep shortest cycles — they make the best witnesses;
+    // the sort is stable, so ties keep merge order).
+    selected.sort_by_key(|s| (s.typ, s.cycle.len()));
+    let mut counts: FxHashMap<AnomalyType, usize> = FxHashMap::default();
+    selected.retain(|s| {
+        let c = counts.entry(s.typ).or_insert(0);
+        *c += 1;
+        *c <= max_per_type
+    });
+    selected
+        .iter()
+        .map(|s| materialize(deps, history, s))
+        .collect()
+}
+
+/// A deduplicated, classified candidate: everything the per-type cap
+/// reads. Its witnesses and explanation are built only if it survives.
+struct Selected<'a> {
+    typ: AnomalyType,
+    cycle: &'a [u32],
+    /// The admitted mask of the search that found it, which presents it.
     allowed: EdgeMask,
-    seen: &mut FxHashSet<Vec<u32>>,
-    out: &mut Vec<Anomaly>,
-) {
-    let key = canonical(cyc);
-    if !seen.insert(key) {
-        return;
-    }
-    let mut steps: Vec<CycleStep> = Vec::with_capacity(cyc.len());
+}
+
+/// Step `i` of `cyc` — the edge to the next transaction — with the
+/// witness presented for it (see [`PREFERENCE`]).
+fn step<'g>(
+    deps: &'g DepGraph,
+    cyc: &[u32],
+    i: usize,
+    allowed: EdgeMask,
+) -> Option<(TxnId, TxnId, &'g Witness)> {
+    let from = TxnId(cyc[i]);
+    let to = TxnId(cyc[(i + 1) % cyc.len()]);
+    let w = deps.present(from, to, allowed, &PREFERENCE);
+    // The search follows real edges under `allowed`, so every step has a
+    // witness; a miss is a search/present bug, not a cycle to drop.
+    debug_assert!(
+        w.is_some(),
+        "cycle step {from:?} → {to:?} has no witness under {allowed:?}"
+    );
+    Some((from, to, w?))
+}
+
+/// Present and classify one cycle without rendering anything.
+fn select(deps: &DepGraph, cyc: &[u32], allowed: EdgeMask) -> Option<AnomalyType> {
+    let mut per_class = [0usize; EdgeClass::ALL.len()];
     for i in 0..cyc.len() {
-        let from = TxnId(cyc[i]);
-        let to = TxnId(cyc[(i + 1) % cyc.len()]);
-        let Some(w) = deps.present(from, to, allowed, &PREFERENCE) else {
-            // Should not happen: the search follows real edges.
-            return;
-        };
-        steps.push(CycleStep {
-            from,
-            to,
-            class: w.class(),
-            witness: w.clone(),
-        });
+        per_class[step(deps, cyc, i, allowed)?.2.class() as usize] += 1;
     }
-    let Some(typ) = classify(&steps) else {
-        // A start-ordered cycle with ≥ 2 anti-dependencies: legal under
-        // snapshot isolation (write skew with start edges), and timestamp
-        // edges are not value dependencies, so it witnesses nothing.
-        return;
-    };
+    classify(&per_class)
+}
+
+/// Build the reported anomaly for a cap survivor: its steps, key and
+/// Figure-2 explanation.
+fn materialize(deps: &DepGraph, history: &History, s: &Selected) -> Anomaly {
+    let steps: Vec<CycleStep> = (0..s.cycle.len())
+        .map(|i| {
+            let (from, to, w) =
+                step(deps, s.cycle, i, s.allowed).expect("selection presented every step");
+            CycleStep {
+                from,
+                to,
+                class: w.class(),
+                witness: w.clone(),
+            }
+        })
+        .collect();
     let explanation = explain_cycle(history, &steps);
-    out.push(Anomaly {
-        typ,
+    Anomaly {
+        typ: s.typ,
         txns: steps.iter().map(|s| s.from).collect(),
         key: steps.iter().find_map(|s| key_of(&s.witness)),
         steps,
         explanation,
-    });
+    }
 }
 
-fn key_of(w: &crate::anomaly::Witness) -> Option<elle_history::Key> {
+fn key_of(w: &Witness) -> Option<elle_history::Key> {
     use crate::anomaly::Witness::*;
     match w {
         WwList { key, .. }
@@ -428,32 +499,23 @@ fn key_of(w: &crate::anomaly::Witness) -> Option<elle_history::Key> {
     }
 }
 
-/// Classify a presented cycle by the edges it *needs*. Returns `None` for
-/// cycles that witness no proscribed phenomenon (start-ordered cycles with
-/// two or more anti-dependencies — Adya's SI permits those).
-fn classify(steps: &[CycleStep]) -> Option<AnomalyType> {
-    let mut rw = 0usize;
-    let mut wr = 0usize;
-    let mut proc = 0usize;
-    let mut rt = 0usize;
-    let mut ts = 0usize;
-    for s in steps {
-        match s.class {
-            EdgeClass::Rw => rw += 1,
-            // An rr edge is the composition rw∘wr — the earlier reader
-            // *missed* a write the later reader observed — so it carries
-            // exactly one anti-dependency. Counting it as information
-            // flow would let two-anti-dependency write-skew cycles
-            // masquerade as G-single (and rr-closed cycles as G1c),
-            // flagging snapshot-legal histories.
-            EdgeClass::Rr => rw += 1,
-            EdgeClass::Wr | EdgeClass::Version => wr += 1,
-            EdgeClass::Process => proc += 1,
-            EdgeClass::Realtime => rt += 1,
-            EdgeClass::Timestamp => ts += 1,
-            EdgeClass::Ww => {}
-        }
-    }
+/// Classify a presented cycle by the edges it *needs*, given how many of
+/// its steps present as each class (indexed by discriminant). Returns
+/// `None` for cycles that witness no proscribed phenomenon
+/// (start-ordered cycles with two or more anti-dependencies — Adya's SI
+/// permits those).
+fn classify(per_class: &[usize; EdgeClass::ALL.len()]) -> Option<AnomalyType> {
+    let n = |c: EdgeClass| per_class[c as usize];
+    // An rr edge is the composition rw∘wr — the earlier reader *missed* a
+    // write the later reader observed — so it carries exactly one
+    // anti-dependency. Counting it as information flow would let
+    // two-anti-dependency write-skew cycles masquerade as G-single (and
+    // rr-closed cycles as G1c), flagging snapshot-legal histories.
+    let rw = n(EdgeClass::Rw) + n(EdgeClass::Rr);
+    let wr = n(EdgeClass::Wr) + n(EdgeClass::Version);
+    let proc = n(EdgeClass::Process);
+    let rt = n(EdgeClass::Realtime);
+    let ts = n(EdgeClass::Timestamp);
     // A cycle that needs a database-timestamp edge lives in the
     // start-ordered serialization graph. SI proscribes such cycles only
     // when they carry at most one anti-dependency (G-SIa / G-SIb).
@@ -506,8 +568,8 @@ fn canonical(cyc: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anomaly::Witness;
     use elle_history::{Elem, HistoryBuilder, Key, ProcessId};
+    use proptest::prelude::*;
 
     fn history(n: usize) -> History {
         let mut b = HistoryBuilder::new();
@@ -718,6 +780,164 @@ mod tests {
         };
         let found = find_cycle_anomalies(&mut d, &h, opts);
         assert_eq!(found.len(), 2);
+    }
+
+    #[test]
+    fn cap_zero_skips_the_search_but_returns_the_sccs() {
+        // Two disjoint ww 2-cycles: the certificate finds both SCCs.
+        let h = history(4);
+        let mut d = DepGraph::with_txns(4);
+        for (a, b) in [(0u32, 1u32), (2, 3)] {
+            d.add(TxnId(a), TxnId(b), ww(a as u64, 1, 2));
+            d.add(TxnId(b), TxnId(a), ww(a as u64, 2, 1));
+        }
+        let csr = d.freeze();
+        let run = |max_per_type| {
+            let opts = CycleSearchOptions {
+                max_per_type,
+                ..Default::default()
+            };
+            search(&d, &csr, &h, opts, Parallelism::Sequential)
+        };
+        let (none, sccs0) = run(0);
+        let (found, sccs4) = run(4);
+        assert!(none.is_empty());
+        assert_eq!(found.len(), 2);
+        assert_eq!(sccs0, vec![vec![0, 1], vec![2, 3]]);
+        assert_eq!(sccs0, sccs4);
+    }
+
+    #[test]
+    fn cap_keeps_the_shortest_and_explains_only_survivors() {
+        // A ww 3-cycle on txns 0..3 comes first in merge order (its SCC
+        // has the smallest member), ahead of ww 2-cycles on {3, 4} and
+        // {5, 6}. All three are G0; a cap of 2 keeps the 2-cycles.
+        let h = history(7);
+        let mut d = DepGraph::with_txns(7);
+        for (a, b) in [(0u32, 1u32), (1, 2), (2, 0)] {
+            d.add(TxnId(a), TxnId(b), ww(1, a as u64 + 1, b as u64 + 1));
+        }
+        for (a, b) in [(3u32, 4u32), (5, 6)] {
+            d.add(TxnId(a), TxnId(b), ww(a as u64, 1, 2));
+            d.add(TxnId(b), TxnId(a), ww(a as u64, 2, 1));
+        }
+        let csr = d.freeze();
+        let opts = |max_per_type| CycleSearchOptions {
+            max_per_type,
+            ..Default::default()
+        };
+        let seq = Parallelism::Sequential;
+        let all = find_cycle_anomalies_mode(&d, &csr, &h, opts(usize::MAX), seq);
+        let lens: Vec<usize> = all.iter().map(|a| a.txns.len()).collect();
+        assert_eq!(lens, vec![2, 2, 3]);
+
+        let kept = find_cycle_anomalies_mode(&d, &csr, &h, opts(2), seq);
+        let txns: Vec<Vec<TxnId>> = kept.iter().map(|a| a.txns.clone()).collect();
+        assert_eq!(
+            txns,
+            vec![vec![TxnId(3), TxnId(4)], vec![TxnId(5), TxnId(6)]]
+        );
+        for a in &kept {
+            assert_eq!(a.typ, AnomalyType::G0);
+            assert_eq!(a.explanation, explain_cycle(&h, &a.steps));
+        }
+        assert_eq!(kept[..], all[..2]);
+    }
+
+    /// A witness for `a → b` of the class picked by `c`, on key `k`.
+    fn witness(c: u8, k: u64, a: u32, b: u32) -> Witness {
+        let (key, elem) = (Key(k), Elem(b as u64 + 1));
+        match c % 7 {
+            0 => ww(k, a as u64 + 1, b as u64 + 1),
+            1 => Witness::WrList { key, elem },
+            2 => Witness::RwList {
+                key,
+                read_last: None,
+                next: elem,
+            },
+            3 => Witness::Rr { key },
+            4 => Witness::Process {
+                process: ProcessId(0),
+            },
+            5 => Witness::Realtime {
+                complete: a as usize,
+                invoke: b as usize,
+            },
+            _ => Witness::Timestamp {
+                commit: a as u64,
+                start: b as u64,
+            },
+        }
+    }
+
+    /// Every candidate the plan's searches find, in merge order: phases
+    /// 1–3 without the certificate or the fan-out.
+    fn merge_order(csr: &Csr, opts: CycleSearchOptions) -> Vec<(Vec<u32>, EdgeMask)> {
+        let mut scratch = Scratch::new();
+        let mut out = Vec::new();
+        for s in search_plan(opts) {
+            let mut sccs = csr.tarjan_scc(s.allowed, &mut scratch);
+            sccs.sort_by(|a, b| a[0].cmp(&b[0]));
+            for scc in &sccs {
+                for cyc in candidates(csr, s, scc, opts.max_per_type, &mut scratch) {
+                    out.push((cyc, s.allowed));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Capping commutes with explaining: on the same candidates, the
+        /// merge equals the explain-everything merge stable-sorted by
+        /// (type, length) and truncated per type, explanations included;
+        /// and it is what the search reports in both scheduling modes.
+        #[test]
+        fn capping_commutes_with_explaining(
+            edges in prop::collection::vec((0u32..8, 0u32..8, 0u8..7, 1u64..4), 0..48),
+        ) {
+            let h = history(8);
+            let mut d = DepGraph::with_txns(8);
+            for &(a, b, c, k) in &edges {
+                if a != b {
+                    d.add(TxnId(a), TxnId(b), witness(c, k, a, b));
+                }
+            }
+            let csr = d.freeze();
+            for max_per_type in [0, 1, 2, 4] {
+                let opts = CycleSearchOptions {
+                    max_per_type,
+                    timestamp_edges: true,
+                    ..Default::default()
+                };
+                let cands = merge_order(&csr, opts);
+                let merged = |cap| merge(&d, &h, cands.iter().map(|(c, m)| (c.as_slice(), *m)), cap);
+                let mut want = merged(usize::MAX);
+                want.sort_by_key(|a| (a.typ, a.txns.len()));
+                let mut counts: FxHashMap<AnomalyType, usize> = FxHashMap::default();
+                want.retain(|a| {
+                    let c = counts.entry(a.typ).or_insert(0);
+                    *c += 1;
+                    *c <= max_per_type
+                });
+                let got = merged(max_per_type);
+                prop_assert_eq!(&got, &want);
+                for a in &got {
+                    prop_assert_eq!(&a.explanation, &explain_cycle(&h, &a.steps));
+                    // Survivors are presented as they were classified.
+                    let mut per_class = [0usize; EdgeClass::ALL.len()];
+                    for s in &a.steps {
+                        per_class[s.class as usize] += 1;
+                    }
+                    prop_assert_eq!(classify(&per_class), Some(a.typ));
+                }
+                for mode in [Parallelism::Sequential, Parallelism::Parallel] {
+                    prop_assert_eq!(&search(&d, &csr, &h, opts, mode).0, &got);
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! real anomalies (weak isolation levels, faults, contention).
 
 use elle_core::datatype::{run_mode, Parallelism};
+use elle_core::explain::explain_cycle;
 use elle_core::list_append::ListAppend;
 use elle_core::{
     add_process_edges, add_realtime_edges, find_cycle_anomalies, find_cycle_anomalies_mode,
@@ -135,5 +136,38 @@ proptest! {
             serde_json::to_string(&with).unwrap(),
             serde_json::to_string(&without).unwrap()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The per-type cap on generated histories, in both scheduling
+    /// modes: each capped search is stable-sorted by (type, length),
+    /// keeps at most `cap` cycles per type, explains every survivor, and
+    /// is the same in both modes. A capped search is not the uncapped one
+    /// truncated: the cap also bounds how many candidates each G1c,
+    /// G-single or G2-item search takes from one SCC. The in-crate property
+    /// `cycle_search::tests::capping_commutes_with_explaining` compares
+    /// capped and uncapped merges over the same candidates.
+    #[test]
+    fn capped_search_keeps_the_shortest_and_explains_them(h in arb_history()) {
+        let mut deps = idsg(&h);
+        let csr = deps.freeze();
+        for max_per_type in [0usize, 1, 2, 4] {
+            let opts = CycleSearchOptions { max_per_type, ..CycleSearchOptions::default() };
+            let seq = find_cycle_anomalies_mode(&deps, &csr, &h, opts, Parallelism::Sequential);
+            let par = find_cycle_anomalies_mode(&deps, &csr, &h, opts, Parallelism::Parallel);
+            prop_assert_eq!(&seq, &par);
+            let mut sorted = seq.clone();
+            sorted.sort_by_key(|a| (a.typ, a.txns.len()));
+            prop_assert_eq!(&sorted, &seq);
+            let mut per_type = std::collections::BTreeMap::new();
+            for a in &seq {
+                *per_type.entry(a.typ).or_insert(0usize) += 1;
+                prop_assert_eq!(&a.explanation, &explain_cycle(&h, &a.steps));
+            }
+            prop_assert!(per_type.values().all(|&n| n <= max_per_type));
+        }
     }
 }
