@@ -1,19 +1,17 @@
 //! Criterion microbenchmarks for the graph substrate: Tarjan SCC and
-//! cycle search on the legacy `DiGraph` vs. the frozen CSR, plus the
-//! freeze cost, edge-mask lookups, and the interval-order reduction.
-//! `BENCH_graph.json` at the repo root records these series.
+//! G-single cycle search on the frozen CSR, the freeze from sorted edges,
+//! the sort-based `EdgeBuf` build, edge-mask lookups, and the
+//! interval-order reduction. `BENCH_graph.json` at the repo root records
+//! these series.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use elle_graph::{
-    find_cycle_with_single, interval_order_reduction, tarjan_scc, DiGraph, EdgeClass, EdgeMask,
-    Interval, Scratch,
-};
+use elle_graph::{interval_order_reduction, Csr, EdgeBuf, EdgeClass, EdgeMask, Interval, Scratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn random_graph(n: u32, edges_per_vertex: u32, seed: u64) -> DiGraph {
+fn random_graph(n: u32, edges_per_vertex: u32, seed: u64) -> Csr {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut g = DiGraph::with_vertices(n as usize);
+    let mut buf = EdgeBuf::with_capacity((n * edges_per_vertex) as usize);
     for v in 0..n {
         for _ in 0..edges_per_vertex {
             let w = rng.gen_range(0..n);
@@ -22,21 +20,17 @@ fn random_graph(n: u32, edges_per_vertex: u32, seed: u64) -> DiGraph {
                 1 => EdgeClass::Wr,
                 _ => EdgeClass::Rw,
             };
-            g.add_edge(v, w, class);
+            buf.push(v, w, EdgeMask::of(class));
         }
     }
-    g
+    buf.build(n as usize)
 }
 
 fn bench_tarjan(c: &mut Criterion) {
     let mut grp = c.benchmark_group("tarjan_scc");
     for n in [10_000u32, 100_000] {
-        let g = random_graph(n, 3, 1);
-        let csr = g.freeze();
+        let csr = random_graph(n, 3, 1);
         grp.throughput(Throughput::Elements(n as u64));
-        grp.bench_with_input(BenchmarkId::new("digraph", n), &g, |b, g| {
-            b.iter(|| tarjan_scc(g, EdgeMask::ALL))
-        });
         grp.bench_with_input(BenchmarkId::new("csr", n), &csr, |b, csr| {
             let mut scratch = Scratch::new();
             b.iter(|| csr.tarjan_scc(EdgeMask::ALL, &mut scratch))
@@ -45,39 +39,33 @@ fn bench_tarjan(c: &mut Criterion) {
     grp.finish();
 }
 
+/// The freeze `DepGraph::freeze` runs: a CSR emitted from an edge list
+/// that is already sorted and deduplicated.
 fn bench_freeze(c: &mut Criterion) {
     let mut grp = c.benchmark_group("freeze");
     for n in [10_000u32, 100_000] {
-        let g = random_graph(n, 3, 1);
-        grp.throughput(Throughput::Elements(g.edge_count() as u64));
-        grp.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| g.freeze())
+        let (packed, masks): (Vec<u64>, Vec<EdgeMask>) = random_graph(n, 3, 1)
+            .edges()
+            .map(|(s, d, m)| ((s as u64) << 32 | d as u64, m))
+            .unzip();
+        grp.throughput(Throughput::Elements(packed.len() as u64));
+        grp.bench_with_input(BenchmarkId::from_parameter(n), &packed, |b, packed| {
+            b.iter(|| Csr::from_sorted_edges(n as usize, packed, &masks))
         });
     }
     grp.finish();
 }
 
 fn bench_edge_mask(c: &mut Criterion) {
-    // The hot lookup removed from the Tarjan inner loop: hash-map probe
-    // (legacy) vs. sorted-row binary search (CSR).
+    // Sorted-row binary search, the lookup behind Tarjan's self-loop test.
     let mut grp = c.benchmark_group("edge_mask_lookup");
     let n = 10_000u32;
-    let g = random_graph(n, 3, 7);
-    let csr = g.freeze();
+    let csr = random_graph(n, 3, 7);
     let mut rng = SmallRng::seed_from_u64(9);
     let probes: Vec<(u32, u32)> = (0..10_000)
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
     grp.throughput(Throughput::Elements(probes.len() as u64));
-    grp.bench_with_input(BenchmarkId::new("digraph", n), &probes, |b, probes| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for &(s, d) in probes {
-                acc += g.edge_mask(s, d).0 as u32;
-            }
-            black_box(acc)
-        })
-    });
     grp.bench_with_input(BenchmarkId::new("csr", n), &probes, |b, probes| {
         b.iter(|| {
             let mut acc = 0u32;
@@ -93,15 +81,9 @@ fn bench_edge_mask(c: &mut Criterion) {
 fn bench_cycle_search(c: &mut Criterion) {
     let mut grp = c.benchmark_group("g_single_search");
     for n in [10_000u32, 100_000] {
-        let g = random_graph(n, 3, 2);
-        let csr = g.freeze();
-        let sccs = tarjan_scc(&g, EdgeMask::ALL);
+        let csr = random_graph(n, 3, 2);
+        let sccs = csr.tarjan_scc(EdgeMask::ALL, &mut Scratch::new());
         let comp = sccs.into_iter().max_by_key(Vec::len).unwrap_or_default();
-        grp.bench_with_input(BenchmarkId::new("digraph", n), &comp, |b, comp| {
-            b.iter(|| {
-                find_cycle_with_single(&g, comp, EdgeMask::RW, EdgeMask::WW | EdgeMask::WR, 4)
-            })
-        });
         grp.bench_with_input(BenchmarkId::new("csr", n), &comp, |b, comp| {
             let mut scratch = Scratch::new();
             b.iter(|| {
@@ -118,16 +100,13 @@ fn bench_cycle_search(c: &mut Criterion) {
     grp.finish();
 }
 
-/// Edge construction: the legacy hash-indexed `DiGraph` build + freeze
-/// versus the sort-based `EdgeBuf` bulk build — the hot path this
-/// substrate exists for (dependency-graph assembly from flat edge
-/// emissions).
+/// Edge construction: the sort-based `EdgeBuf` bulk build from flat edge
+/// emissions in arbitrary order, duplicates included.
 fn bench_edge_construction(c: &mut Criterion) {
-    use elle_graph::EdgeBuf;
     let mut grp = c.benchmark_group("edge_construction");
     for n in [10_000u32, 100_000] {
         let epv = 5u32;
-        // Pre-generate the raw edge tuples once so both legs measure
+        // Pre-generate the raw edge tuples once so the leg measures
         // construction only.
         let mut rng = SmallRng::seed_from_u64(n as u64);
         let tuples: Vec<(u32, u32, EdgeClass)> = (0..n)
@@ -146,15 +125,6 @@ fn bench_edge_construction(c: &mut Criterion) {
             })
             .collect();
         grp.throughput(Throughput::Elements(tuples.len() as u64));
-        grp.bench_with_input(BenchmarkId::new("hash_digraph", n), &tuples, |b, tuples| {
-            b.iter(|| {
-                let mut g = DiGraph::with_vertices(n as usize);
-                for &(s, d, c) in tuples {
-                    g.add_edge(s, d, c);
-                }
-                g.freeze()
-            })
-        });
         grp.bench_with_input(BenchmarkId::new("sort_edgebuf", n), &tuples, |b, tuples| {
             b.iter(|| {
                 let mut buf = EdgeBuf::with_capacity(tuples.len());

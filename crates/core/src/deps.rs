@@ -112,12 +112,11 @@ struct SpineBufs {
 }
 
 /// Merge two sorted spines, reusing `a`'s witness arena and `spare`'s
-/// vector capacities. Runs unique to either side are block-copied (the
-/// `refreeze`-style untouched-row fast path — for `a`'s runs the arena
-/// rows are carried by address, no witness moves at all); edges present
-/// in both union their masks and keep the `Ord`-least witness per
-/// class. On return `spare` holds `a`'s retired buffers for the next
-/// merge.
+/// vector capacities. Runs unique to either side are block-copied (for
+/// `a`'s runs the arena rows are carried by address, no witness moves
+/// at all); edges present in both union their masks and keep the
+/// `Ord`-least witness per class. On return `spare` holds `a`'s retired
+/// buffers for the next merge.
 fn merge_spines(a: Spine, b: Spine, spare: &mut SpineBufs) -> Spine {
     if a.packed.is_empty() {
         let mut b = b;
@@ -600,8 +599,8 @@ impl DepGraph {
     }
 
     /// Seal any pending edges and freeze the spine into an immutable
-    /// [`Csr`] snapshot — sorted flat rows, forward and reverse — on
-    /// which all cycle searches run. A linear pass: the spine *is* the
+    /// [`Csr`] snapshot — sorted flat rows — on which all cycle searches
+    /// run. A linear pass: the spine *is* the
     /// sorted edge list, so no per-row sort and no hash index.
     pub fn freeze(&mut self) -> Csr {
         self.build();
@@ -777,7 +776,7 @@ mod tests {
         );
         let csr = g.freeze();
         assert_eq!(csr.vertex_count(), 3);
-        assert_eq!(csr.edge_count(), 2);
+        assert_eq!(csr.edges().count(), 2);
         assert_eq!(csr.edge_mask(0, 1), EdgeMask::WW);
         assert_eq!(csr.edge_mask(1, 2), EdgeMask::WR);
         assert_eq!(csr.edge_mask(2, 0), EdgeMask::NONE);

@@ -1,9 +1,10 @@
 //! A thread-local pool of reusable scratch buffers.
 //!
 //! The checker's big transient allocations — the edge builder's scatter
-//! buffers ([`crate::deps`]) and the gather pipeline's counting-sort
-//! scratch ([`crate::gather`]) — are sized by history length, so a cold
-//! one-shot run pays a first-touch page fault on every 4 KiB of them.
+//! buffers ([`DepGraph`](crate::DepGraph)) and the gather pipeline's
+//! counting-sort scratch ([`crate::gather`]) — are sized by history
+//! length, so a cold one-shot run pays a first-touch page fault on every
+//! 4 KiB of them.
 //! Recycling the backing storage through this pool keeps those pages
 //! faulted in across [`crate::Checker`] runs, across streaming epochs,
 //! and across a benchmark bin's length sweep: after the first run at a
@@ -16,7 +17,7 @@
 //! including the gather pipeline's history-borrowing occurrence types,
 //! which cannot be type-erased behind a `TypeId` — recycle their raw
 //! backing storage through the layout-keyed arena
-//! ([`take_layout`] / [`put_layout`]), which only cares that
+//! (`take_layout` / `put_layout`), which only cares that
 //! `(size_of, align_of)` match. The pool is instrumented with a peak
 //! gauge (see [`peak_bytes`]) surfaced in `--timing` output alongside
 //! the edge-buffer peak.

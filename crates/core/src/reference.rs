@@ -32,7 +32,7 @@ use crate::rw_register::{
     first_last_versions, show, RegKeyData, RegOcc, RegisterOptions, RwRegister, VSource, Version,
 };
 use crate::set_add::{SetAdd, SetKeyData, SetOcc};
-use elle_graph::{interval_order_reduction, tarjan_scc, DiGraph, EdgeClass, EdgeMask, Interval};
+use elle_graph::{interval_order_reduction, EdgeBuf, EdgeMask, Interval, Scratch};
 use elle_history::{Elem, Key, Mop, ReadValue, TxnId, TxnStatus};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -575,11 +575,13 @@ impl DatatypeAnalysis for RwRegisterRef {
         }
 
         // ── Cycle check on the version graph. ──────────────────────────
-        let mut vg = DiGraph::with_vertices(vlist.len());
+        let mut vg = EdgeBuf::with_capacity(vedges.len());
         for &(a, b, _) in &vedges {
-            vg.add_edge(a, b, EdgeClass::Version);
+            vg.push(a, b, EdgeMask::VERSION);
         }
-        let sccs = tarjan_scc(&vg, EdgeMask::VERSION);
+        let sccs = vg
+            .build(vlist.len())
+            .tarjan_scc(EdgeMask::VERSION, &mut Scratch::new());
         if !sccs.is_empty() {
             let cyc_versions: Vec<String> =
                 sccs[0].iter().map(|&i| show(vlist[i as usize])).collect();

@@ -35,7 +35,7 @@ use crate::deps::DepGraph;
 use crate::gather::GatherBuf;
 use crate::observation::{DataType, ElemIndex};
 use crate::versions::VersionTable;
-use elle_graph::{interval_order_reduction, tarjan_scc, DiGraph, EdgeClass, EdgeMask, Interval};
+use elle_graph::{interval_order_reduction, EdgeBuf, EdgeMask, Interval, Scratch};
 use elle_history::{Elem, History, Key, Mop, ReadValue, Transaction, TxnId, TxnStatus};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -480,17 +480,20 @@ impl DatatypeAnalysis for RwRegister {
         let vlist: Vec<Version> = table.iter().map(|(_, v, _)| v).collect();
 
         // ── Cycle check on the version graph. ──────────────────────────
-        let mut vg = DiGraph::with_vertices(vlist.len());
+        let mut vg = EdgeBuf::with_capacity(vedges.len());
         for &(a, b, _) in &vedges {
-            vg.add_edge(a, b, EdgeClass::Version);
+            vg.push(a, b, EdgeMask::VERSION);
         }
-        let sccs = tarjan_scc(&vg, EdgeMask::VERSION);
+        let sccs = vg
+            .build(vlist.len())
+            .tarjan_scc(EdgeMask::VERSION, &mut Scratch::new());
         if !sccs.is_empty() {
             let cyc_versions: Vec<String> =
                 sccs[0].iter().map(|&i| show(vlist[i as usize])).collect();
+            let in_scc = |v: &u32| sccs[0].binary_search(v).is_ok();
             let sources: FxHashSet<&'static str> = vedges
                 .iter()
-                .filter(|(a, b, _)| sccs[0].contains(a) && sccs[0].contains(b))
+                .filter(|(a, b, _)| in_scc(a) && in_scc(b))
                 .map(|(_, _, s)| s.describe())
                 .collect();
             let mut txns: Vec<TxnId> = sccs[0]
@@ -586,6 +589,7 @@ impl DatatypeAnalysis for RwRegister {
 mod tests {
     use super::*;
     use crate::observation::{DataType, KeyTypes};
+    use elle_graph::EdgeClass;
     use elle_history::HistoryBuilder;
 
     fn run(h: &History, opts: RegisterOptions) -> RegisterAnalysis {
@@ -656,6 +660,43 @@ mod tests {
         // Version order: nil < 2 (initial), 2 < nil (realtime) — cyclic.
         assert!(types(&a).contains(&AnomalyType::CyclicVersionOrder));
         assert_eq!(a.cyclic_keys, vec![Key(540)]);
+    }
+
+    #[test]
+    fn two_disjoint_version_cycles_name_the_first_csr_scc() {
+        // Versions intern in first-seen order: nil=0, 1=1, 3=2, 4=3,
+        // 5=4, 6=5. Chains make two disjoint cycles, 3↔4 and 5↔6;
+        // sequential keys then add 1→5 (p1) before 1→3 (p2). Tarjan
+        // descends from nil into 1, whose CSR row is sorted by version
+        // id, so it reaches 3 (id 2) before 5 (id 4) and closes 3↔4
+        // first, whichever of the two edges out of 1 was pushed first.
+        let mut b = HistoryBuilder::new();
+        b.txn(1).read_register(1, None).write(1, 1).commit();
+        let ta = b.txn(9).read_register(1, Some(3)).write(1, 4).commit();
+        let tb = b.txn(8).read_register(1, Some(4)).write(1, 3).commit();
+        b.txn(2).read_register(1, Some(1)).commit();
+        b.txn(1).read_register(1, Some(5)).write(1, 6).commit();
+        b.txn(7).read_register(1, Some(6)).write(1, 5).commit();
+        b.txn(2).read_register(1, Some(3)).commit();
+        let opts = RegisterOptions {
+            initial_state: false,
+            sequential_keys: true,
+            ..RegisterOptions::default()
+        };
+        let a = run(&b.build(), opts);
+        assert_eq!(a.cyclic_keys, vec![Key(1)]);
+        let cyclic: Vec<&Anomaly> = a
+            .anomalies
+            .iter()
+            .filter(|x| x.typ == AnomalyType::CyclicVersionOrder)
+            .collect();
+        assert_eq!(cyclic.len(), 1, "{:?}", a.anomalies);
+        assert_eq!(cyclic[0].txns, vec![ta, tb]);
+        assert_eq!(
+            cyclic[0].explanation,
+            "the inferred version order of register 1 is cyclic over values {3, 4} \
+             (sources: writes-follow-reads); discarding this key's dependencies"
+        );
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Frozen compressed-sparse-row (CSR) graph and reusable search scratch.
 //!
-//! The graph layer has a two-phase lifecycle:
+//! A [`Csr`] is built once and then only searched. It has two
+//! constructors:
 //!
-//! 1. **Build** — a mutable [`DiGraph`] accumulates edges (hash-indexed so
-//!    parallel edges merge into one mask);
-//! 2. **Freeze** — [`DiGraph::freeze`] compacts the adjacency into an
-//!    immutable [`Csr`]: flat `offsets` / `dsts` / `masks` arrays for both
-//!    forward and reverse traversal, with every row **sorted by neighbour
-//!    id**. Lookups binary-search a row instead of hashing, traversal is a
-//!    contiguous slice scan, and edge enumeration order is a deterministic
-//!    function of the edge *set* — never of insertion order.
+//! 1. [`EdgeBuf::build`] — producers push `(src, dst, mask)` tuples in
+//!    any order, duplicates welcome, and the build sorts and merges them;
+//! 2. [`Csr::from_sorted_edges`] — for callers that already hold their
+//!    edges sorted and deduplicated (elle-core's `DepGraph::freeze`).
+//!
+//! The frozen form is flat `offsets` / `dsts` / `masks` arrays with every
+//! row **sorted by neighbour id**. Lookups binary-search a row instead of
+//! hashing, traversal is a contiguous slice scan, and edge enumeration
+//! order is a deterministic function of the edge *set* — never of
+//! insertion order.
 //!
 //! All cycle-search algorithms run on the frozen form, filtering by
 //! [`EdgeMask`] at traversal time, so no per-anomaly-class subgraph copy is
@@ -20,12 +23,14 @@
 //! entries are only read for vertices marked visited in the *current*
 //! search.
 
-use crate::{DiGraph, EdgeMask};
+use crate::EdgeMask;
 
-/// An immutable CSR snapshot of a [`DiGraph`].
+/// An immutable directed graph over dense `u32` vertices with
+/// class-masked edges, in compressed-sparse-row form.
 ///
-/// Vertex ids are the same dense `u32`s as in the builder. Rows are sorted
-/// by neighbour id, so [`Csr::edge_mask`] is a binary search and
+/// Parallel edges of different classes between the same pair are one
+/// entry whose mask is the union; searches filter by mask. Rows are
+/// sorted by neighbour id, so [`Csr::edge_mask`] is a binary search and
 /// [`Csr::edges`] yields edges in `(src, dst)` lexicographic order.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
@@ -35,129 +40,15 @@ pub struct Csr {
     dsts: Vec<u32>,
     /// Class mask per out-edge, parallel to `dsts`.
     masks: Vec<EdgeMask>,
-    /// Reverse row offsets (into `r_srcs` / `r_masks`).
-    r_offsets: Vec<u32>,
-    /// In-neighbours, sorted ascending within each row.
-    r_srcs: Vec<u32>,
-    /// Class mask per in-edge, parallel to `r_srcs`.
-    r_masks: Vec<EdgeMask>,
-}
-
-impl DiGraph {
-    /// Freeze this builder into an immutable [`Csr`] snapshot.
-    ///
-    /// `O(V + E log d)` where `d` is the maximum out-degree. The builder is
-    /// untouched; freeze again after further mutation if needed.
-    pub fn freeze(&self) -> Csr {
-        Csr::from_digraph(self)
-    }
-
-    /// Re-freeze after incremental mutation, reusing the rows of a
-    /// previous snapshot.
-    ///
-    /// `dirty_rows` must contain (at least) every vertex whose out-row
-    /// changed since `prev` was frozen — new out-edges *or* mask updates
-    /// on existing edges. Vertices at or beyond `prev`'s vertex count are
-    /// implicitly dirty. Unchanged rows are block-copied from `prev`
-    /// without re-sorting; only dirty rows pay the per-row sort. The
-    /// reverse adjacency is rebuilt by the same counting sort as a full
-    /// freeze (linear, no sorts).
-    ///
-    /// Produces a snapshot byte-identical to [`DiGraph::freeze`] — checked
-    /// by `refreeze_matches_full_freeze` in `crates/graph/tests/props.rs`.
-    pub fn refreeze(&self, prev: &Csr, dirty_rows: &BitSet) -> Csr {
-        Csr::refreeze_digraph(self, prev, dirty_rows)
-    }
 }
 
 impl Csr {
-    /// Build a CSR from a [`DiGraph`] builder (see [`DiGraph::freeze`]).
-    pub fn from_digraph(g: &DiGraph) -> Csr {
-        let n = g.vertex_count();
-        let e = g.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut dsts = Vec::with_capacity(e);
-        let mut masks = Vec::with_capacity(e);
-        offsets.push(0);
-        let mut row: Vec<(u32, EdgeMask)> = Vec::new();
-        for v in 0..n as u32 {
-            row.clear();
-            row.extend_from_slice(g.out_edges(v));
-            row.sort_unstable_by_key(|&(d, _)| d);
-            for &(d, m) in &row {
-                dsts.push(d);
-                masks.push(m);
-            }
-            offsets.push(dsts.len() as u32);
-        }
-
-        let (r_offsets, r_srcs, r_masks) = reverse_rows(n, &offsets, &dsts, &masks);
-        Csr {
-            offsets,
-            dsts,
-            masks,
-            r_offsets,
-            r_srcs,
-            r_masks,
-        }
-    }
-
-    /// Incremental freeze: see [`DiGraph::refreeze`].
-    fn refreeze_digraph(g: &DiGraph, prev: &Csr, dirty_rows: &BitSet) -> Csr {
-        let n = g.vertex_count();
-        let prev_n = prev.vertex_count();
-        let e = g.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut dsts = Vec::with_capacity(e);
-        let mut masks = Vec::with_capacity(e);
-        offsets.push(0);
-        let mut row: Vec<(u32, EdgeMask)> = Vec::new();
-        let mut v = 0u32;
-        while (v as usize) < n {
-            let dirty = v as usize >= prev_n || dirty_rows.contains(v);
-            if !dirty {
-                // Copy a maximal run of clean rows from the previous
-                // snapshot in one extend each.
-                let run_start = v;
-                while (v as usize) < n && (v as usize) < prev_n && !dirty_rows.contains(v) {
-                    offsets.push(offsets[v as usize] + prev.row_len(v));
-                    v += 1;
-                }
-                let lo = prev.offsets[run_start as usize] as usize;
-                let hi = prev.offsets[v as usize] as usize;
-                dsts.extend_from_slice(&prev.dsts[lo..hi]);
-                masks.extend_from_slice(&prev.masks[lo..hi]);
-                continue;
-            }
-            row.clear();
-            row.extend_from_slice(g.out_edges(v));
-            row.sort_unstable_by_key(|&(d, _)| d);
-            for &(d, m) in &row {
-                dsts.push(d);
-                masks.push(m);
-            }
-            offsets.push(dsts.len() as u32);
-            v += 1;
-        }
-
-        let (r_offsets, r_srcs, r_masks) = reverse_rows(n, &offsets, &dsts, &masks);
-        Csr {
-            offsets,
-            dsts,
-            masks,
-            r_offsets,
-            r_srcs,
-            r_masks,
-        }
-    }
-
     /// Build a CSR from already-sorted, already-deduplicated edges —
     /// `packed[i]` is `src << 32 | dst`, ascending, one entry per
-    /// distinct `(src, dst)` pair, with `masks` parallel. This is the
-    /// hash-free fast path [`EdgeBuf::build`] and the checker's bulk
-    /// spine build feed: `O(V + E)`, no sorts, no probes. The vertex
-    /// count is `max(n, 1 + max endpoint)`, matching what a
-    /// [`DiGraph`] grown by `ensure_vertex` would freeze to.
+    /// distinct `(src, dst)` pair, with `masks` parallel. Both
+    /// [`EdgeBuf::build`] and the checker's sorted dependency-graph
+    /// spine end here: `O(V + E)`, no sorts, no probes. The vertex
+    /// count is `max(n, 1 + max endpoint)`.
     pub fn from_sorted_edges(n: usize, packed: &[u64], masks: &[EdgeMask]) -> Csr {
         debug_assert_eq!(packed.len(), masks.len());
         debug_assert!(packed.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
@@ -183,31 +74,16 @@ impl Csr {
             offsets.push(dsts.len() as u32);
             row += 1;
         }
-        let masks = masks.to_vec();
-        let (r_offsets, r_srcs, r_masks) = reverse_rows(n, &offsets, &dsts, &masks);
         Csr {
             offsets,
             dsts,
-            masks,
-            r_offsets,
-            r_srcs,
-            r_masks,
+            masks: masks.to_vec(),
         }
-    }
-
-    /// Number of out-edges of `v`.
-    fn row_len(&self, v: u32) -> u32 {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
         self.offsets.len().saturating_sub(1)
-    }
-
-    /// Number of distinct `(src, dst)` edges (classes merged).
-    pub fn edge_count(&self) -> usize {
-        self.dsts.len()
     }
 
     /// Row `v` of the forward adjacency: `(neighbours, masks)`, sorted by
@@ -216,19 +92,6 @@ impl Csr {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
         (&self.dsts[lo..hi], &self.masks[lo..hi])
-    }
-
-    /// Row `v` of the reverse adjacency: `(in-neighbours, masks)`, sorted
-    /// by neighbour id.
-    ///
-    /// None of the shipped search algorithms traverse backwards yet — the
-    /// reverse arrays exist for in-edge queries (witness lookups, future
-    /// backward BFS) and cost one extra counting-sort pass at freeze
-    /// time, included in the `freeze` benchmark numbers.
-    pub fn in_row(&self, v: u32) -> (&[u32], &[EdgeMask]) {
-        let lo = self.r_offsets[v as usize] as usize;
-        let hi = self.r_offsets[v as usize + 1] as usize;
-        (&self.r_srcs[lo..hi], &self.r_masks[lo..hi])
     }
 
     /// Outgoing `(dst, mask)` pairs of `v`, in ascending `dst` order.
@@ -267,50 +130,17 @@ impl Csr {
     }
 }
 
-/// Build the reverse adjacency of a forward CSR by counting sort.
-/// Scanning sources in ascending order keeps each reverse row sorted
-/// without a second sort pass. Shared by every CSR constructor.
-#[allow(clippy::type_complexity)]
-fn reverse_rows(
-    n: usize,
-    offsets: &[u32],
-    dsts: &[u32],
-    masks: &[EdgeMask],
-) -> (Vec<u32>, Vec<u32>, Vec<EdgeMask>) {
-    let mut r_offsets = vec![0u32; n + 1];
-    for &d in dsts {
-        r_offsets[d as usize + 1] += 1;
-    }
-    for i in 0..n {
-        r_offsets[i + 1] += r_offsets[i];
-    }
-    let mut cursor: Vec<u32> = r_offsets[..n].to_vec();
-    let mut r_srcs = vec![0u32; dsts.len()];
-    let mut r_masks = vec![EdgeMask::NONE; dsts.len()];
-    for s in 0..n {
-        for i in offsets[s] as usize..offsets[s + 1] as usize {
-            let d = dsts[i] as usize;
-            let at = cursor[d] as usize;
-            r_srcs[at] = s as u32;
-            r_masks[at] = masks[i];
-            cursor[d] += 1;
-        }
-    }
-    (r_offsets, r_srcs, r_masks)
-}
-
 /// A flat buffer of `(src, dst, mask)` edge tuples, packed as
-/// `src << 32 | dst` — the hash-free alternative to building through a
-/// [`DiGraph`]. Producers append in any order (duplicates welcome);
-/// [`EdgeBuf::build`] sorts by the packed key — a counting-sort scatter
-/// on `src` (the radix) followed by small per-row sorts on `(dst)` —
-/// merges duplicate pairs' masks, and emits the frozen [`Csr`]
-/// directly. No per-edge hash probe, no incremental adjacency growth:
-/// `O(V + E + Σ rows r·log r)` with flat sequential memory traffic.
+/// `src << 32 | dst` — how a [`Csr`] is built from edges produced in any
+/// order. Producers append (duplicates welcome); [`EdgeBuf::build`]
+/// sorts by the packed key — a counting-sort scatter on `src` (the
+/// radix) followed by small per-row sorts on `dst` — merges duplicate
+/// pairs' masks, and emits the frozen [`Csr`] directly. No per-edge hash
+/// probe, no incremental adjacency growth: `O(V + E + Σ rows r·log r)`
+/// with flat sequential memory traffic.
 ///
-/// Byte-identical to `DiGraph` + [`DiGraph::freeze`] over the same edge
-/// multiset — checked by `edgebuf_build_matches_digraph_freeze` in
-/// `crates/graph/tests/csr_props.rs`.
+/// Checked against a `BTreeMap` model of the same edge multiset by
+/// `edgebuf_build_matches_model` in `crates/graph/tests/csr_props.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeBuf {
     /// `(src << 32 | dst, mask)`, in push order.
@@ -318,11 +148,6 @@ pub struct EdgeBuf {
 }
 
 impl EdgeBuf {
-    /// An empty buffer.
-    pub fn new() -> EdgeBuf {
-        EdgeBuf::default()
-    }
-
     /// An empty buffer with room for `n` edges.
     pub fn with_capacity(n: usize) -> EdgeBuf {
         EdgeBuf {
@@ -334,26 +159,6 @@ impl EdgeBuf {
     #[inline]
     pub fn push(&mut self, src: u32, dst: u32, m: EdgeMask) {
         self.edges.push(((src as u64) << 32 | dst as u64, m));
-    }
-
-    /// Number of buffered (pre-dedup) edge tuples.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Reserve room for `n` more edges.
-    pub fn reserve(&mut self, n: usize) {
-        self.edges.reserve(n);
-    }
-
-    /// Move another buffer's edges onto the end of this one.
-    pub fn append(&mut self, other: &mut EdgeBuf) {
-        self.edges.append(&mut other.edges);
     }
 
     /// Sort, dedup (merging masks), and freeze into a [`Csr`] with at
@@ -384,8 +189,8 @@ impl EdgeBuf {
             }
         }
         self.edges.clear();
-        // Per-row sort on dst, then a dedup-merge sweep shared with the
-        // sorted-edge constructor.
+        // Per-row sort on dst, then one sweep that merges duplicate
+        // pairs' masks.
         let mut packed: Vec<u64> = Vec::with_capacity(slots.len());
         let mut masks: Vec<EdgeMask> = Vec::with_capacity(slots.len());
         for row in 0..n {
@@ -413,19 +218,14 @@ impl EdgeBuf {
 /// BFS over a 30-vertex component of a million-vertex graph pays for 30
 /// bits, not a megabit memset.
 #[derive(Debug, Clone, Default)]
-pub struct BitSet {
+pub(crate) struct BitSet {
     words: Vec<u64>,
     touched: Vec<u32>,
 }
 
 impl BitSet {
-    /// An empty bitset; grows via [`BitSet::ensure`].
-    pub fn new() -> BitSet {
-        BitSet::default()
-    }
-
     /// Make room for ids `0..n`.
-    pub fn ensure(&mut self, n: usize) {
+    pub(crate) fn ensure(&mut self, n: usize) {
         let words = n.div_ceil(64);
         if self.words.len() < words {
             self.words.resize(words, 0);
@@ -433,7 +233,7 @@ impl BitSet {
     }
 
     /// Set bit `i`; returns `true` if it was previously unset.
-    pub fn insert(&mut self, i: u32) -> bool {
+    pub(crate) fn insert(&mut self, i: u32) -> bool {
         let w = (i >> 6) as usize;
         let bit = 1u64 << (i & 63);
         let word = &mut self.words[w];
@@ -446,17 +246,17 @@ impl BitSet {
     }
 
     /// Clear bit `i` (its word stays on the touched list).
-    pub fn remove(&mut self, i: u32) {
+    pub(crate) fn remove(&mut self, i: u32) {
         self.words[(i >> 6) as usize] &= !(1u64 << (i & 63));
     }
 
     /// Is bit `i` set?
-    pub fn contains(&self, i: u32) -> bool {
+    pub(crate) fn contains(&self, i: u32) -> bool {
         self.words[(i >> 6) as usize] & (1u64 << (i & 63)) != 0
     }
 
     /// Reset to empty by zeroing only the touched words.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for &w in &self.touched {
             self.words[w as usize] = 0;
         }
@@ -533,20 +333,33 @@ impl Scratch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::EdgeClass;
 
+    /// Freeze `edges` (single-class tuples, any order) through an
+    /// [`EdgeBuf`] into a CSR with at least `n` vertices.
+    pub(crate) fn csr_of(n: usize, edges: &[(u32, u32, EdgeClass)]) -> Csr {
+        let mut buf = EdgeBuf::with_capacity(edges.len());
+        for &(s, d, c) in edges {
+            buf.push(s, d, EdgeMask::of(c));
+        }
+        buf.build(n)
+    }
+
     #[test]
     fn freeze_sorts_rows_and_preserves_masks() {
-        let mut g = DiGraph::with_vertices(4);
-        g.add_edge(0, 3, EdgeClass::Ww);
-        g.add_edge(0, 1, EdgeClass::Wr);
-        g.add_edge(0, 2, EdgeClass::Rw);
-        g.add_edge(0, 1, EdgeClass::Ww); // merges with the wr edge
-        let c = g.freeze();
+        let c = csr_of(
+            4,
+            &[
+                (0, 3, EdgeClass::Ww),
+                (0, 1, EdgeClass::Wr),
+                (0, 2, EdgeClass::Rw),
+                (0, 1, EdgeClass::Ww), // merges with the wr edge
+            ],
+        );
         assert_eq!(c.vertex_count(), 4);
-        assert_eq!(c.edge_count(), 3);
+        assert_eq!(c.edges().count(), 3);
         let (ds, _) = c.out_row(0);
         assert_eq!(ds, &[1, 2, 3]);
         assert_eq!(c.edge_mask(0, 1), EdgeMask::WW | EdgeMask::WR);
@@ -558,40 +371,23 @@ mod tests {
 
     #[test]
     fn freeze_order_independent_of_insertion() {
-        let mut a = DiGraph::with_vertices(3);
-        a.add_edge(0, 2, EdgeClass::Ww);
-        a.add_edge(0, 1, EdgeClass::Wr);
-        let mut b = DiGraph::with_vertices(3);
-        b.add_edge(0, 1, EdgeClass::Wr);
-        b.add_edge(0, 2, EdgeClass::Ww);
-        let (ca, cb) = (a.freeze(), b.freeze());
-        let ea: Vec<_> = ca.edges().collect();
-        let eb: Vec<_> = cb.edges().collect();
+        let a = csr_of(3, &[(0, 2, EdgeClass::Ww), (0, 1, EdgeClass::Wr)]);
+        let b = csr_of(3, &[(0, 1, EdgeClass::Wr), (0, 2, EdgeClass::Ww)]);
+        let ea: Vec<_> = a.edges().collect();
+        let eb: Vec<_> = b.edges().collect();
         assert_eq!(ea, eb);
     }
 
     #[test]
-    fn reverse_rows_are_sorted_and_complete() {
-        let mut g = DiGraph::with_vertices(5);
-        for (s, d) in [(4, 1), (0, 1), (2, 1), (1, 0), (3, 1)] {
-            g.add_edge(s, d, EdgeClass::Ww);
-        }
-        let c = g.freeze();
-        let (srcs, _) = c.in_row(1);
-        assert_eq!(srcs, &[0, 2, 3, 4]);
-        let (srcs0, masks0) = c.in_row(0);
-        assert_eq!(srcs0, &[1]);
-        assert_eq!(masks0, &[EdgeMask::WW]);
-        assert!(c.in_row(2).0.is_empty());
-    }
-
-    #[test]
     fn masked_neighbors_filter_at_traversal() {
-        let mut g = DiGraph::with_vertices(4);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(0, 2, EdgeClass::Rw);
-        g.add_edge(0, 3, EdgeClass::Wr);
-        let c = g.freeze();
+        let c = csr_of(
+            4,
+            &[
+                (0, 1, EdgeClass::Ww),
+                (0, 2, EdgeClass::Rw),
+                (0, 3, EdgeClass::Wr),
+            ],
+        );
         let ww_rw: Vec<u32> = c
             .out_neighbors_masked(0, EdgeMask::WW | EdgeMask::RW)
             .collect();
@@ -599,16 +395,64 @@ mod tests {
     }
 
     #[test]
+    fn merge_parallel_edges() {
+        let c = csr_of(
+            3,
+            &[
+                (0, 1, EdgeClass::Ww),
+                (0, 1, EdgeClass::Wr),
+                (0, 2, EdgeClass::Rw),
+                (0, 1, EdgeClass::Ww), // same class again: still one edge
+            ],
+        );
+        assert_eq!(c.edges().count(), 2);
+        assert_eq!(c.edge_mask(0, 1), EdgeMask::WW | EdgeMask::WR);
+        assert_eq!(c.edge_mask(0, 2), EdgeMask::RW);
+        assert_eq!(c.edge_mask(1, 0), EdgeMask::NONE);
+        let (ds, ms) = c.out_row(0);
+        assert_eq!(ds, &[1, 2]);
+        assert_eq!(ms, &[EdgeMask::WW | EdgeMask::WR, EdgeMask::RW]);
+    }
+
+    #[test]
+    fn masked_neighbors() {
+        // A merged edge matches any mask that shares one of its classes.
+        let c = csr_of(
+            4,
+            &[
+                (0, 1, EdgeClass::Ww),
+                (0, 2, EdgeClass::Rw),
+                (0, 3, EdgeClass::Wr),
+                (0, 3, EdgeClass::Process),
+            ],
+        );
+        let of = |m: EdgeMask| -> Vec<u32> { c.out_neighbors_masked(0, m).collect() };
+        assert_eq!(of(EdgeMask::WW | EdgeMask::RW), vec![1, 2]);
+        assert_eq!(of(EdgeMask::WR), vec![3]);
+        assert_eq!(of(EdgeMask::PROCESS | EdgeMask::WW), vec![1, 3]);
+        assert_eq!(of(EdgeMask::NONE), Vec::<u32>::new());
+        assert_eq!(of(EdgeMask::ALL), vec![1, 2, 3]);
+        assert_eq!(c.out_neighbors_masked(3, EdgeMask::ALL).count(), 0);
+    }
+
+    #[test]
     fn empty_graph_freezes() {
-        let c = DiGraph::default().freeze();
+        let c = EdgeBuf::default().build(0);
         assert_eq!(c.vertex_count(), 0);
-        assert_eq!(c.edge_count(), 0);
         assert_eq!(c.edges().count(), 0);
     }
 
     #[test]
+    fn grows_on_demand() {
+        let c = csr_of(0, &[(5, 2, EdgeClass::Ww)]);
+        assert_eq!(c.vertex_count(), 6);
+        assert_eq!(c.out_edges(5).count(), 1);
+        assert_eq!(csr_of(9, &[(5, 2, EdgeClass::Ww)]).vertex_count(), 9);
+    }
+
+    #[test]
     fn bitset_sparse_clear() {
-        let mut b = BitSet::new();
+        let mut b = BitSet::default();
         b.ensure(1000);
         assert!(b.insert(3));
         assert!(!b.insert(3));

@@ -12,9 +12,10 @@
 //! * **G2-item**: at least one `rw` edge.
 //!
 //! A cycle is a vertex list `v0, v1, …, vk` with edges `v0→v1, …, vk→v0`.
+//! Both searches run on the frozen [`Csr`] with a reusable [`Scratch`].
 
 use crate::csr::{BitSet, Csr, Scratch};
-use crate::{DiGraph, EdgeMask};
+use crate::EdgeMask;
 
 /// Which cycles a search should accept.
 #[derive(Debug, Clone, Copy)]
@@ -35,110 +36,58 @@ impl CycleSpec {
     }
 }
 
-/// Shortest cycle through `start`, using only `allowed` edges, confined to
-/// vertices for which `in_scope` is true (pass `None` for the whole graph).
-///
-/// Returns the cycle as a vertex list starting at `start`, or `None`.
-pub fn shortest_cycle_through(
-    g: &DiGraph,
-    start: u32,
+/// The shortest cycle whose first edge is `v → w`: `[v]` when `w == v`,
+/// else `v` followed by a shortest `allowed`-path from `w` back to `v`
+/// inside `scope` (found by [`bfs_path`]).
+#[allow(clippy::too_many_arguments)]
+fn cycle_through_edge(
+    g: &Csr,
+    v: u32,
+    w: u32,
     allowed: EdgeMask,
-    in_scope: Option<&[bool]>,
+    scope: &BitSet,
+    visited: &mut BitSet,
+    parent: &mut [u32],
+    queue: &mut Vec<u32>,
 ) -> Option<Vec<u32>> {
-    let ok = |v: u32| in_scope.is_none_or(|s| s[v as usize]);
-    if !ok(start) {
-        return None;
+    if w == v {
+        return Some(vec![v]);
     }
-    // Self-loop fast path.
-    if g.edge_mask(start, start).intersects(allowed) {
-        return Some(vec![start]);
-    }
-    bfs_path(g, start, start, allowed, in_scope).map(|mut path| {
-        // bfs_path returns start..=start; drop the trailing start.
-        path.pop();
-        path
+    bfs_path(g, w, v, allowed, scope, visited, parent, queue).map(|mut rest| {
+        // rest = w..=v ; cycle = v, w, ..., (v)
+        rest.pop(); // drop trailing v
+        let mut cyc = Vec::with_capacity(rest.len() + 1);
+        cyc.push(v);
+        cyc.extend(rest);
+        cyc
     })
 }
 
-/// BFS from `from` to `to` over `allowed` edges (path of length ≥ 1).
-/// Returns the full vertex path `from, …, to`.
-fn bfs_path(
-    g: &DiGraph,
-    from: u32,
-    to: u32,
-    allowed: EdgeMask,
-    in_scope: Option<&[bool]>,
-) -> Option<Vec<u32>> {
-    let ok = |v: u32| in_scope.is_none_or(|s| s[v as usize]);
-    let n = g.vertex_count();
-    let mut pred: Vec<u32> = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-
-    // Seed with from's successors so a path back to `from` itself works.
-    for w in g.out_neighbors_masked(from, allowed) {
-        if !ok(w) {
-            continue;
-        }
-        if w == to {
-            return Some(vec![from, to]);
-        }
-        if pred[w as usize] == u32::MAX {
-            pred[w as usize] = from;
-            queue.push_back(w);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        for w in g.out_neighbors_masked(v, allowed) {
-            if !ok(w) {
-                continue;
-            }
-            if w == to {
-                // Reconstruct.
-                let mut path = vec![to, v];
-                let mut cur = v;
-                while pred[cur as usize] != u32::MAX && pred[cur as usize] != from {
-                    cur = pred[cur as usize];
-                    path.push(cur);
-                }
-                path.push(from);
-                path.reverse();
-                return Some(path);
-            }
-            if pred[w as usize] == u32::MAX && w != from {
-                pred[w as usize] = v;
-                queue.push_back(w);
-            }
-        }
-    }
-    None
-}
-
 /// BFS from `from` to `to` over `allowed` edges of the frozen CSR,
-/// confined to `scope` when given. Returns the full vertex path
-/// `from, …, to` (length ≥ 1).
+/// confined to `scope`. Returns the full vertex path `from, …, to`
+/// (length ≥ 1).
 ///
 /// Working memory comes from the caller: `visited` is sparsely cleared on
 /// entry, `queue` is drained by index (no pop-front shifting), and
 /// `parent` is *never* cleared — entries are only read for vertices
 /// inserted into `visited` during this call.
 #[allow(clippy::too_many_arguments)]
-fn bfs_path_csr(
+fn bfs_path(
     g: &Csr,
     from: u32,
     to: u32,
     allowed: EdgeMask,
-    scope: Option<&BitSet>,
+    scope: &BitSet,
     visited: &mut BitSet,
     parent: &mut [u32],
     queue: &mut Vec<u32>,
 ) -> Option<Vec<u32>> {
-    let ok = |v: u32| scope.is_none_or(|s| s.contains(v));
     visited.clear();
     queue.clear();
 
     // Seed with from's successors so a path back to `from` itself works.
-    for (w, m) in g.out_edges(from) {
-        if !m.intersects(allowed) || !ok(w) {
+    for w in g.out_neighbors_masked(from, allowed) {
+        if !scope.contains(w) {
             continue;
         }
         if w == to {
@@ -153,8 +102,8 @@ fn bfs_path_csr(
     while head < queue.len() {
         let v = queue[head];
         head += 1;
-        for (w, m) in g.out_edges(v) {
-            if !m.intersects(allowed) || !ok(w) {
+        for w in g.out_neighbors_masked(v, allowed) {
+            if !scope.contains(w) {
                 continue;
             }
             if w == to {
@@ -179,50 +128,12 @@ fn bfs_path_csr(
 }
 
 impl Csr {
-    /// Shortest cycle through `start` over `allowed` edges, confined to
-    /// the vertices of `scope` when given. CSR port of
-    /// [`shortest_cycle_through`] with reusable `scratch`.
-    pub fn shortest_cycle_through(
-        &self,
-        start: u32,
-        allowed: EdgeMask,
-        scope: Option<&[u32]>,
-        scratch: &mut Scratch,
-    ) -> Option<Vec<u32>> {
-        scratch.ensure_bfs(self.vertex_count());
-        let Scratch {
-            visited,
-            in_scope,
-            parent,
-            queue,
-            ..
-        } = scratch;
-        let scoped = scope.map(|vs| {
-            for &v in vs {
-                in_scope.insert(v);
-            }
-            &*in_scope
-        });
-        let result = if scoped.is_some_and(|s| !s.contains(start)) {
-            None
-        } else if self.edge_mask(start, start).intersects(allowed) {
-            // Self-loop fast path.
-            Some(vec![start])
-        } else {
-            bfs_path_csr(self, start, start, allowed, scoped, visited, parent, queue).map(
-                |mut path| {
-                    // bfs returns start..=start; drop the trailing start.
-                    path.pop();
-                    path
-                },
-            )
-        };
-        in_scope.clear();
-        result
-    }
-
-    /// Find a short cycle within `component` under `spec`. CSR port of
-    /// [`find_cycle`] with reusable `scratch`.
+    /// Find a short cycle within `component` under `spec`.
+    ///
+    /// Tries each vertex of `component` as a start and each `spec.first`
+    /// edge out of it, then completes the cycle over `spec.rest` edges by
+    /// BFS; keeps the shortest found, stopping as soon as a cycle of
+    /// length ≤ 2 turns up.
     pub fn find_cycle(
         &self,
         component: &[u32],
@@ -241,34 +152,13 @@ impl Csr {
             in_scope.insert(v);
         }
         let mut best: Option<Vec<u32>> = None;
-        'vertices: for &v in component {
-            // Try each first edge out of v.
-            for (w, m) in self.out_edges(v) {
-                if !m.intersects(spec.first) || !in_scope.contains(w) {
+        for &v in component {
+            for w in self.out_neighbors_masked(v, spec.first) {
+                if !in_scope.contains(w) {
                     continue;
                 }
-                let cand = if w == v {
-                    Some(vec![v])
-                } else {
-                    bfs_path_csr(
-                        self,
-                        w,
-                        v,
-                        spec.rest,
-                        Some(in_scope),
-                        visited,
-                        parent,
-                        queue,
-                    )
-                    .map(|mut rest| {
-                        // rest = w..=v ; cycle = v, w, ..., (v)
-                        rest.pop(); // drop trailing v
-                        let mut cyc = Vec::with_capacity(rest.len() + 1);
-                        cyc.push(v);
-                        cyc.extend(rest);
-                        cyc
-                    })
-                };
+                let cand =
+                    cycle_through_edge(self, v, w, spec.rest, in_scope, visited, parent, queue);
                 if let Some(c) = cand {
                     if best.as_ref().is_none_or(|b| c.len() < b.len()) {
                         best = Some(c);
@@ -278,17 +168,19 @@ impl Csr {
             // A length-2 cycle is as short as non-self-loop cycles get;
             // stop early.
             if best.as_ref().is_some_and(|b| b.len() <= 2) {
-                break 'vertices;
+                break;
             }
         }
         in_scope.clear();
         best
     }
 
-    /// The G-single style search over the frozen CSR: cycles whose first
-    /// edge is drawn from `single` and whose remaining edges from `rest`.
-    /// CSR port of [`find_cycle_with_single`] with reusable `scratch`;
-    /// returns up to `limit` distinct cycles (keyed by vertex set).
+    /// The G-single style search: cycles within `component` whose
+    /// **first** edge is drawn from `single` and whose remaining edges
+    /// are drawn from `rest` (which should not include `single`'s class
+    /// for an "exactly one" guarantee).
+    ///
+    /// Returns up to `limit` distinct cycles (keyed by their vertex sets).
     pub fn find_cycle_with_single(
         &self,
         component: &[u32],
@@ -311,27 +203,14 @@ impl Csr {
         let mut out = Vec::new();
         let mut seen: rustc_hash::FxHashSet<Vec<u32>> = rustc_hash::FxHashSet::default();
         'vertices: for &v in component {
-            for (w, m) in self.out_edges(v) {
+            for w in self.out_neighbors_masked(v, single) {
                 if out.len() >= limit {
                     break 'vertices;
                 }
-                if !m.intersects(single) || !in_scope.contains(w) {
+                if !in_scope.contains(w) {
                     continue;
                 }
-                let cand = if w == v {
-                    // self-loop via the single edge: a 1-cycle
-                    Some(vec![v])
-                } else {
-                    bfs_path_csr(self, w, v, rest, Some(in_scope), visited, parent, queue).map(
-                        |mut path| {
-                            path.pop();
-                            let mut cyc = Vec::with_capacity(path.len() + 1);
-                            cyc.push(v);
-                            cyc.extend(path);
-                            cyc
-                        },
-                    )
-                };
+                let cand = cycle_through_edge(self, v, w, rest, in_scope, visited, parent, queue);
                 if let Some(c) = cand {
                     let mut key = c.clone();
                     key.sort_unstable();
@@ -346,150 +225,56 @@ impl Csr {
     }
 }
 
-/// Find a short cycle within `component` (a set of vertices) under `spec`.
-///
-/// Tries each vertex as a start; returns the first (hence shortest-per-
-/// start, small) cycle found. The first edge must match `spec.first`, the
-/// remainder `spec.rest`.
-pub fn find_cycle(g: &DiGraph, component: &[u32], spec: CycleSpec) -> Option<Vec<u32>> {
-    let n = g.vertex_count();
-    let mut in_scope = vec![false; n];
-    for &v in component {
-        in_scope[v as usize] = true;
-    }
-    let mut best: Option<Vec<u32>> = None;
-    for &v in component {
-        // Try each first edge out of v.
-        for (w, m) in g.out_edges(v) {
-            if !m.intersects(spec.first) || !in_scope[*w as usize] {
-                continue;
-            }
-            let cand = if *w == v {
-                Some(vec![v])
-            } else {
-                bfs_path(g, *w, v, spec.rest, Some(&in_scope)).map(|mut rest| {
-                    // rest = w..=v ; cycle = v, w, ..., (v)
-                    rest.pop(); // drop trailing v
-                    let mut cyc = Vec::with_capacity(rest.len() + 1);
-                    cyc.push(v);
-                    cyc.extend(rest);
-                    cyc
-                })
-            };
-            if let Some(c) = cand {
-                if best.as_ref().is_none_or(|b| c.len() < b.len()) {
-                    best = Some(c);
-                }
-            }
-        }
-        // A length-2 cycle is as short as non-self-loop cycles get; stop early.
-        if best.as_ref().is_some_and(|b| b.len() <= 2) {
-            return best;
-        }
-    }
-    best
-}
-
-/// The G-single style search: a cycle whose **first** edge is drawn from
-/// `single` and whose remaining edges are drawn from `rest` (which should
-/// not include `single`'s class for an "exactly one" guarantee).
-///
-/// Returns up to `limit` distinct cycles (keyed by their vertex sets).
-pub fn find_cycle_with_single(
-    g: &DiGraph,
-    component: &[u32],
-    single: EdgeMask,
-    rest: EdgeMask,
-    limit: usize,
-) -> Vec<Vec<u32>> {
-    let n = g.vertex_count();
-    let mut in_scope = vec![false; n];
-    for &v in component {
-        in_scope[v as usize] = true;
-    }
-    let mut out = Vec::new();
-    let mut seen: rustc_hash::FxHashSet<Vec<u32>> = rustc_hash::FxHashSet::default();
-    for &v in component {
-        if out.len() >= limit {
-            break;
-        }
-        for (w, m) in g.out_edges(v) {
-            if out.len() >= limit {
-                break;
-            }
-            if !m.intersects(single) || !in_scope[*w as usize] {
-                continue;
-            }
-            let cand = if *w == v {
-                // self-loop via the single edge: a 1-cycle
-                Some(vec![v])
-            } else {
-                bfs_path(g, *w, v, rest, Some(&in_scope)).map(|mut path| {
-                    path.pop();
-                    let mut cyc = Vec::with_capacity(path.len() + 1);
-                    cyc.push(v);
-                    cyc.extend(path);
-                    cyc
-                })
-            };
-            if let Some(c) = cand {
-                let mut key = c.clone();
-                key.sort_unstable();
-                if seen.insert(key) {
-                    out.push(c);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdgeClass, EdgeMask};
+    use crate::csr::tests::csr_of;
+    use crate::EdgeClass;
 
-    fn g_from(edges: &[(u32, u32, EdgeClass)]) -> DiGraph {
-        let mut g = DiGraph::default();
-        for &(a, b, c) in edges {
-            g.add_edge(a, b, c);
-        }
-        g
+    fn g_from(edges: &[(u32, u32, EdgeClass)]) -> Csr {
+        csr_of(0, edges)
+    }
+
+    fn find(g: &Csr, component: &[u32], mask: EdgeMask) -> Option<Vec<u32>> {
+        g.find_cycle(component, CycleSpec::uniform(mask), &mut Scratch::new())
+    }
+
+    fn single(g: &Csr, component: &[u32], rest: EdgeMask, limit: usize) -> Vec<Vec<u32>> {
+        g.find_cycle_with_single(component, EdgeMask::RW, rest, limit, &mut Scratch::new())
     }
 
     #[test]
     fn finds_two_cycle() {
         let g = g_from(&[(0, 1, EdgeClass::Ww), (1, 0, EdgeClass::Ww)]);
-        let c = shortest_cycle_through(&g, 0, EdgeMask::WW, None).unwrap();
-        assert_eq!(c, vec![0, 1]);
+        assert_eq!(find(&g, &[0, 1], EdgeMask::WW), Some(vec![0, 1]));
     }
 
     #[test]
     fn finds_self_loop() {
         let g = g_from(&[(2, 2, EdgeClass::Ww)]);
-        let c = shortest_cycle_through(&g, 2, EdgeMask::WW, None).unwrap();
-        assert_eq!(c, vec![2]);
+        assert_eq!(find(&g, &[2], EdgeMask::WW), Some(vec![2]));
     }
 
     #[test]
     fn respects_mask() {
         let g = g_from(&[(0, 1, EdgeClass::Ww), (1, 0, EdgeClass::Rw)]);
-        assert!(shortest_cycle_through(&g, 0, EdgeMask::WW, None).is_none());
-        assert!(shortest_cycle_through(&g, 0, EdgeMask::WW | EdgeMask::RW, None).is_some());
+        assert!(find(&g, &[0, 1], EdgeMask::WW).is_none());
+        assert!(find(&g, &[0, 1], EdgeMask::WW | EdgeMask::RW).is_some());
     }
 
     #[test]
     fn bfs_finds_shortest() {
-        // Two cycles through 0: length 2 and length 4.
+        // Two cycles through 0: length 4 via 2 (the lower first edge) and
+        // length 2 via 3.
         let g = g_from(&[
-            (0, 1, EdgeClass::Ww),
-            (1, 0, EdgeClass::Ww),
             (0, 2, EdgeClass::Ww),
-            (2, 3, EdgeClass::Ww),
+            (2, 1, EdgeClass::Ww),
+            (1, 4, EdgeClass::Ww),
+            (4, 0, EdgeClass::Ww),
+            (0, 3, EdgeClass::Ww),
             (3, 0, EdgeClass::Ww),
         ]);
-        let c = shortest_cycle_through(&g, 0, EdgeMask::WW, None).unwrap();
-        assert_eq!(c.len(), 2);
+        assert_eq!(find(&g, &[0, 1, 2, 3, 4], EdgeMask::WW), Some(vec![0, 3]));
     }
 
     #[test]
@@ -499,9 +284,8 @@ mod tests {
             (1, 2, EdgeClass::Ww),
             (2, 0, EdgeClass::Ww),
         ]);
-        let mut scope = vec![true; 3];
-        scope[2] = false;
-        assert!(shortest_cycle_through(&g, 0, EdgeMask::WW, Some(&scope)).is_none());
+        assert!(find(&g, &[0, 1], EdgeMask::WW).is_none());
+        assert_eq!(find(&g, &[0, 1, 2], EdgeMask::WW), Some(vec![0, 1, 2]));
     }
 
     #[test]
@@ -512,30 +296,20 @@ mod tests {
             (1, 2, EdgeClass::Ww),
             (2, 0, EdgeClass::Wr),
         ]);
-        let comp = vec![0, 1, 2];
-        let found =
-            find_cycle_with_single(&g, &comp, EdgeMask::RW, EdgeMask::WW | EdgeMask::WR, 10);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0], vec![0, 1, 2]);
+        let found = single(&g, &[0, 1, 2], EdgeMask::WW | EdgeMask::WR, 10);
+        assert_eq!(found, vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn single_edge_search_rejects_two_rw() {
         // Needs two rw edges to close: not G-single.
         let g = g_from(&[(0, 1, EdgeClass::Rw), (1, 0, EdgeClass::Rw)]);
-        let comp = vec![0, 1];
-        let found =
-            find_cycle_with_single(&g, &comp, EdgeMask::RW, EdgeMask::WW | EdgeMask::WR, 10);
-        assert!(found.is_empty());
-        // But allowing rw in the rest finds the G2 cycle.
-        let g2 = find_cycle_with_single(
-            &g,
-            &comp,
-            EdgeMask::RW,
-            EdgeMask::WW | EdgeMask::WR | EdgeMask::RW,
-            10,
-        );
-        assert_eq!(g2.len(), 1);
+        let comp = [0, 1];
+        assert!(single(&g, &comp, EdgeMask::WW | EdgeMask::WR, 10).is_empty());
+        // But allowing rw in the rest finds the G2 cycle, once: the same
+        // vertex set reached from 1 is deduplicated.
+        let g2 = single(&g, &comp, EdgeMask::WW | EdgeMask::WR | EdgeMask::RW, 10);
+        assert_eq!(g2, vec![vec![0, 1]]);
     }
 
     #[test]
@@ -545,14 +319,14 @@ mod tests {
             (1, 2, EdgeClass::Ww),
             (2, 0, EdgeClass::Ww),
         ]);
-        let c = find_cycle(&g, &[0, 1, 2], CycleSpec::uniform(EdgeMask::WW)).unwrap();
+        let c = find(&g, &[0, 1, 2], EdgeMask::WW).unwrap();
         assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn find_cycle_none_when_acyclic() {
         let g = g_from(&[(0, 1, EdgeClass::Ww), (1, 2, EdgeClass::Ww)]);
-        assert!(find_cycle(&g, &[0, 1, 2], CycleSpec::uniform(EdgeMask::WW)).is_none());
+        assert!(find(&g, &[0, 1, 2], EdgeMask::WW).is_none());
     }
 
     #[test]
@@ -567,7 +341,6 @@ mod tests {
         }
         let g = g_from(&edges);
         let comp: Vec<u32> = (0..20).collect();
-        let found = find_cycle_with_single(&g, &comp, EdgeMask::RW, EdgeMask::WW, 3);
-        assert_eq!(found.len(), 3);
+        assert_eq!(single(&g, &comp, EdgeMask::WW, 3).len(), 3);
     }
 }

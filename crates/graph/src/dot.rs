@@ -53,14 +53,13 @@ pub fn to_dot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiGraph, EdgeClass};
+    use crate::csr::tests::csr_of;
+    use crate::EdgeClass;
 
     #[test]
     fn renders_edges_and_labels() {
-        let mut g = DiGraph::with_vertices(2);
-        g.add_edge(0, 1, EdgeClass::Wr);
-        g.add_edge(1, 0, EdgeClass::Rw);
-        let dot = to_dot(&g.freeze(), None, EdgeMask::ALL, &|v| format!("T{v}"));
+        let g = csr_of(2, &[(0, 1, EdgeClass::Wr), (1, 0, EdgeClass::Rw)]);
+        let dot = to_dot(&g, None, EdgeMask::ALL, &|v| format!("T{v}"));
         assert!(dot.contains("\"T0\" -> \"T1\" [label=\"wr\"]"));
         assert!(dot.contains("\"T1\" -> \"T0\" [label=\"rw\"]"));
         assert!(dot.starts_with("digraph"));
@@ -68,10 +67,7 @@ mod tests {
 
     #[test]
     fn scoping_and_masking() {
-        let mut g = DiGraph::with_vertices(3);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(1, 2, EdgeClass::Rw);
-        let csr = g.freeze();
+        let csr = csr_of(3, &[(0, 1, EdgeClass::Ww), (1, 2, EdgeClass::Rw)]);
         let dot = to_dot(&csr, Some(&[0, 1]), EdgeMask::WW, &|v| format!("T{v}"));
         assert!(dot.contains("T0"));
         assert!(!dot.contains("T2"));
@@ -82,18 +78,26 @@ mod tests {
 
     #[test]
     fn output_independent_of_insertion_order() {
-        let mut a = DiGraph::with_vertices(3);
-        a.add_edge(2, 0, EdgeClass::Ww);
-        a.add_edge(0, 2, EdgeClass::Wr);
-        a.add_edge(0, 1, EdgeClass::Rw);
-        let mut b = DiGraph::with_vertices(3);
-        b.add_edge(0, 1, EdgeClass::Rw);
-        b.add_edge(0, 2, EdgeClass::Wr);
-        b.add_edge(2, 0, EdgeClass::Ww);
+        let a = csr_of(
+            3,
+            &[
+                (2, 0, EdgeClass::Ww),
+                (0, 2, EdgeClass::Wr),
+                (0, 1, EdgeClass::Rw),
+            ],
+        );
+        let b = csr_of(
+            3,
+            &[
+                (0, 1, EdgeClass::Rw),
+                (0, 2, EdgeClass::Wr),
+                (2, 0, EdgeClass::Ww),
+            ],
+        );
         let name = |v: u32| format!("T{v}");
         assert_eq!(
-            to_dot(&a.freeze(), None, EdgeMask::ALL, &name),
-            to_dot(&b.freeze(), None, EdgeMask::ALL, &name)
+            to_dot(&a, None, EdgeMask::ALL, &name),
+            to_dot(&b, None, EdgeMask::ALL, &name)
         );
     }
 }

@@ -1,23 +1,23 @@
 //! # elle-graph
 //!
-//! Graph substrate for the Elle checker: a compact directed graph whose
+//! Graph substrate for the Elle checker: a frozen directed graph whose
 //! edges carry a small bitmask of *dependency classes*, plus the algorithms
 //! §6 of the paper calls for:
 //!
 //! * [Tarjan's strongly-connected components][tarjan] (iterative — histories
 //!   have hundreds of thousands of vertices, so no recursion),
-//! * breadth-first shortest-cycle search restricted to edge classes,
+//! * breadth-first short-cycle search restricted to edge classes,
 //!   including the paper's "exactly one read-write edge" search used for
 //!   G-single,
 //! * transitive reduction of interval orders (used for real-time edges,
 //!   §5.1's `O(n · p)` construction),
 //! * DOT export for the Figure-3-style visualizations.
 //!
-//! The graph has a two-phase lifecycle: a mutable [`DiGraph`] builder
-//! accumulates edges, then [`DiGraph::freeze`] compacts it into an
-//! immutable [`Csr`] on which all searches run — flat sorted adjacency,
+//! There is one graph type, the immutable [`Csr`]: flat sorted adjacency,
 //! no hash maps, mask filtering at traversal time, and reusable
-//! [`Scratch`] working memory (see [`csr`-module docs](Csr)).
+//! [`Scratch`] working memory for every search (see the [`Csr`] docs).
+//! It is built by [`EdgeBuf::build`] from edges pushed in any order, or by
+//! [`Csr::from_sorted_edges`] from an already-sorted edge list.
 //!
 //! The crate is independent of Elle's domain types: vertices are dense
 //! `u32` indices; callers map transactions onto them.
@@ -27,19 +27,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod class;
 mod csr;
 mod cycles;
-mod digraph;
 mod dot;
 mod reduction;
 mod tarjan;
 
-pub use csr::{BitSet, Csr, EdgeBuf, Scratch};
-pub use cycles::{find_cycle, find_cycle_with_single, shortest_cycle_through, CycleSpec};
-pub use digraph::{DiGraph, EdgeClass, EdgeMask};
+pub use class::{EdgeClass, EdgeMask};
+pub use csr::{Csr, EdgeBuf, Scratch};
+pub use cycles::CycleSpec;
 pub use dot::to_dot;
-pub use reduction::{
-    csr_reachable, interval_order_graph, interval_order_reduction, transitive_closure_reachable,
-    Interval,
-};
-pub use tarjan::{condensation, tarjan_scc};
+pub use reduction::{interval_order_reduction, Interval};

@@ -1,4 +1,4 @@
-//! Transitive reduction of interval orders, and reachability closure.
+//! Transitive reduction of interval orders.
 //!
 //! The real-time precedence order of a history is an *interval order*: each
 //! transaction occupies the interval `[invoke, complete]`, and `T1 < T2` iff
@@ -6,8 +6,6 @@
 //! reduction can be computed in `O(n · p)` where `p` is the number of
 //! concurrent processes; feeding the reduction (rather than the full order)
 //! to the dependency graph keeps edge counts linear in practice.
-
-use crate::{DiGraph, EdgeClass, EdgeMask};
 
 /// A half-open activity interval: `invoke` and (optional) `complete` event
 /// indices. Items with `complete = None` never finish and therefore precede
@@ -72,65 +70,6 @@ pub fn interval_order_reduction(items: &[Interval]) -> Vec<(u32, u32)> {
         }
     }
     edges
-}
-
-/// All vertices reachable from `start` (inclusive) over `allowed` edges of
-/// a frozen [`Csr`], with reusable `scratch` (CSR port of
-/// [`transitive_closure_reachable`]).
-pub fn csr_reachable(
-    g: &crate::Csr,
-    start: u32,
-    allowed: EdgeMask,
-    scratch: &mut crate::Scratch,
-) -> Vec<u32> {
-    scratch.ensure_bfs(g.vertex_count());
-    let visited = &mut scratch.visited;
-    let stack = &mut scratch.queue;
-    visited.clear();
-    stack.clear();
-    stack.push(start);
-    visited.insert(start);
-    let mut out = Vec::new();
-    while let Some(v) = stack.pop() {
-        out.push(v);
-        for w in g.out_neighbors_masked(v, allowed) {
-            if visited.insert(w) {
-                stack.push(w);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// All vertices reachable from `start` (inclusive) over `allowed` edges.
-pub fn transitive_closure_reachable(g: &DiGraph, start: u32, allowed: EdgeMask) -> Vec<u32> {
-    let n = g.vertex_count();
-    let mut seen = vec![false; n];
-    let mut stack = vec![start];
-    seen[start as usize] = true;
-    let mut out = Vec::new();
-    while let Some(v) = stack.pop() {
-        out.push(v);
-        for w in g.out_neighbors_masked(v, allowed) {
-            if !seen[w as usize] {
-                seen[w as usize] = true;
-                stack.push(w);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Build a [`DiGraph`] carrying the interval-order reduction as edges of
-/// class `class` (convenience for the realtime/process graphs).
-pub fn interval_order_graph(items: &[Interval], class: EdgeClass) -> DiGraph {
-    let mut g = DiGraph::with_vertices(items.len());
-    for (a, b) in interval_order_reduction(items) {
-        g.add_edge(a, b, class);
-    }
-    g
 }
 
 #[cfg(test)]
@@ -233,45 +172,30 @@ mod tests {
             iv(9, 12),
             iv(11, 13),
         ];
-        let g = interval_order_graph(&items, EdgeClass::Realtime);
+        let edges = interval_order_reduction(&items);
+        // Every item reachable from `a` (inclusive) over the reduction.
+        let reachable = |a: u32| {
+            let mut seen = vec![a];
+            let mut i = 0;
+            while i < seen.len() {
+                let v = seen[i];
+                i += 1;
+                for &(x, y) in &edges {
+                    if x == v && !seen.contains(&y) {
+                        seen.push(y);
+                    }
+                }
+            }
+            seen
+        };
         // Full order edges:
         let precedes = |a: usize, b: usize| items[a].complete.unwrap() < items[b].invoke;
         for a in 0..items.len() {
-            let reach = transitive_closure_reachable(&g, a as u32, EdgeMask::REALTIME);
+            let reach = reachable(a as u32);
             for b in 0..items.len() {
                 let expected = precedes(a, b);
                 let got = reach.contains(&(b as u32)) && a != b;
                 assert_eq!(expected, got, "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn closure_reachable_basic() {
-        let mut g = DiGraph::with_vertices(4);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(1, 2, EdgeClass::Ww);
-        g.add_edge(3, 0, EdgeClass::Ww);
-        let r = transitive_closure_reachable(&g, 0, EdgeMask::ALL);
-        assert_eq!(r, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn csr_reachable_matches_legacy() {
-        let mut g = DiGraph::with_vertices(6);
-        for (a, b) in [(0, 1), (1, 2), (3, 0), (2, 4), (5, 5)] {
-            g.add_edge(a, b, EdgeClass::Ww);
-        }
-        g.add_edge(1, 3, EdgeClass::Rw);
-        let csr = g.freeze();
-        let mut scratch = crate::Scratch::new();
-        for start in 0..6u32 {
-            for mask in [EdgeMask::ALL, EdgeMask::WW, EdgeMask::RW] {
-                assert_eq!(
-                    csr_reachable(&csr, start, mask, &mut scratch),
-                    transitive_closure_reachable(&g, start, mask),
-                    "start={start} mask={mask}"
-                );
             }
         }
     }

@@ -5,23 +5,22 @@
 //! histories produce graphs with 10⁵–10⁶ vertices and recursion would
 //! overflow the stack.
 //!
-//! The primary implementation is [`Csr::tarjan_scc`], which walks the
-//! frozen CSR rows with caller-provided [`Scratch`] buffers. The
-//! [`DiGraph`]-based [`tarjan_scc`] is retained as the reference
-//! implementation that differential property tests compare against.
+//! [`Csr::tarjan_scc`] walks the frozen CSR rows; its discovery state,
+//! stack and DFS frames live in a caller-provided [`Scratch`] that is
+//! reused from one pass to the next.
 
 use crate::csr::{Csr, Scratch};
-use crate::{DiGraph, EdgeMask};
+use crate::EdgeMask;
 
 impl Csr {
     /// Strongly connected components of the subgraph restricted to
     /// `allowed` edge classes, walking the frozen CSR with reusable
     /// `scratch` buffers.
     ///
-    /// Same contract as the [`tarjan_scc`] reference: components come back
-    /// in reverse topological order, each sorted ascending, and only
-    /// components that can contain a cycle (≥ 2 vertices, or a self-loop)
-    /// are returned.
+    /// Components come back in **reverse topological order** (Tarjan's
+    /// natural output order), each sorted ascending, and only components
+    /// that can contain a cycle (≥ 2 vertices, or a self-loop) are
+    /// returned — singletons without self-loops cannot contain cycles.
     pub fn tarjan_scc(&self, allowed: EdgeMask, scratch: &mut Scratch) -> Vec<Vec<u32>> {
         self.tarjan_scc_impl(allowed, None, scratch)
     }
@@ -151,305 +150,140 @@ impl Csr {
     }
 }
 
-/// Strongly connected components of the subgraph restricted to `allowed`
-/// edge classes. Components are returned in **reverse topological order**
-/// (Tarjan's natural output order) and only components with ≥ 2 vertices or
-/// a self-loop are returned — singletons without self-loops cannot contain
-/// cycles.
-pub fn tarjan_scc(g: &DiGraph, allowed: EdgeMask) -> Vec<Vec<u32>> {
-    let n = g.vertex_count();
-    const UNVISITED: u32 = u32::MAX;
-
-    let mut index_of = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Vec::new();
-
-    // Explicit DFS frames: (vertex, position in its adjacency list).
-    let mut call_stack: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != UNVISITED {
-            continue;
-        }
-        call_stack.push((root, 0));
-        index_of[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let edges = g.out_edges(v);
-            let mut descended = false;
-            while *pos < edges.len() {
-                let (w, m) = edges[*pos];
-                *pos += 1;
-                if !m.intersects(allowed) {
-                    continue;
-                }
-                let wi = index_of[w as usize];
-                if wi == UNVISITED {
-                    // Descend.
-                    index_of[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    call_stack.push((w, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(wi);
-                }
-            }
-            if descended {
-                continue;
-            }
-            // v is finished.
-            call_stack.pop();
-            if let Some(&(parent, _)) = call_stack.last() {
-                lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-            }
-            if lowlink[v as usize] == index_of[v as usize] {
-                // v is an SCC root; pop its component.
-                let mut comp = Vec::new();
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    on_stack[w as usize] = false;
-                    comp.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                let cyclic = comp.len() > 1 || g.edge_mask(comp[0], comp[0]).intersects(allowed);
-                if cyclic {
-                    comp.sort_unstable();
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// The condensation: maps each vertex to its component id (including
-/// singleton components), plus the number of components. Useful for tests
-/// and for callers that need a full partition rather than just the cyclic
-/// components.
-pub fn condensation(g: &DiGraph, allowed: EdgeMask) -> (Vec<u32>, u32) {
-    // Re-run Tarjan but keep every component.
-    let n = g.vertex_count();
-    const UNVISITED: u32 = u32::MAX;
-    let mut index_of = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut comp_of = vec![0u32; n];
-    let mut n_comps = 0u32;
-    let mut call_stack: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != UNVISITED {
-            continue;
-        }
-        call_stack.push((root, 0));
-        index_of[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let edges = g.out_edges(v);
-            let mut descended = false;
-            while *pos < edges.len() {
-                let (w, m) = edges[*pos];
-                *pos += 1;
-                if !m.intersects(allowed) {
-                    continue;
-                }
-                let wi = index_of[w as usize];
-                if wi == UNVISITED {
-                    index_of[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    call_stack.push((w, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(wi);
-                }
-            }
-            if descended {
-                continue;
-            }
-            call_stack.pop();
-            if let Some(&(parent, _)) = call_stack.last() {
-                lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-            }
-            if lowlink[v as usize] == index_of[v as usize] {
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    on_stack[w as usize] = false;
-                    comp_of[w as usize] = n_comps;
-                    if w == v {
-                        break;
-                    }
-                }
-                n_comps += 1;
-            }
-        }
-    }
-    (comp_of, n_comps)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::EdgeClass;
+    use crate::csr::tests::csr_of;
+    use crate::csr::{Csr, Scratch};
+    use crate::{EdgeClass, EdgeMask};
 
-    fn ring(n: u32) -> DiGraph {
-        let mut g = DiGraph::with_vertices(n as usize);
-        for i in 0..n {
-            g.add_edge(i, (i + 1) % n, EdgeClass::Ww);
-        }
-        g
+    fn ring(n: u32) -> Csr {
+        let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, EdgeClass::Ww)).collect();
+        csr_of(n as usize, &edges)
+    }
+
+    fn sccs(g: &Csr, allowed: EdgeMask) -> Vec<Vec<u32>> {
+        g.tarjan_scc(allowed, &mut Scratch::new())
     }
 
     #[test]
     fn single_ring_is_one_scc() {
-        let g = ring(5);
-        let sccs = tarjan_scc(&g, EdgeMask::ALL);
+        let sccs = sccs(&ring(5), EdgeMask::ALL);
         assert_eq!(sccs.len(), 1);
         assert_eq!(sccs[0], vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn dag_has_no_cyclic_scc() {
-        let mut g = DiGraph::with_vertices(4);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(1, 2, EdgeClass::Ww);
-        g.add_edge(0, 3, EdgeClass::Wr);
-        assert!(tarjan_scc(&g, EdgeMask::ALL).is_empty());
+        let g = csr_of(
+            4,
+            &[
+                (0, 1, EdgeClass::Ww),
+                (1, 2, EdgeClass::Ww),
+                (0, 3, EdgeClass::Wr),
+            ],
+        );
+        assert!(sccs(&g, EdgeMask::ALL).is_empty());
     }
 
     #[test]
     fn self_loop_is_cyclic() {
-        let mut g = DiGraph::with_vertices(2);
-        g.add_edge(1, 1, EdgeClass::Ww);
-        let sccs = tarjan_scc(&g, EdgeMask::ALL);
-        assert_eq!(sccs, vec![vec![1]]);
+        let g = csr_of(2, &[(1, 1, EdgeClass::Ww)]);
+        assert_eq!(sccs(&g, EdgeMask::ALL), vec![vec![1]]);
+        assert!(sccs(&g, EdgeMask::RW).is_empty());
     }
 
     #[test]
     fn mask_restriction_breaks_cycle() {
-        let mut g = DiGraph::with_vertices(2);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(1, 0, EdgeClass::Rw);
-        assert_eq!(tarjan_scc(&g, EdgeMask::ALL).len(), 1);
-        assert!(tarjan_scc(&g, EdgeMask::WW).is_empty());
-        assert!(tarjan_scc(&g, EdgeMask::RW).is_empty());
-        assert_eq!(tarjan_scc(&g, EdgeMask::WW | EdgeMask::RW).len(), 1);
+        let g = csr_of(2, &[(0, 1, EdgeClass::Ww), (1, 0, EdgeClass::Rw)]);
+        assert_eq!(sccs(&g, EdgeMask::ALL).len(), 1);
+        assert!(sccs(&g, EdgeMask::WW).is_empty());
+        assert!(sccs(&g, EdgeMask::RW).is_empty());
+        assert_eq!(sccs(&g, EdgeMask::WW | EdgeMask::RW).len(), 1);
     }
 
     #[test]
     fn two_separate_rings() {
-        let mut g = DiGraph::with_vertices(6);
-        for (a, b) in [(0, 1), (1, 0), (3, 4), (4, 5), (5, 3)] {
-            g.add_edge(a, b, EdgeClass::Ww);
-        }
-        let mut sccs = tarjan_scc(&g, EdgeMask::ALL);
+        let edges: Vec<_> = [(0, 1), (1, 0), (3, 4), (4, 5), (5, 3)]
+            .into_iter()
+            .map(|(a, b)| (a, b, EdgeClass::Ww))
+            .collect();
+        let mut sccs = sccs(&csr_of(6, &edges), EdgeMask::ALL);
         sccs.sort();
         assert_eq!(sccs, vec![vec![0, 1], vec![3, 4, 5]]);
-    }
-
-    #[test]
-    fn condensation_counts() {
-        let mut g = DiGraph::with_vertices(4);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(1, 0, EdgeClass::Ww);
-        g.add_edge(1, 2, EdgeClass::Ww);
-        // vertex 3 isolated
-        let (comp, n) = condensation(&g, EdgeMask::ALL);
-        assert_eq!(n, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[2], comp[3]);
     }
 
     #[test]
     fn deep_chain_does_not_overflow() {
         // 200k-vertex chain with a back edge: exercises the iterative DFS.
         let n = 200_000u32;
-        let mut g = DiGraph::with_vertices(n as usize);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1, EdgeClass::Ww);
-        }
-        g.add_edge(n - 1, 0, EdgeClass::Ww);
-        let sccs = tarjan_scc(&g, EdgeMask::ALL);
+        let mut edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1, EdgeClass::Ww)).collect();
+        edges.push((n - 1, 0, EdgeClass::Ww));
+        let sccs = sccs(&csr_of(n as usize, &edges), EdgeMask::ALL);
         assert_eq!(sccs.len(), 1);
         assert_eq!(sccs[0].len(), n as usize);
     }
 
     #[test]
     fn csr_matches_reference_on_small_graphs() {
-        use crate::csr::Scratch;
+        // Hand-computed components, in Tarjan's reverse topological
+        // order: 0→1 and 1→0 close before 3→4→5→3 is discovered, and a
+        // sink component closes before the component that reaches it.
         let mut scratch = Scratch::new();
-        let cases: Vec<DiGraph> = vec![
-            ring(5),
-            {
-                let mut g = DiGraph::with_vertices(2);
-                g.add_edge(1, 1, EdgeClass::Ww);
-                g
-            },
-            {
-                let mut g = DiGraph::with_vertices(6);
-                for (a, b) in [(0, 1), (1, 0), (3, 4), (4, 5), (5, 3)] {
-                    g.add_edge(a, b, EdgeClass::Ww);
-                }
-                g
-            },
+        let two_rings: Vec<_> = [(0, 1), (1, 0), (3, 4), (4, 5), (5, 3)]
+            .into_iter()
+            .map(|(a, b)| (a, b, EdgeClass::Ww))
+            .collect();
+        let chained: Vec<_> = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]
+            .into_iter()
+            .map(|(a, b)| (a, b, EdgeClass::Ww))
+            .collect();
+        let cases: Vec<(Csr, Vec<Vec<u32>>)> = vec![
+            (ring(5), vec![vec![0, 1, 2, 3, 4]]),
+            (csr_of(2, &[(1, 1, EdgeClass::Ww)]), vec![vec![1]]),
+            (csr_of(6, &two_rings), vec![vec![0, 1], vec![3, 4, 5]]),
+            (csr_of(4, &chained), vec![vec![2, 3], vec![0, 1]]),
         ];
-        for g in cases {
-            let csr = g.freeze();
-            let mut a = tarjan_scc(&g, EdgeMask::ALL);
-            let mut b = csr.tarjan_scc(EdgeMask::ALL, &mut scratch);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
+        for (g, want) in cases {
+            assert_eq!(g.tarjan_scc(EdgeMask::ALL, &mut scratch), want);
         }
     }
 
     #[test]
     fn csr_mask_restriction_breaks_cycle() {
-        use crate::csr::Scratch;
-        let mut g = DiGraph::with_vertices(2);
-        g.add_edge(0, 1, EdgeClass::Ww);
-        g.add_edge(1, 0, EdgeClass::Rw);
-        let csr = g.freeze();
+        // The region-restricted pass over the ALL-mask cyclic core agrees
+        // with the unrestricted pass under every sub-mask.
+        let g = csr_of(
+            3,
+            &[
+                (0, 1, EdgeClass::Ww),
+                (1, 0, EdgeClass::Rw),
+                (1, 2, EdgeClass::Ww),
+            ],
+        );
         let mut s = Scratch::new();
-        assert_eq!(csr.tarjan_scc(EdgeMask::ALL, &mut s).len(), 1);
-        assert!(csr.tarjan_scc(EdgeMask::WW, &mut s).is_empty());
-        assert!(csr.tarjan_scc(EdgeMask::RW, &mut s).is_empty());
-        assert_eq!(csr.tarjan_scc(EdgeMask::WW | EdgeMask::RW, &mut s).len(), 1);
+        let region = [0, 1];
+        for (mask, want) in [
+            (EdgeMask::ALL, 1),
+            (EdgeMask::WW, 0),
+            (EdgeMask::RW, 0),
+            (EdgeMask::WW | EdgeMask::RW, 1),
+        ] {
+            assert_eq!(g.tarjan_scc(mask, &mut s).len(), want, "mask={mask}");
+            assert_eq!(
+                g.tarjan_scc_within(mask, &region, &mut s),
+                g.tarjan_scc(mask, &mut s),
+                "mask={mask}"
+            );
+        }
     }
 
     #[test]
     fn csr_scratch_reuse_across_sizes() {
-        use crate::csr::Scratch;
         let mut s = Scratch::new();
-        let big = ring(100);
-        let sccs = big.freeze().tarjan_scc(EdgeMask::ALL, &mut s);
+        let sccs = ring(100).tarjan_scc(EdgeMask::ALL, &mut s);
         assert_eq!(sccs.len(), 1);
         // A smaller graph with the same scratch must not see stale state.
-        let small = ring(3);
-        let sccs = small.freeze().tarjan_scc(EdgeMask::ALL, &mut s);
+        let sccs = ring(3).tarjan_scc(EdgeMask::ALL, &mut s);
         assert_eq!(sccs, vec![vec![0, 1, 2]]);
     }
 }

@@ -1,23 +1,25 @@
 //! Differential property tests for the frozen CSR substrate: on random
-//! multi-class graphs, the CSR ports of Tarjan and the BFS cycle searches
-//! must agree with the legacy `DiGraph` reference implementations.
+//! multi-class graphs, the CSR Tarjan and BFS cycle searches must agree
+//! with the reference implementations in `reference/mod.rs`, which run
+//! over a plain insertion-ordered adjacency list.
 //!
 //! Two regimes:
 //!
 //! * **sorted insertion** — edges are inserted in `(src, dst)` order, so
-//!   the builder's adjacency order equals the CSR's sorted row order and
+//!   the reference's adjacency order equals the CSR's sorted row order and
 //!   both implementations traverse identically: results must be *exactly*
 //!   equal, tie-breaking included;
 //! * **arbitrary insertion** — traversal orders may differ, so we compare
-//!   order-insensitive facts: the freeze round-trip, SCC partitions,
+//!   order-insensitive facts: the build round-trip, SCC partitions,
 //!   cycle existence and shortest lengths, and the validity of every
 //!   cycle the CSR search emits.
 
-use elle_graph::{
-    find_cycle, find_cycle_with_single, shortest_cycle_through, tarjan_scc, CycleSpec, DiGraph,
-    EdgeBuf, EdgeClass, EdgeMask, Scratch,
-};
+mod reference;
+
+use elle_graph::{Csr, CycleSpec, EdgeBuf, EdgeClass, EdgeMask, Scratch};
 use proptest::prelude::*;
+use reference::{find_cycle, find_cycle_with_single, tarjan_scc, AdjList};
+use std::collections::BTreeMap;
 
 const CLASSES: [EdgeClass; 4] = [
     EdgeClass::Ww,
@@ -30,11 +32,11 @@ fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(u32, u32, u8)>> {
     prop::collection::vec((0..n as u32, 0..n as u32, 0..4u8), 0..n * 4)
 }
 
-/// Merge duplicate `(src, dst)` pairs and sort lexicographically, so the
-/// builder's insertion order matches the CSR's row order.
+/// Merge duplicate `(src, dst)` pairs and sort lexicographically: the
+/// model of what a CSR build keeps, and (inserted in this order) a
+/// reference adjacency list whose rows match the CSR's row order.
 fn sorted_merged(edges: &[(u32, u32, u8)]) -> Vec<(u32, u32, EdgeMask)> {
-    let mut map: std::collections::BTreeMap<(u32, u32), EdgeMask> =
-        std::collections::BTreeMap::new();
+    let mut map: BTreeMap<(u32, u32), EdgeMask> = BTreeMap::new();
     for &(a, b, c) in edges {
         let m = EdgeMask::of(CLASSES[c as usize]);
         map.entry((a, b))
@@ -44,12 +46,21 @@ fn sorted_merged(edges: &[(u32, u32, u8)]) -> Vec<(u32, u32, EdgeMask)> {
     map.into_iter().map(|((a, b), m)| (a, b, m)).collect()
 }
 
-fn graph_from(n: usize, edges: &[(u32, u32, EdgeMask)]) -> DiGraph {
-    let mut g = DiGraph::with_vertices(n);
+fn reference_from(n: usize, edges: &[(u32, u32, EdgeMask)]) -> AdjList {
+    let mut g = AdjList::with_vertices(n);
     for &(a, b, m) in edges {
         g.add_edge_mask(a, b, m);
     }
     g
+}
+
+/// The same edges, in the given order, through an [`EdgeBuf`].
+fn csr_from(n: usize, edges: &[(u32, u32, u8)]) -> Csr {
+    let mut buf = EdgeBuf::with_capacity(edges.len());
+    for &(a, b, c) in edges {
+        buf.push(a, b, EdgeMask::of(CLASSES[c as usize]));
+    }
+    buf.build(n)
 }
 
 const MASKS: [EdgeMask; 4] = [
@@ -62,15 +73,14 @@ const MASKS: [EdgeMask; 4] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Sorted insertion: every CSR algorithm equals its legacy
+    /// Sorted insertion: every CSR algorithm equals its reference
     /// counterpart exactly — same components, same cycles, same
     /// tie-breaking.
     #[test]
     fn csr_equals_legacy_under_sorted_insertion(raw in arb_edges(20)) {
         let n = 20;
-        let edges = sorted_merged(&raw);
-        let g = graph_from(n, &edges);
-        let csr = g.freeze();
+        let g = reference_from(n, &sorted_merged(&raw));
+        let csr = csr_from(n, &raw);
         let mut scratch = Scratch::new();
 
         for allowed in MASKS {
@@ -78,13 +88,6 @@ proptest! {
             let legacy = tarjan_scc(&g, allowed);
             let ported = csr.tarjan_scc(allowed, &mut scratch);
             prop_assert_eq!(&legacy, &ported, "tarjan mask={}", allowed);
-
-            // Whole-graph shortest cycle through every vertex.
-            for v in 0..n as u32 {
-                let a = shortest_cycle_through(&g, v, allowed, None);
-                let b = csr.shortest_cycle_through(v, allowed, None, &mut scratch);
-                prop_assert_eq!(&a, &b, "shortest v={} mask={}", v, allowed);
-            }
 
             // Per-SCC searches.
             for scc in &legacy {
@@ -100,20 +103,19 @@ proptest! {
         }
     }
 
-    /// Arbitrary insertion: the freeze round-trips the edge set, and the
+    /// Arbitrary insertion: the build round-trips the edge set, and the
     /// algorithms agree on order-insensitive facts.
     #[test]
     fn csr_invariants_under_arbitrary_insertion(raw in arb_edges(16)) {
         let n = 16;
-        let mut g = DiGraph::with_vertices(n);
+        let mut g = AdjList::with_vertices(n);
         for &(a, b, c) in &raw {
-            g.add_edge(a, b, CLASSES[c as usize]);
+            g.add_edge_mask(a, b, EdgeMask::of(CLASSES[c as usize]));
         }
-        let csr = g.freeze();
+        let csr = csr_from(n, &raw);
         let mut scratch = Scratch::new();
 
-        // Freeze round-trip: same edge set, same masks, rows sorted.
-        prop_assert_eq!(g.edge_count(), csr.edge_count());
+        // Build round-trip: same edge set, same masks, rows sorted.
         let mut legacy_edges: Vec<_> = g.edges().collect();
         legacy_edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
         let csr_edges: Vec<_> = csr.edges().collect();
@@ -121,10 +123,6 @@ proptest! {
         for a in 0..n as u32 {
             for b in 0..n as u32 {
                 prop_assert_eq!(g.edge_mask(a, b), csr.edge_mask(a, b), "mask {}->{}", a, b);
-            }
-            let (in_srcs, _) = csr.in_row(a);
-            for &s in in_srcs {
-                prop_assert!(csr.edge_mask(s, a) != EdgeMask::NONE);
             }
         }
 
@@ -135,17 +133,6 @@ proptest! {
             legacy.sort();
             ported.sort();
             prop_assert_eq!(&legacy, &ported, "tarjan sets mask={}", allowed);
-
-            // Shortest-cycle existence and length agree per vertex.
-            for v in 0..n as u32 {
-                let a = shortest_cycle_through(&g, v, allowed, None);
-                let b = csr.shortest_cycle_through(v, allowed, None, &mut scratch);
-                prop_assert_eq!(
-                    a.as_ref().map(Vec::len),
-                    b.as_ref().map(Vec::len),
-                    "shortest length v={} mask={}", v, allowed
-                );
-            }
 
             for scc in &ported {
                 // find_cycle: existence and minimality agree.
@@ -168,7 +155,7 @@ proptest! {
                         let to = cyc[(i + 1) % cyc.len()];
                         let need = if i == 0 { EdgeMask::RW } else { rest };
                         prop_assert!(
-                            g.edge_mask(from, to).intersects(need),
+                            csr.edge_mask(from, to).intersects(need),
                             "invalid edge {}->{} in {:?}", from, to, cyc
                         );
                         prop_assert!(scc.contains(&from));
@@ -182,66 +169,32 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Incremental refreeze must be byte-identical to a full freeze, for
-    /// any split of the edge stream into a frozen prefix and a dirty
-    /// suffix.
+    /// The sort-based build keeps exactly the model's edges: duplicate
+    /// pairs merge their masks, rows come out sorted, and the vertex
+    /// count is `max(n, 1 + max endpoint)`.
     #[test]
-    fn refreeze_matches_full_freeze(
-        n in 1usize..24,
-        edges in arb_edges(24),
-        split_num in 0u32..=100,
-    ) {
-        let split = edges.len() * split_num as usize / 100;
-        let mut g = DiGraph::with_vertices(n);
-        for &(a, b, c) in &edges[..split] {
-            g.add_edge(a % n as u32, b % n as u32, CLASSES[c as usize]);
-        }
-        let prev = g.freeze();
-        let mut dirty = elle_graph::BitSet::new();
-        dirty.ensure(n.max(24));
-        for &(a, b, c) in &edges[split..] {
-            g.add_edge(a % n as u32, b % n as u32, CLASSES[c as usize]);
-            dirty.insert(a % n as u32);
-        }
-        let inc = g.refreeze(&prev, &dirty);
-        let full = g.freeze();
-        prop_assert_eq!(inc.vertex_count(), full.vertex_count());
-        prop_assert_eq!(inc.edge_count(), full.edge_count());
-        let ei: Vec<_> = inc.edges().collect();
-        let ef: Vec<_> = full.edges().collect();
-        prop_assert_eq!(ei, ef);
-        for v in 0..full.vertex_count() as u32 {
-            prop_assert_eq!(inc.in_row(v), full.in_row(v), "in_row {}", v);
-            prop_assert_eq!(inc.out_row(v), full.out_row(v), "out_row {}", v);
-        }
-    }
-
-    /// The hash-free sort-based build must be byte-identical to the
-    /// legacy hash-indexed `DiGraph` + freeze over the same edge
-    /// multiset — rows, masks, reverse rows, vertex growth semantics.
-    #[test]
-    fn edgebuf_build_matches_digraph_freeze(
+    fn edgebuf_build_matches_model(
         n in 0usize..24,
         edges in arb_edges(24),
     ) {
-        let mut g = DiGraph::with_vertices(n);
-        let mut buf = EdgeBuf::with_capacity(edges.len());
-        for &(a, b, c) in &edges {
-            g.add_edge(a, b, CLASSES[c as usize]);
-            buf.push(a, b, EdgeMask::of(CLASSES[c as usize]));
-        }
-        prop_assert_eq!(buf.len(), edges.len());
-        let hash_built = g.freeze();
-        let sort_built = buf.build(n);
-        prop_assert!(buf.is_empty(), "build consumes the buffer");
-        prop_assert_eq!(hash_built.vertex_count(), sort_built.vertex_count());
-        prop_assert_eq!(hash_built.edge_count(), sort_built.edge_count());
-        let eh: Vec<_> = hash_built.edges().collect();
-        let es: Vec<_> = sort_built.edges().collect();
-        prop_assert_eq!(eh, es);
-        for v in 0..hash_built.vertex_count() as u32 {
-            prop_assert_eq!(hash_built.out_row(v), sort_built.out_row(v), "out_row {}", v);
-            prop_assert_eq!(hash_built.in_row(v), sort_built.in_row(v), "in_row {}", v);
+        let csr = csr_from(n, &edges);
+        let model = sorted_merged(&edges);
+        let vertices = edges
+            .iter()
+            .map(|&(a, b, _)| a.max(b) as usize + 1)
+            .fold(n, usize::max);
+        prop_assert_eq!(csr.vertex_count(), vertices);
+        let got: Vec<_> = csr.edges().collect();
+        prop_assert_eq!(&got, &model);
+        for v in 0..vertices as u32 {
+            let want: Vec<(u32, EdgeMask)> = model
+                .iter()
+                .filter(|&&(a, _, _)| a == v)
+                .map(|&(_, b, m)| (b, m))
+                .collect();
+            let (ds, ms) = csr.out_row(v);
+            let row: Vec<(u32, EdgeMask)> = ds.iter().copied().zip(ms.iter().copied()).collect();
+            prop_assert_eq!(row, want, "out_row {}", v);
         }
     }
 
@@ -252,9 +205,7 @@ proptest! {
         n in 1usize..24,
         edges in arb_edges(24),
     ) {
-        let merged = sorted_merged(&edges);
-        let g = graph_from(n.max(24), &merged);
-        let csr = g.freeze();
+        let csr = csr_from(n.max(24), &edges);
         let mut scratch = Scratch::new();
         // Certificate region: union of ALL-mask cyclic SCCs.
         let cert = csr.tarjan_scc(EdgeMask::ALL, &mut scratch);

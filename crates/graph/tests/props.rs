@@ -1,10 +1,7 @@
 //! Property tests for the graph substrate: Tarjan against a naive
 //! reachability oracle, and transitive-reduction soundness.
 
-use elle_graph::{
-    interval_order_reduction, tarjan_scc, transitive_closure_reachable, DiGraph, EdgeClass,
-    EdgeMask, Interval,
-};
+use elle_graph::{interval_order_reduction, EdgeBuf, EdgeMask, Interval, Scratch};
 use proptest::prelude::*;
 
 /// Naive O(V·E) reachability matrix.
@@ -41,12 +38,12 @@ proptest! {
     #[test]
     fn tarjan_matches_mutual_reachability(edges in arb_edges(24)) {
         let n = 24;
-        let mut g = DiGraph::with_vertices(n);
+        let mut buf = EdgeBuf::with_capacity(edges.len());
         for &(a, b) in &edges {
-            g.add_edge(a, b, EdgeClass::Ww);
+            buf.push(a, b, EdgeMask::WW);
         }
         let reach = reachability(n, &edges);
-        let sccs = tarjan_scc(&g, EdgeMask::ALL);
+        let sccs = buf.build(n).tarjan_scc(EdgeMask::ALL, &mut Scratch::new());
         // Component id per vertex (cyclic components only).
         let mut comp = vec![usize::MAX; n];
         for (i, scc) in sccs.iter().enumerate() {
@@ -91,40 +88,17 @@ proptest! {
             })
             .collect();
         let edges = interval_order_reduction(&items);
-        let mut g = DiGraph::with_vertices(items.len());
-        for (a, b) in &edges {
-            g.add_edge(*a, *b, EdgeClass::Realtime);
-        }
+        let reach = reachability(items.len(), &edges);
         for a in 0..items.len() {
-            let reach = transitive_closure_reachable(&g, a as u32, EdgeMask::ALL);
             for b in 0..items.len() {
                 if a == b { continue; }
                 let precedes = match items[a].complete {
                     Some(c) => c < items[b].invoke,
                     None => false,
                 };
-                let reached = reach.contains(&(b as u32));
-                prop_assert_eq!(precedes, reached, "a={} b={}", a, b);
+                prop_assert_eq!(precedes, reach[a][b], "a={} b={}", a, b);
             }
         }
     }
 
-    /// Filtering by mask never invents edges.
-    #[test]
-    fn filtered_subgraph_is_subset(edges in arb_edges(12)) {
-        let mut g = DiGraph::with_vertices(12);
-        for (i, &(a, b)) in edges.iter().enumerate() {
-            let class = match i % 3 {
-                0 => EdgeClass::Ww,
-                1 => EdgeClass::Wr,
-                _ => EdgeClass::Rw,
-            };
-            g.add_edge(a, b, class);
-        }
-        let f = g.filtered(EdgeMask::WW | EdgeMask::RW);
-        for (a, b, m) in f.edges() {
-            prop_assert!(g.edge_mask(a, b).0 & m.0 == m.0);
-            prop_assert!(!m.contains(EdgeClass::Wr));
-        }
-    }
 }

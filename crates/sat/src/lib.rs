@@ -13,8 +13,8 @@
 //!   events exist under which every read is a snapshot read and
 //!   same-key writers obey first-committer-wins?
 //!
-//! The encoding ([`encode`]) compiles observed reads into ordering
-//! constraints over abstract events; the solver ([`order`]) maps
+//! The encoding (`encode`) compiles observed reads into ordering
+//! constraints over abstract events; the solver (`order`) maps
 //! unordered event pairs to SAT variables on the vendored
 //! [`tinysat`] CDCL core and discharges transitivity lazily
 //! (dbcop-style CEGAR). The cycle engine's inferred ww/wr/rw edges are

@@ -11,8 +11,9 @@
 //! * **Fault isolation** — tenants are sharded across workers by name;
 //!   each tenant's checker is owned by exactly one worker (serial per
 //!   tenant, parallel across tenants, no shared-checker locks). A
-//!   poisoned seal ([`StreamChecker::seal_epoch_guarded`]), a damaged
-//!   line, or a failed strict-mode tenant degrades only that tenant:
+//!   poisoned seal
+//!   ([`StreamChecker::seal_epoch_guarded`](elle_stream::StreamChecker::seal_epoch_guarded)),
+//!   a damaged line, or a failed strict-mode tenant degrades only that tenant:
 //!   every other tenant's verdicts are byte-identical to a run where
 //!   the failure never happened.
 //! * **Admission control** — global and per-tenant buffered-byte
@@ -24,10 +25,10 @@
 //! * **Crash consistency** — with a data directory, every accepted
 //!   event is journaled (write-ahead) before ingest and each tenant's
 //!   checker is periodically snapshotted
-//!   ([`StreamChecker::snapshot`], the same replay path in-process
-//!   recovery uses). A killed service restarts from snapshot + journal
-//!   and every tenant converges to the byte-identical verdict of an
-//!   uninterrupted run.
+//!   ([`StreamChecker::snapshot`](elle_stream::StreamChecker::snapshot),
+//!   the same replay path in-process recovery uses). A killed service
+//!   restarts from snapshot + journal and every tenant converges to the
+//!   byte-identical verdict of an uninterrupted run.
 //!
 //! The front ends (stdin single-process mode and a
 //! `std::net::TcpListener` accept loop speaking the same NDJSON

@@ -200,7 +200,7 @@ pub fn warning(tenant: &str, message: &str) -> String {
 /// Tag one already-serialized event line with a tenant — the inverse of
 /// [`parse_request`] for [`Request::Event`]. The event JSON is embedded
 /// verbatim; the tenant id must satisfy
-/// [`valid_tenant_id`](crate::config::valid_tenant_id).
+/// [`valid_tenant_id`].
 pub fn tag_event_line(tenant: &str, event_json: &str) -> String {
     format!(
         "{{\"tenant\":\"{tenant}\",\"event\":{}}}",
