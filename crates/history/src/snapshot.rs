@@ -3,15 +3,24 @@
 //! A snapshot file is one JSON **meta** header line followed by the
 //! accepted event sequence as NDJSON (the same wire format as
 //! [`events_to_ndjson`](crate::events_to_ndjson), so the body is a
-//! valid event stream on its own). `elle-serve` writes one per tenant:
-//! the meta carries the counters a replay cannot recompute (epoch
-//! ordinal, quarantine gauge, partial-epoch event count) plus the
-//! sequence number of the append journal that continues where the
-//! snapshot ends. Restart = parse snapshot → replay its events →
-//! replay the journal with that sequence number; anything else on disk
-//! is a torn rotation and is discarded.
+//! valid event stream on its own). The meta carries the counters a
+//! replay cannot recompute (epoch ordinal, quarantine gauge,
+//! partial-epoch event count) plus the sequence number of the append
+//! journal that continues where the snapshot ends.
 //!
-//! The rotation protocol that makes this crash-consistent:
+//! `elle-serve` keeps each tenant's event history in that journal,
+//! each event written once, and makes it durable with small checkpoint
+//! records appended at seals (see `elle_serve::store`). It writes a
+//! snapshot only to **compact**: when retirement advances the window's
+//! base (the retired-prefix facts live only in a snapshot), or when
+//! skipped lines outweigh live ones in the journal. Restart = parse the
+//! snapshot → replay its events → replay the journal with that
+//! sequence number (ingest alone up to its last checkpoint, the live
+//! path after it); anything else on disk is a torn rotation and is
+//! discarded. A torn journal tail costs at most its own line: a torn
+//! checkpoint is ignored and the one before it wins.
+//!
+//! The rotation protocol that makes compaction crash-consistent:
 //!
 //! 1. write `snapshot.tmp` with `journal_seq = S + 1`,
 //! 2. atomically rename it over `snapshot.ndjson`,

@@ -34,7 +34,10 @@ pub struct ServeConfig {
     /// ingested events unreported). Forced seals shift epoch numbering
     /// between runs, so leave this off for byte-differential testing.
     pub max_epoch: Option<Duration>,
-    /// Rotate a tenant's snapshot after this many accepted events.
+    /// Journal lines between durable checkpoints: a tenant that goes
+    /// this many lines without a seal appends and `fsync`s a checkpoint
+    /// anyway, bounding what a restart replays through the live path
+    /// (and what power loss can take).
     pub snapshot_events: usize,
     /// Reject any single request line larger than this many bytes.
     pub max_line_bytes: usize,

@@ -23,11 +23,16 @@
 //!   epoch stays open too long with events buffered, generalizing
 //!   `elle-stream --max-epoch-ms` across tenants.
 //! * **Crash consistency** — with a data directory, every accepted
-//!   event is journaled (write-ahead) before ingest and each tenant's
-//!   checker is periodically snapshotted
-//!   ([`StreamChecker::snapshot`](elle_stream::StreamChecker::snapshot),
-//!   the same replay path in-process recovery uses). A killed service
-//!   restarts from snapshot + journal and every tenant converges to the
+//!   event is journaled (write-ahead) before ingest, once: the journal
+//!   is the tenant's durable history. Each seal, every
+//!   `snapshot_events` lines and each close append a small `fsync`ed
+//!   checkpoint record of the tenant's counters
+//!   ([`store::Checkpoint`]); a snapshot
+//!   ([`StreamChecker::snapshot`](elle_stream::StreamChecker::snapshot))
+//!   is written only to compact, when retirement advances the window's
+//!   base or resent lines outweigh live ones. A killed service restarts
+//!   from snapshot + journal — ingest alone up to the last checkpoint,
+//!   the live path after it — and every tenant converges to the
 //!   byte-identical verdict of an uninterrupted run.
 //!
 //! The front ends (stdin single-process mode and a

@@ -268,8 +268,8 @@ impl Server {
     }
 
     /// Graceful drain: stop admitting, let every queued line finish,
-    /// final-seal and snapshot every tenant, stop the workers. Returns
-    /// the final verdicts sorted by tenant id.
+    /// final-seal and checkpoint every tenant, stop the workers.
+    /// Returns the final verdicts sorted by tenant id.
     pub fn drain(mut self) -> Vec<TenantFinal> {
         self.shared.draining.store(true, Ordering::SeqCst);
         let (ack_tx, ack_rx) = mpsc::channel();
@@ -291,7 +291,7 @@ impl Server {
     }
 
     /// Crash hook for tests: stop the workers *without* final seals or
-    /// snapshot rotation, as an abrupt kill would. Queued lines still
+    /// their checkpoints, as an abrupt kill would. Queued lines still
     /// drain to the journal first (a crash after processing is also a
     /// crash), which is what makes store-level crash tests
     /// deterministic.
@@ -399,7 +399,7 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Msg>, mut tenants: HashMa
                             Request::BadEvent { message, .. } => {
                                 tenant.ingest_bad(&shared.cfg, &message)
                             }
-                            Request::Seal { .. } => tenant.seal(true).map(|line| IngestReply {
+                            Request::Seal { .. } => tenant.seal().map(|line| IngestReply {
                                 sealed: Some(line),
                                 ..IngestReply::default()
                             }),

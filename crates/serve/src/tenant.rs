@@ -22,25 +22,19 @@
 //!    `422`. No rung of the ladder ever touches another tenant.
 
 use crate::config::ServeConfig;
-use crate::store::{Restored, TenantStore};
-use elle_history::{
-    event_from_json, event_to_json, Event, Recovered, RecoveryPolicy, SnapshotMeta,
-};
-use elle_stream::{CheckerSnapshot, EpochReport, Gauges, StreamChecker, WindowCarry, WindowPolicy};
+use crate::store::{Checkpoint, JournalLine, Restored, TenantStore};
+use elle_history::{Event, Recovered, RecoveryPolicy, SnapshotMeta};
+use elle_stream::{EpochReport, Gauges, Replay, StreamChecker, WindowCarry, WindowPolicy};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::time::{Duration, Instant};
 
-/// Journal form of a line whose event body did not decode,
-/// `{"undecodable":"<message>"}`: it fails event decoding again on
-/// replay, so the quarantine gauge reproduces, and it carries the
-/// decoder's message, so a strict tenant fails again for the live
-/// reason. (Older journals hold `{"undecodable":true}`, which replays
-/// with the event decoder's own message.)
-#[derive(Serialize, Deserialize)]
-struct Undecodable {
-    undecodable: String,
-}
+/// Compaction is due when the journal holds more than this many bytes
+/// of skipped lines (duplicates, undecodable lines) per byte of lines
+/// the checker ingested. A compaction rewrites the live events once,
+/// so a client that resends everything costs a bounded factor, as the
+/// per-seal snapshot did, while one that does not never compacts.
+const SKIPPED_PER_LIVE_BYTE: usize = 1;
 
 /// What one ingested event produced, beyond mutating the tenant.
 #[derive(Debug, Default)]
@@ -85,6 +79,10 @@ struct BudgetCarry {
     forced_window: usize,
     /// Soft-rung edge-trigger latch at snapshot time.
     over_soft: bool,
+    /// The budget ladder's resident-byte figure at snapshot time (see
+    /// [`Checkpoint::resident_bytes`]).
+    #[serde(default)]
+    resident_bytes: usize,
 }
 
 /// One tenant's full state: checker, store, counters, degradation.
@@ -95,7 +93,23 @@ pub struct Tenant {
     recovery: RecoveryPolicy,
     txns_since_seal: usize,
     events_since_seal: usize,
-    events_since_snapshot: usize,
+    /// Journal lines since the last checkpoint or compaction.
+    lines_since_checkpoint: usize,
+    /// Journal bytes since the last compaction of lines the checker
+    /// ingested, and of lines it skipped or could not decode.
+    journal_live: usize,
+    journal_skipped: usize,
+    /// Transactions retired when the snapshot was written. A seal that
+    /// retires more compacts: a checkpoint cannot carry retired facts.
+    compacted_base: usize,
+    /// The per-tenant resident-byte budget, if any.
+    resident_budget: Option<usize>,
+    /// Seal-built checker state (dependency graph, per-key results)
+    /// the checker held at the checkpoint a restart resumed from, which
+    /// the restored checker rebuilds only at its first seal. Counted as
+    /// resident until then, so the budget ladder decides as the
+    /// uninterrupted run did.
+    resident_credit: usize,
     cli_quarantined: usize,
     forced_seals: usize,
     /// Retirement seals forced by the soft resident-byte rung.
@@ -110,83 +124,112 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// Open a tenant: restore snapshot + journal from the config's data
-    /// directory (if any) and replay them through the normal ingest
-    /// path. Returns the verdict envelopes produced by replayed
-    /// watermark seals — already persisted at-least-once, so callers
-    /// normally discard them.
+    /// Open a tenant from the config's data directory (if any): restore
+    /// the snapshot, replay the journal up to its last checkpoint
+    /// through ingest alone and take the counters from that checkpoint,
+    /// then replay the tail through the live ingest path. Returns the
+    /// verdict envelopes produced by the tail's watermark seals —
+    /// already persisted at-least-once, so callers normally discard
+    /// them.
     pub fn open(name: &str, cfg: &ServeConfig) -> io::Result<(Tenant, Vec<String>)> {
-        let mut store = None;
-        let mut restored = Restored::default();
-        if let Some(root) = &cfg.data_dir {
-            let (s, r) = TenantStore::open(root.join("tenants").join(name))?;
-            store = Some(s);
-            restored = r;
-        }
+        let (store, restored) = match &cfg.data_dir {
+            Some(root) => {
+                let (s, r) = TenantStore::open(root.join("tenants").join(name))?;
+                (Some(s), r)
+            }
+            None => (None, Restored::default()),
+        };
         let Restored {
             snapshot,
-            journal_lines,
+            journal,
+            checkpoint,
         } = restored;
-        let (checker, txns_since_seal, events_since_seal, budget) = match snapshot {
-            Some((meta, events)) => {
-                // The carried window policy wins over the config: a
-                // budget-forced tightening must survive restart, or a
-                // crash loop would reset the tenant to the very policy
-                // that blew the budget.
-                let carry = match &meta.window {
-                    Some(v) => Some(<BudgetCarry as serde::Deserialize>::deserialize(v).map_err(
-                        |e| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("snapshot window carry: {e}"),
-                            )
-                        },
-                    )?),
-                    None => None,
-                };
-                let (window, budget) = match carry {
-                    Some(c) => (c.window, (c.budget_seals, c.forced_window, c.over_soft)),
-                    None => (None, (0, 0, false)),
-                };
-                let carried_policy = window.is_some();
-                let snap = CheckerSnapshot {
-                    epoch: meta.epoch,
-                    quarantined: meta.quarantined,
-                    events_this_epoch: meta.events_this_epoch,
-                    events,
-                    window,
-                };
-                let mut checker = StreamChecker::restore(cfg.opts, &snap);
-                if !carried_policy {
-                    checker.set_window_policy(cfg.window);
-                }
-                (
-                    checker,
-                    meta.txns_since_seal,
-                    meta.events_this_epoch,
-                    budget,
-                )
-            }
-            None => (
-                StreamChecker::with_window(cfg.opts, cfg.window),
-                0,
-                0,
-                (0, 0, false),
+        let (meta, events) = snapshot.unzip();
+        let carry = match meta.as_ref().and_then(|m| m.window.as_ref()) {
+            Some(v) => Some(
+                <BudgetCarry as serde::Deserialize>::deserialize(v).map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("snapshot window carry: {e}"),
+                    )
+                })?,
             ),
+            None => None,
+        };
+        let window = carry.as_ref().and_then(|c| c.window.as_ref());
+        let mut replay = Replay::new(cfg.opts, window);
+        for ev in events.iter().flatten() {
+            let _ = replay.event(ev);
+        }
+        // The checkpointed prefix replays like the snapshot: ingest
+        // alone, no seals and no budget ladder — the checkpoint carries
+        // what they changed.
+        let (covered, checkpoint) = checkpoint.unzip();
+        let covered = covered.unwrap_or(0);
+        let (mut journal_live, mut journal_skipped) = (0, 0);
+        for line in journal[..covered].split_terminator('\n') {
+            let ingested = match JournalLine::decode(line) {
+                JournalLine::Checkpoint => continue,
+                JournalLine::Event(ev) => replay
+                    .event(&ev)
+                    .is_ok_and(|r| !matches!(r, Recovered::Skipped(_))),
+                JournalLine::Undecodable(_) => false,
+            };
+            if ingested {
+                journal_live += line.len() + 1;
+            } else {
+                journal_skipped += line.len() + 1;
+            }
+        }
+        let counters = checkpoint.unwrap_or_else(|| Checkpoint {
+            epoch: meta.as_ref().map_or(0, |m| m.epoch),
+            quarantined: meta.as_ref().map_or(0, |m| m.quarantined),
+            events_this_epoch: meta.as_ref().map_or(0, |m| m.events_this_epoch),
+            txns_since_seal: meta.as_ref().map_or(0, |m| m.txns_since_seal),
+            budget_seals: carry.as_ref().map_or(0, |c| c.budget_seals),
+            forced_window: carry.as_ref().map_or(0, |c| c.forced_window),
+            over_soft: carry.as_ref().is_some_and(|c| c.over_soft),
+            resident_bytes: carry.as_ref().map_or(0, |c| c.resident_bytes),
+            window: None,
+        });
+        let mut checker = replay.finish(
+            counters.epoch,
+            counters.quarantined,
+            counters.events_this_epoch,
+        );
+        // A carried window policy wins over the config: a budget-forced
+        // tightening must survive restart, or a crash loop would reset
+        // the tenant to the very policy that blew the budget.
+        checker.set_window_policy(
+            counters
+                .window
+                .or(window.map(|w| w.policy))
+                .unwrap_or(cfg.window),
+        );
+        let resident_credit = match cfg.max_tenant_resident_bytes {
+            Some(_) => counters
+                .resident_bytes
+                .saturating_sub(checker.resident_bytes()),
+            None => 0,
         };
         let mut t = Tenant {
             name: name.to_string(),
+            compacted_base: checker.retired_txns(),
+            resident_budget: cfg.max_tenant_resident_bytes,
+            resident_credit,
             checker,
             store,
             recovery: cfg.recovery,
-            txns_since_seal,
-            events_since_seal,
-            events_since_snapshot: 0,
+            txns_since_seal: counters.txns_since_seal,
+            events_since_seal: counters.events_this_epoch,
+            lines_since_checkpoint: 0,
+            journal_live,
+            journal_skipped,
             cli_quarantined: 0,
             forced_seals: 0,
-            budget_seals: budget.0,
-            forced_window: budget.1,
-            over_soft: budget.2,
+            budget_seals: counters.budget_seals,
+            forced_window: counters.forced_window,
+            over_soft: counters.over_soft,
             failed: None,
             epoch_opened: None,
         };
@@ -195,30 +238,22 @@ impl Tenant {
                 t.checker.inject_seal_panic(*epoch);
             }
         }
-        // Replay the journal through the same path live ingest takes —
+        // Replay the tail through the same path live ingest takes —
         // seals fire at the same watermarks, so epoch numbering (and
-        // with it every later verdict) reproduces exactly. Journaling
-        // and snapshot rotation are suppressed: the lines are already
-        // on disk, and rotating mid-replay would delete lines not yet
-        // replayed.
+        // with it every later verdict) reproduces exactly. Journaling,
+        // checkpoints and compaction are suppressed: the lines are
+        // already on disk, and compacting mid-replay would delete lines
+        // not yet replayed.
         let mut replayed = Vec::new();
-        for line in &journal_lines {
-            match event_from_json(line) {
-                Ok(ev) => {
-                    let reply = t.apply_event(cfg, &ev, false)?;
-                    replayed.extend(reply.sealed);
-                }
-                Err(e) => {
-                    let msg = serde_json::from_str::<Undecodable>(line)
-                        .map_or_else(|_| e.to_string(), |u| u.undecodable);
-                    t.cli_quarantined += 1;
-                    if t.recovery == RecoveryPolicy::Strict && t.failed.is_none() {
-                        t.failed = Some(msg);
-                    }
-                }
-            }
+        for line in journal[covered..].split_terminator('\n') {
+            let bytes = line.len() + 1;
+            let reply = match JournalLine::decode(line) {
+                JournalLine::Checkpoint => continue,
+                JournalLine::Event(ev) => t.apply_event(cfg, &ev, bytes, false)?,
+                JournalLine::Undecodable(message) => t.skip_line(cfg, &message, bytes, false)?,
+            };
+            replayed.extend(reply.sealed);
         }
-        t.events_since_snapshot = journal_lines.len();
         Ok((t, replayed))
     }
 
@@ -234,54 +269,67 @@ impl Tenant {
     }
 
     /// Ingest one decoded event: journal it, feed the checker, seal if
-    /// a watermark is due, rotate the snapshot if one is due.
+    /// a watermark is due, and checkpoint after a seal or every
+    /// `snapshot_events` journal lines.
     pub fn ingest(&mut self, cfg: &ServeConfig, ev: &Event) -> io::Result<IngestReply> {
-        self.apply_event(cfg, ev, true)
+        let bytes = match &mut self.store {
+            Some(store) => store.append_event(ev)?,
+            None => 0,
+        };
+        self.apply_event(cfg, ev, bytes, true)
     }
 
     /// Ingest a line whose event body did not decode. Under quarantine
     /// it bumps the gauge; under strict it fails the tenant.
     pub fn ingest_bad(&mut self, cfg: &ServeConfig, message: &str) -> io::Result<IngestReply> {
-        if let Some(store) = &mut self.store {
-            let sentinel = Undecodable {
-                undecodable: message.to_string(),
-            };
-            store.append_event(&serde_json::to_string(&sentinel).expect("strings serialize"))?;
-        }
-        self.events_since_snapshot += 1;
+        let bytes = match &mut self.store {
+            Some(store) => store.append_undecodable(message)?,
+            None => 0,
+        };
+        self.skip_line(cfg, message, bytes, true)
+    }
+
+    /// Account for an undecodable journal line of `bytes` bytes, live
+    /// or replayed.
+    fn skip_line(
+        &mut self,
+        cfg: &ServeConfig,
+        message: &str,
+        bytes: usize,
+        live: bool,
+    ) -> io::Result<IngestReply> {
+        self.lines_since_checkpoint += 1;
+        self.journal_skipped += bytes;
         self.cli_quarantined += 1;
         let mut reply = IngestReply::default();
         match self.recovery {
             RecoveryPolicy::Strict => {
-                // No rotation: a snapshot cannot record the failure, so
-                // the sentinel stays in the journal for a restart to
-                // fail the tenant again.
-                self.failed = Some(message.to_string());
-                reply.failed = Some(message.to_string());
+                // No checkpoint: the sentinel stays in the tail for a
+                // restart to fail the tenant again, for this reason.
+                let reason = self.failed.get_or_insert_with(|| message.to_string());
+                reply.failed = Some(reason.clone());
             }
             RecoveryPolicy::Quarantine => {
                 reply.warning = Some(format!("quarantined: {message} — line skipped"));
-                self.maybe_rotate(cfg)?;
+                if live && self.lines_since_checkpoint >= cfg.snapshot_events.max(1) {
+                    self.checkpoint()?;
+                }
             }
         }
         Ok(reply)
     }
 
+    /// Feed one journaled event of `bytes` bytes to the checker, live
+    /// or replayed.
     fn apply_event(
         &mut self,
         cfg: &ServeConfig,
         ev: &Event,
+        bytes: usize,
         live: bool,
     ) -> io::Result<IngestReply> {
         let mut reply = IngestReply::default();
-        if live {
-            if let Some(store) = &mut self.store {
-                let mut line = String::new();
-                event_to_json(ev, &mut line);
-                store.append_event(&line)?;
-            }
-            self.events_since_snapshot += 1;
-        }
+        self.lines_since_checkpoint += 1;
         match self.checker.ingest_event_with(ev, self.recovery) {
             Ok(recovered) => {
                 match &recovered {
@@ -297,13 +345,19 @@ impl Tenant {
                             Some(format!("quarantined: {cause} — open invocation abandoned"));
                     }
                 }
+                if matches!(recovered, Recovered::Skipped(_)) {
+                    self.journal_skipped += bytes;
+                } else {
+                    self.journal_live += bytes;
+                }
                 if invokes_txn(&recovered) {
                     self.txns_since_seal += 1;
                 }
             }
             Err(e) => {
                 // Strict mode: the first pairing violation fails the
-                // tenant. The event never reached the checker.
+                // tenant. The event never reached the checker, and no
+                // checkpoint follows it, so a restart fails it again.
                 let msg = e.to_string();
                 self.failed = Some(msg.clone());
                 reply.failed = Some(msg);
@@ -315,15 +369,17 @@ impl Tenant {
             self.epoch_opened = Some(Instant::now());
         }
         if cfg.watermark_due(self.txns_since_seal, self.events_since_seal) {
-            reply.sealed = Some(self.seal(live)?);
+            reply.sealed = Some(self.seal_epoch()?);
         }
         if reply.sealed.is_none() {
-            if let Some(line) = self.enforce_resident_budget(cfg, live)? {
+            if let Some(line) = self.enforce_resident_budget()? {
                 reply.sealed = Some(line);
             }
         }
-        if live {
-            self.maybe_rotate(cfg)?;
+        if live
+            && (reply.sealed.is_some() || self.lines_since_checkpoint >= cfg.snapshot_events.max(1))
+        {
+            self.checkpoint()?;
         }
         Ok(reply)
     }
@@ -333,17 +389,15 @@ impl Tenant {
     /// crossing. Hard rung (the budget): tighten the window —
     /// `forced-window` — and seal, so the tenant keeps serving with
     /// bounded memory instead of being rejected or killed. Residency is
-    /// a deterministic function of the ingested prefix, so journal
-    /// replay reproduces every rung (and with it epoch numbering).
-    fn enforce_resident_budget(
-        &mut self,
-        cfg: &ServeConfig,
-        live: bool,
-    ) -> io::Result<Option<String>> {
-        let Some(hard) = cfg.max_tenant_resident_bytes else {
+    /// a deterministic function of the ingested prefix and the seal
+    /// points (a restored checker's missing seal-built state is
+    /// credited back), so journal replay reproduces every rung (and
+    /// with it epoch numbering).
+    fn enforce_resident_budget(&mut self) -> io::Result<Option<String>> {
+        let Some(hard) = self.resident_budget else {
             return Ok(None);
         };
-        let resident = self.checker.resident_bytes();
+        let resident = self.resident_bytes();
         let soft = hard - hard / 4;
         if resident <= soft {
             self.over_soft = false;
@@ -358,30 +412,35 @@ impl Tenant {
             };
             self.checker.set_window_policy(tightened);
             self.over_soft = false;
-            return self.seal(live).map(Some);
+            return self.seal_epoch().map(Some);
         }
         if self.over_soft {
             return Ok(None);
         }
         self.over_soft = true;
         self.budget_seals += 1;
-        self.seal(live).map(Some)
+        self.seal_epoch().map(Some)
     }
 
-    /// Seal the current epoch and return the verdict envelope line.
-    pub fn seal(&mut self, rotate_after: bool) -> io::Result<String> {
+    /// Seal the current epoch, checkpoint it, and return the verdict
+    /// envelope line.
+    pub fn seal(&mut self) -> io::Result<String> {
+        let line = self.seal_epoch()?;
+        self.checkpoint()?;
+        Ok(line)
+    }
+
+    /// Seal the current epoch and log its verdict, without a
+    /// checkpoint (the caller decides: replay writes none).
+    fn seal_epoch(&mut self) -> io::Result<String> {
         let epoch = self.checker.seal_epoch_guarded();
+        self.resident_credit = 0;
         self.txns_since_seal = 0;
         self.events_since_seal = 0;
         self.epoch_opened = None;
         let line = self.envelope(&epoch);
         if let Some(store) = &mut self.store {
             store.append_verdict(&line)?;
-            // A seal is a natural consistency point: fold it into the
-            // snapshot so a restart replays as little as possible.
-            if rotate_after && self.events_since_snapshot > 0 {
-                self.rotate()?;
-            }
         }
         Ok(line)
     }
@@ -392,7 +451,7 @@ impl Tenant {
         match self.epoch_opened {
             Some(t0) if t0.elapsed() >= max => {
                 self.forced_seals += 1;
-                self.seal(true).map(Some)
+                self.seal().map(Some)
             }
             _ => Ok(None),
         }
@@ -413,11 +472,12 @@ impl Tenant {
             };
         }
         let epoch = self.checker.seal_epoch_guarded();
+        self.resident_credit = 0;
         let line = self.envelope(&epoch);
         if let Some(store) = &mut self.store {
             let _ = store.append_verdict(&line);
-            let _ = self.rotate();
         }
+        let _ = self.checkpoint();
         TenantFinal {
             tenant: self.name,
             ok: match &epoch.poisoned {
@@ -437,7 +497,7 @@ impl Tenant {
         if self.checker.window_policy() != WindowPolicy::Unbounded {
             extra.push_str(&format!(
                 ",\"resident_bytes\":{},\"retired_txns\":{}",
-                self.checker.resident_bytes(),
+                self.resident_bytes(),
                 self.checker.retired_txns(),
             ));
         }
@@ -461,41 +521,88 @@ impl Tenant {
 
     fn quarantined_total(&self) -> usize {
         // After a restore the checker's counter already carries the
-        // pre-snapshot decode-level count (folded in at rotation), so
-        // the sum equals an uninterrupted run's.
+        // decode-level count from before the restart, so the sum equals
+        // an uninterrupted run's.
         self.checker.quarantined() + self.cli_quarantined
     }
 
-    fn maybe_rotate(&mut self, cfg: &ServeConfig) -> io::Result<()> {
-        if self.store.is_some() && self.events_since_snapshot >= cfg.snapshot_events.max(1) {
-            self.rotate()?;
-        }
-        Ok(())
+    /// The checker's resident bytes, as an uninterrupted run's checker
+    /// would count them.
+    fn resident_bytes(&self) -> usize {
+        self.checker.resident_bytes() + self.resident_credit
     }
 
-    fn rotate(&mut self) -> io::Result<()> {
+    /// The counters a restart needs, as of the last journal line.
+    fn counters(&self) -> Checkpoint {
+        let policy = self.checker.window_policy();
+        Checkpoint {
+            epoch: self.checker.epochs_sealed(),
+            quarantined: self.quarantined_total(),
+            events_this_epoch: self.checker.events_this_epoch(),
+            txns_since_seal: self.txns_since_seal,
+            budget_seals: self.budget_seals,
+            forced_window: self.forced_window,
+            over_soft: self.over_soft,
+            resident_bytes: match self.resident_budget {
+                Some(_) => self.resident_bytes(),
+                None => 0,
+            },
+            window: (policy != WindowPolicy::Unbounded || self.checker.retired_txns() > 0)
+                .then_some(policy),
+        }
+    }
+
+    /// Make everything journaled so far durable: append a checkpoint,
+    /// compacting first when retirement advanced the base since the
+    /// snapshot or skipped lines outweigh live ones (the checkpoint then
+    /// opens the fresh journal).
+    fn checkpoint(&mut self) -> io::Result<()> {
+        if self.store.is_none() {
+            return Ok(());
+        }
+        self.lines_since_checkpoint = 0;
+        if self.checker.retired_txns() != self.compacted_base
+            || self.journal_skipped > self.journal_live * SKIPPED_PER_LIVE_BYTE
+        {
+            self.compact()?;
+        }
+        let counters = self.counters();
+        let store = self.store.as_mut().expect("checked above");
+        store.append_checkpoint(&counters)
+    }
+
+    /// Rewrite the live events as a snapshot and start an empty
+    /// journal.
+    fn compact(&mut self) -> io::Result<()> {
+        let c = self.counters();
         let snap = self.checker.snapshot();
         let mut meta = SnapshotMeta::new(
             0, // overwritten by TenantStore::rotate
-            snap.epoch,
-            snap.quarantined + self.cli_quarantined,
-            snap.events_this_epoch,
-            self.txns_since_seal,
+            c.epoch,
+            c.quarantined,
+            c.events_this_epoch,
+            c.txns_since_seal,
         );
-        let budgeted = self.budget_seals > 0 || self.forced_window > 0 || self.over_soft;
-        if snap.window.is_some() || budgeted {
+        if snap.window.is_some()
+            || c.budget_seals > 0
+            || c.forced_window > 0
+            || c.over_soft
+            || c.resident_bytes > 0
+        {
             let carry = BudgetCarry {
-                window: snap.window.clone(),
-                budget_seals: self.budget_seals,
-                forced_window: self.forced_window,
-                over_soft: self.over_soft,
+                window: snap.window,
+                budget_seals: c.budget_seals,
+                forced_window: c.forced_window,
+                over_soft: c.over_soft,
+                resident_bytes: c.resident_bytes,
             };
             meta.window = Some(serde::Serialize::serialize(&carry));
         }
-        let store = self.store.as_mut().expect("rotate requires a store");
+        let store = self.store.as_mut().expect("compaction requires a store");
         store.rotate(meta, &snap.events)?;
-        self.cli_quarantined = 0;
-        self.events_since_snapshot = 0;
+        self.journal_live = 0;
+        self.journal_skipped = 0;
+        self.compacted_base = self.checker.retired_txns();
         Ok(())
     }
 

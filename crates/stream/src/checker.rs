@@ -521,29 +521,21 @@ impl StreamChecker {
     /// restore the epoch ordinal and quarantine gauge the replay itself
     /// cannot know. The restored checker's next seal takes the full
     /// batch-equivalent path, so its report is byte-identical to an
-    /// uninterrupted run's.
+    /// uninterrupted run's. [`Replay`] is the same rebuild in steps.
     pub fn restore(opts: CheckOptions, snap: &CheckerSnapshot) -> StreamChecker {
-        let mut fresh = StreamChecker::new(opts);
-        if let Some(c) = &snap.window {
-            // Pre-replay: the id base (so replayed transactions keep
-            // their original ids) and the frontiers the replay extends.
-            fresh.window = c.policy;
-            fresh.pairer = StreamingPairer::with_base(c.base);
-            fresh.analysis.preload(&c.retired);
-        }
+        let mut replay = Replay::new(opts, snap.window.as_ref());
         for ev in &snap.events {
             // Synthesized events can only trip the violations recovery
             // repairs (orphan adoption, open abandonment); Quarantine
             // absorbs them and reproduces the same transactions.
-            let _ = fresh.ingest_event_with(ev, RecoveryPolicy::Quarantine);
+            let _ = replay.event(ev);
         }
-        if let Some(c) = &snap.window {
-            fresh.analysis.restore_retired(&c.retired);
-        }
-        fresh.epoch = snap.epoch;
-        fresh.quarantined = snap.quarantined;
-        fresh.events_this_epoch = snap.events_this_epoch;
-        fresh
+        replay.finish(snap.epoch, snap.quarantined, snap.events_this_epoch)
+    }
+
+    /// Events ingested since the last seal (the partial epoch).
+    pub fn events_this_epoch(&self) -> usize {
+        self.events_this_epoch
     }
 
     /// The check options this checker judges against.
@@ -624,5 +616,57 @@ impl StreamChecker {
     #[doc(hidden)]
     pub fn inject_seal_panic(&mut self, epoch: usize) {
         self.panic_at_epoch = Some(epoch);
+    }
+}
+
+/// [`StreamChecker::restore`] in steps, for a caller that decodes the
+/// accepted events one at a time instead of collecting them: start
+/// from a retired-prefix carry, feed each event to [`Replay::event`]
+/// in order, then [`Replay::finish`] with the counters a replay cannot
+/// recompute. Nothing seals until the restored checker's first seal,
+/// which takes the full batch-equivalent path.
+#[derive(Debug)]
+pub struct Replay<'a> {
+    checker: StreamChecker,
+    window: Option<&'a WindowCarry>,
+}
+
+impl<'a> Replay<'a> {
+    /// An empty checker, with the carry's id base (so replayed
+    /// transactions keep their original ids), policy and the
+    /// frontiers the replay extends preloaded.
+    pub fn new(opts: CheckOptions, window: Option<&'a WindowCarry>) -> Replay<'a> {
+        let mut checker = StreamChecker::new(opts);
+        if let Some(c) = window {
+            checker.window = c.policy;
+            checker.pairer = StreamingPairer::with_base(c.base);
+            checker.analysis.preload(&c.retired);
+        }
+        Replay { checker, window }
+    }
+
+    /// Ingest one replayed event under [`RecoveryPolicy::Quarantine`].
+    pub fn event(&mut self, ev: &Event) -> Result<Recovered, PairingError> {
+        self.checker
+            .ingest_event_with(ev, RecoveryPolicy::Quarantine)
+    }
+
+    /// The restored checker: the carry's retired facts folded back in,
+    /// and the epoch ordinal, quarantine gauge and partial epoch's
+    /// event count set to the given values.
+    pub fn finish(
+        self,
+        epoch: usize,
+        quarantined: usize,
+        events_this_epoch: usize,
+    ) -> StreamChecker {
+        let mut checker = self.checker;
+        if let Some(c) = self.window {
+            checker.analysis.restore_retired(&c.retired);
+        }
+        checker.epoch = epoch;
+        checker.quarantined = quarantined;
+        checker.events_this_epoch = events_this_epoch;
+        checker
     }
 }

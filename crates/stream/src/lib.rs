@@ -68,8 +68,8 @@ mod epoch;
 mod live;
 
 pub use checker::{
-    CheckerSnapshot, DtStashCarry, EpochReport, FrontierStats, RetiredPrefix, StreamChecker,
-    WindowCarry, WindowPolicy, WindowStats,
+    CheckerSnapshot, DtStashCarry, EpochReport, FrontierStats, Replay, RetiredPrefix,
+    StreamChecker, WindowCarry, WindowPolicy, WindowStats,
 };
 pub use envelope::Gauges;
 pub use epoch::EpochPolicy;

@@ -42,16 +42,18 @@ gracefully: every tenant is final-sealed and its verdict printed.",
     options: "\
 --listen <addr>    accept TCP connections speaking the same protocol
                    (responses go to the requesting connection)
---data-dir <path>  durability root: per-tenant write-ahead journals and
-                   snapshots; on restart every tenant recovers and
-                   converges to the uninterrupted run's verdicts
+--data-dir <path>  durability root: per-tenant write-ahead journals that
+                   hold each event once, with a checkpoint at every
+                   seal (snapshots only compact); on restart every
+                   tenant recovers and converges to the uninterrupted
+                   run's verdicts
 --workers <n>      worker threads; tenants are sharded by id (default 4)
 --epoch-txns <n>   per-tenant: seal every n transactions (default 1000)
 --epoch-events <n> per-tenant: seal every n events
 --max-epoch-ms <ms>  watchdog: force-seal any tenant whose epoch stays
                    open this long with events buffered
---snapshot-events <n>  rotate a tenant's snapshot after n accepted
-                   events (default 4096)
+--snapshot-events <n>  checkpoint a tenant's journal (fsync) after n
+                   lines without a seal (default 4096)
 --max-line-bytes <n>   reject request lines larger than this (default 1 MiB)
 --max-tenant-bytes <n> per-tenant buffered-byte budget (default 4 MiB)
 --max-total-bytes <n>  global buffered-byte budget (default 64 MiB)

@@ -5,8 +5,11 @@
 
 use elle::dbsim::{chaos_session, delivered_lines, FaultSchedule};
 use elle::prelude::*;
-use elle::serve::{solo_verdict, ServeConfig, Server, Sink, TenantFinal};
+use elle::serve::{
+    parse_request, solo_verdict, Request, ServeConfig, Server, Sink, Tenant, TenantFinal,
+};
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 
@@ -724,4 +727,362 @@ fn strict_failure_survives_restart_with_its_reason() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Feed one wire line to an in-process tenant: events through
+/// `Tenant::ingest`, undecodable bodies through `ingest_bad`, `seal`
+/// ops through `Tenant::seal`. Returns the verdict envelope of any
+/// seal the line caused.
+fn feed(t: &mut Tenant, cfg: &ServeConfig, line: &str) -> Option<String> {
+    match parse_request(line).expect("test wire lines parse") {
+        Request::Event { event, .. } => t.ingest(cfg, &event).expect("durable ingest").sealed,
+        Request::BadEvent { message, .. } => {
+            t.ingest_bad(cfg, &message).expect("durable ingest").sealed
+        }
+        Request::Seal { .. } => Some(t.seal().expect("durable seal")),
+        other => panic!("not a tenant line: {other:?}"),
+    }
+}
+
+/// The one journal file in a tenant's directory.
+fn journal_of(tenant_dir: &Path) -> PathBuf {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(tenant_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with("journal.") && name.ends_with(".ndjson")
+        })
+        .collect();
+    assert_eq!(found.len(), 1, "{found:?}");
+    found.pop().unwrap()
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).unwrap();
+        }
+    }
+}
+
+fn is_checkpoint(line: &str) -> bool {
+    line.starts_with("{\"checkpoint\":")
+}
+
+/// A verdict envelope without its `quarantined` gauge.
+fn without_quarantine(envelope: &str) -> String {
+    match envelope.find(",\"quarantined\":") {
+        Some(at) => {
+            let rest = &envelope[at + 1..];
+            let end = rest.find(',').unwrap();
+            format!("{}{}", &envelope[..at], &rest[end..])
+        }
+        None => envelope.to_string(),
+    }
+}
+
+/// The crash windows of the checkpoint protocol, byte by byte. A
+/// durable tenant with a soft-rung budget seal, an explicit `seal` op
+/// and mid-epoch checkpoints is killed twice: once right after a
+/// checkpoint record, once right after an event line. Its journal is
+/// then cut at every byte offset inside that last record:
+///
+/// * inside the checkpoint, a restart fed the rest of the wire must
+///   end in the uninterrupted run's final envelope, byte for byte; an
+///   intact last checkpoint must leave nothing to re-seal;
+/// * inside the event line, a restart that resends the line, crashes
+///   again, restarts again and gets the rest must end in the same
+///   envelope, up to one quarantined fragment.
+#[test]
+fn checkpoint_crash_windows_restart_byte_identical() {
+    let name = "cw";
+    let mut wire = tagged_lines(name, &rotating_log(4242, 200));
+    wire.insert(
+        wire.len() / 4,
+        format!("{{\"tenant\":\"{name}\",\"op\":\"seal\"}}"),
+    );
+    let cfg_in = |dir: &Path| ServeConfig {
+        epoch_txns: Some(10),
+        snapshot_events: 7,
+        max_tenant_resident_bytes: Some(32 * 1024),
+        data_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    };
+
+    let dir_ref = tmp_dir("cw_ref");
+    let cfg = cfg_in(&dir_ref);
+    let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+    let mut budget_seal_at = None;
+    for (i, line) in wire.iter().enumerate() {
+        if let Some(e) = feed(&mut t, &cfg, line) {
+            if e.contains("\"budget_seals\":") {
+                budget_seal_at.get_or_insert(i);
+            }
+        }
+    }
+    let want = t.close().verdict;
+    // Both kills come after the soft rung has fired, so the restarts
+    // must bring its gauge and latch back from a checkpoint.
+    let kill_after = budget_seal_at.expect("the soft rung fires") + 1;
+    assert!(kill_after < wire.len() * 3 / 4, "{kill_after}");
+
+    for (case, last_is_checkpoint) in [("checkpoint", true), ("event", false)] {
+        // Kill the tenant just after a line of the wanted kind.
+        let dir = tmp_dir(&format!("cw_{case}"));
+        let cfg = cfg_in(&dir);
+        let tenant_dir = dir.join("tenants").join(name);
+        let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+        let mut fed = 0;
+        loop {
+            feed(&mut t, &cfg, &wire[fed]);
+            fed += 1;
+            let journal = std::fs::read_to_string(journal_of(&tenant_dir)).unwrap();
+            let last = journal.lines().last().unwrap_or("");
+            if fed > kill_after && is_checkpoint(last) == last_is_checkpoint {
+                break;
+            }
+        }
+        drop(t);
+        let journal = std::fs::read_to_string(journal_of(&tenant_dir)).unwrap();
+        let start = journal[..journal.len() - 1]
+            .rfind('\n')
+            .map_or(0, |i| i + 1);
+        if last_is_checkpoint {
+            // Intact: the whole prefix is checkpointed, nothing re-seals.
+            let (_, replayed) = Tenant::open(name, &cfg).unwrap();
+            assert!(replayed.is_empty(), "recovery re-sealed {replayed:?}");
+        }
+
+        for cut in start..journal.len() {
+            let at = tmp_dir(&format!("cw_{case}_{cut}"));
+            copy_dir(&dir, &at);
+            let cfg = cfg_in(&at);
+            std::fs::write(journal_of(&at.join("tenants").join(name)), &journal[..cut]).unwrap();
+            let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+            let got = if last_is_checkpoint {
+                for line in &wire[fed..] {
+                    feed(&mut t, &cfg, line);
+                }
+                let got = t.close().verdict;
+                assert_eq!(got, want, "cut at byte {cut} of the last checkpoint");
+                got
+            } else {
+                feed(&mut t, &cfg, &wire[fed - 1]);
+                drop(t);
+                let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+                for line in &wire[fed..] {
+                    feed(&mut t, &cfg, line);
+                }
+                let got = t.close().verdict;
+                assert_eq!(
+                    without_quarantine(&got),
+                    without_quarantine(&want),
+                    "cut at byte {cut} of the last event line"
+                );
+                got
+            };
+            assert!(
+                !got.contains("\"quarantined\":") || got.contains("\"quarantined\":1,"),
+                "cut at byte {cut}: {got}"
+            );
+            let _ = std::fs::remove_dir_all(&at);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir_ref);
+}
+
+/// The journal's bytes since the snapshot, split into lines the
+/// checker ingested and lines it skipped (index regressions — resent
+/// duplicates — and undecodable lines). Checkpoints count as neither.
+fn journal_bytes(tenant_dir: &Path) -> (usize, usize) {
+    let mut last = std::fs::read_to_string(tenant_dir.join("snapshot.ndjson"))
+        .ok()
+        .and_then(|raw| {
+            let (_, events) = elle::history::snapshot_from_str(&raw).unwrap();
+            events.last().map(|e| e.index)
+        });
+    let (mut live, mut skipped) = (0, 0);
+    let journal = std::fs::read_to_string(journal_of(tenant_dir)).unwrap();
+    for line in journal.lines().filter(|l| !is_checkpoint(l)) {
+        match elle::history::event_from_json(line) {
+            Ok(ev) if last.is_none_or(|i| ev.index > i) => {
+                last = Some(ev.index);
+                live += line.len() + 1;
+            }
+            _ => skipped += line.len() + 1,
+        }
+    }
+    (live, skipped)
+}
+
+/// Each event is written once, as exact byte counts:
+///
+/// * an unbounded durable tenant fed ten epochs writes no snapshot;
+///   its journal is exactly its event lines, in order, with one
+///   checkpoint line under 512 bytes after each seal's line;
+/// * fed every line three times (and one undecodable line), it
+///   compacts, so after every seal the journal holds no more skipped
+///   bytes than live ones, and its final envelope still equals the
+///   ephemeral oracle's, quarantine gauge included;
+/// * a windowed tenant compacts at each seal that advances its base.
+#[test]
+fn durable_tenant_journals_each_event_once() {
+    let log = tenant_log(31, 200);
+    let cfg_in = |dir: &Path| ServeConfig {
+        epoch_txns: Some(20),
+        data_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    };
+
+    let name = "once";
+    let wire = tagged_lines(name, &log);
+    assert_eq!(wire.len(), log.len());
+    let dir = tmp_dir("write_once");
+    let cfg = cfg_in(&dir);
+    let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+    // The journal this must write: `Some(event line)` or `None` for a
+    // checkpoint.
+    let mut want: Vec<Option<String>> = Vec::new();
+    for (line, ev) in wire.iter().zip(log.events()) {
+        let sealed = feed(&mut t, &cfg, line);
+        let mut json = String::new();
+        elle::history::event_to_json(ev, &mut json);
+        want.push(Some(json));
+        if sealed.is_some() {
+            want.push(None);
+        }
+    }
+    assert_eq!(want.iter().filter(|l| l.is_none()).count(), 10);
+    t.close();
+    want.push(None);
+    let tenant_dir = dir.join("tenants").join(name);
+    assert!(!tenant_dir.join("snapshot.ndjson").exists());
+    let journal = std::fs::read_to_string(tenant_dir.join("journal.0.ndjson")).unwrap();
+    let got: Vec<&str> = journal.lines().collect();
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        match w {
+            Some(event) => assert_eq!(g, event),
+            None => assert!(is_checkpoint(g) && g.len() < 512, "{g}"),
+        }
+    }
+    let event_bytes: usize = want.iter().flatten().map(|l| l.len() + 1).sum();
+    let checkpoint_bytes: usize = got
+        .iter()
+        .filter(|l| is_checkpoint(l))
+        .map(|l| l.len() + 1)
+        .sum();
+    assert_eq!(journal.len(), event_bytes + checkpoint_bytes);
+    assert!(checkpoint_bytes < 11 * 512);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let name = "thrice";
+    let mut wire = Vec::new();
+    for line in tagged_lines(name, &log) {
+        wire.extend([line.clone(), line.clone(), line]);
+    }
+    wire.insert(
+        7,
+        r#"{"tenant":"thrice","event":{"index":3,"process":0,"kind":"Okk","mops":[],"time_ns":null}}"#
+            .to_string(),
+    );
+    let dir = tmp_dir("write_once_resend");
+    let cfg = cfg_in(&dir);
+    let tenant_dir = dir.join("tenants").join(name);
+    let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+    for line in &wire {
+        if feed(&mut t, &cfg, line).is_some() {
+            let (live, skipped) = journal_bytes(&tenant_dir);
+            assert!(skipped <= live, "{skipped} skipped > {live} live bytes");
+        }
+    }
+    assert!(
+        tenant_dir.join("snapshot.ndjson").exists(),
+        "resends compact"
+    );
+    let got = t.close().verdict;
+    assert!(got.contains("\"quarantined\":"), "{got}");
+    assert_eq!(got, solo_verdict(&cfg, name, &wire));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let name = "windowed";
+    let dir = tmp_dir("write_once_windowed");
+    let cfg = ServeConfig {
+        window: elle::stream::WindowPolicy::TxnCount(24),
+        ..cfg_in(&dir)
+    };
+    let tenant_dir = dir.join("tenants").join(name);
+    let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+    let (mut retired, mut compactions) = (0, 0);
+    for line in &tagged_lines(name, &rotating_log(77, 300)) {
+        if feed(&mut t, &cfg, line).is_none() {
+            continue;
+        }
+        let status = t.status_line();
+        let at = status.find("\"retired_txns\":").unwrap() + "\"retired_txns\":".len();
+        let now: usize = status[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        let journal = std::fs::read_to_string(journal_of(&tenant_dir)).unwrap();
+        if now > retired {
+            // Compacted at this seal: the fresh journal holds only the
+            // seal's checkpoint, and the snapshot carries the new base.
+            assert_eq!(journal.lines().count(), 1, "{journal}");
+            let snapshot = std::fs::read_to_string(tenant_dir.join("snapshot.ndjson")).unwrap();
+            let header = snapshot.lines().next().unwrap();
+            assert!(header.contains(&format!("\"base\":{now},")), "{header}");
+            compactions += 1;
+            retired = now;
+        }
+        assert!(is_checkpoint(journal.lines().last().unwrap()));
+    }
+    assert!(compactions > 1, "the window retired {retired} txns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A data directory written before journals carried checkpoints opens
+/// and continues exactly as the binary that wrote it continued it.
+/// `tests/fixtures/parent_data_dir/` was written by that `elle-serve`
+/// (`--epoch-txns 5 --snapshot-events 16 --workers 1`): tenant `a` was
+/// drained (snapshot, empty journal); tenant `b` was then fed more lines
+/// and SIGKILLed mid-epoch (snapshot plus a 7-line journal). Fed the
+/// same remainder of the wire, this binary's responses must be the ones
+/// that binary printed, byte for byte.
+#[test]
+fn parent_data_directory_opens_and_continues_byte_identically() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = tmp_dir("parent_data_dir");
+    copy_dir(&fixtures.join("parent_data_dir"), &dir);
+    let remainder = std::fs::read(fixtures.join("parent_data_dir.remainder.ndjson")).unwrap();
+    let want = std::fs::read_to_string(fixtures.join("parent_data_dir.expected.ndjson")).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_elle-serve"))
+        .args(["--data-dir", dir.to_str().unwrap()])
+        .args([
+            "--epoch-txns",
+            "5",
+            "--snapshot-events",
+            "16",
+            "--workers",
+            "1",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    child.stdin.take().unwrap().write_all(&remainder).unwrap();
+    let out = child.wait_with_output().expect("wait");
+    assert!(out.status.success(), "{:?}", out.status);
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), want);
+    let _ = std::fs::remove_dir_all(&dir);
 }
