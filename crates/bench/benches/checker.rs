@@ -129,6 +129,40 @@ fn bench_cycle_search_anomalous(c: &mut Criterion) {
     g.finish();
 }
 
+/// Loading an NDJSON event log, `NdjsonIngestor::feed_str` + `finish`,
+/// on the read-committed list-append log with 10 active keys: in the
+/// writer's compact layout, which the writer-layout lane reads, and
+/// spaced out (`, ` and `: `), which departs from that layout at the
+/// first key and so is read by the tolerant reader.
+fn bench_ingest_ndjson(c: &mut Criterion) {
+    use elle_history::{events_to_ndjson, NdjsonIngestor, RecoveryPolicy};
+    let n = if quick() { 4_000 } else { 16_000 };
+    let params = GenParams {
+        active_keys: 10,
+        ..GenParams::paper_perf(n)
+    }
+    .with_seed(n as u64);
+    let db = DbConfig::new(IsolationLevel::ReadCommitted, ObjectKind::ListAppend)
+        .with_processes(20)
+        .with_seed(n as u64 + 20);
+    let compact = events_to_ndjson(&elle_gen::run_workload_log(params, db));
+    let spaced = compact.replace(',', ", ").replace(':', ": ");
+
+    let mut g = c.benchmark_group("elle_ingest_ndjson");
+    g.sample_size(10);
+    for (layout, text) in [("compact", &compact), ("spaced", &spaced)] {
+        g.throughput(Throughput::Bytes(text.len() as u64));
+        g.bench_function(&format!("{layout}_{n}"), |b| {
+            b.iter(|| {
+                let mut ingestor = NdjsonIngestor::new(RecoveryPolicy::Strict);
+                ingestor.feed_str(text).expect("the generated log loads");
+                ingestor.finish()
+            })
+        });
+    }
+    g.finish();
+}
+
 /// One epoch's incremental seal versus re-running the batch checker on
 /// the same prefix: the streaming pitch in one number. The stream is
 /// pre-ingested up to the final epoch; the benchmark then measures the
@@ -229,6 +263,7 @@ criterion_group!(
     bench_anomalous,
     bench_acyclic_certificate,
     bench_cycle_search_anomalous,
+    bench_ingest_ndjson,
     bench_stream_epoch
 );
 criterion_main!(benches);

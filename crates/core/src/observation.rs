@@ -345,15 +345,25 @@ impl ElemIndex {
 
     /// Bytes resident in the index's postings — deterministic (based on
     /// entry counts, not allocator capacities) so windowed residency
-    /// metering reproduces across runs.
+    /// metering reproduces across runs. O(1): every slab entry is
+    /// counted in [`ElemIndex::len`].
     pub fn resident_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(Elem, WriteRef)>();
-        let postings: usize = self
-            .slabs
-            .iter()
-            .map(|s| (s.sorted.len() + s.tail.len()) * entry)
-            .sum();
-        postings + self.keys.len() * (std::mem::size_of::<Key>() + std::mem::size_of::<u32>())
+        self.postings_bytes(self.len)
+    }
+
+    /// [`ElemIndex::resident_bytes`], counted slab by slab.
+    pub(crate) fn recount_resident_bytes(&self) -> usize {
+        self.postings_bytes(
+            self.slabs
+                .iter()
+                .map(|s| s.sorted.len() + s.tail.len())
+                .sum(),
+        )
+    }
+
+    fn postings_bytes(&self, entries: usize) -> usize {
+        entries * std::mem::size_of::<(Elem, WriteRef)>()
+            + self.keys.len() * (std::mem::size_of::<Key>() + std::mem::size_of::<u32>())
     }
 
     /// Index one transaction's element-carrying writes. Feed

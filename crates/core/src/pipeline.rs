@@ -549,6 +549,10 @@ pub struct Analysis {
     /// Smallest member of any cyclic SCC of the last sealed graph.
     cyclic_floor: Option<u32>,
     retired: Retired,
+    /// The cached per-key results' share of
+    /// [`Analysis::resident_bytes`], summed where they change: at each
+    /// seal and retirement.
+    sink_bytes: usize,
 }
 
 /// The all-keys scope: analyze a whole history in one seal, building
@@ -588,6 +592,7 @@ impl Analysis {
             key_types_changed: false,
             cyclic_floor: None,
             retired: Retired::default(),
+            sink_bytes: 0,
         }
     }
 
@@ -671,6 +676,7 @@ impl Analysis {
         let report = self.report(history, cycles);
         timings.record("report assembly", clock);
         timings.pool_peak = crate::pool::take_peak_bytes();
+        self.sink_bytes = self.sum_sink_bytes();
         Sealed {
             report,
             timings,
@@ -1227,24 +1233,47 @@ impl Analysis {
         keys.extend(retiring);
         keys.sort_unstable();
         keys.dedup();
+        self.sink_bytes = self.sum_sink_bytes();
     }
 
     /// A deterministic estimate of the resident state, in bytes:
     /// length-based, never capacity-based, so identical streams report
-    /// identical gauges.
+    /// identical gauges. O(1), so a caller may meter every event.
     pub fn resident_bytes(&self) -> usize {
+        self.non_sink_bytes(self.elems.resident_bytes()) + self.sink_bytes
+    }
+
+    /// [`Analysis::resident_bytes`], recounted from every cached
+    /// per-key result and index slab: the reference the running totals
+    /// are tested against.
+    #[doc(hidden)]
+    pub fn recount_resident_bytes(&self) -> usize {
+        self.non_sink_bytes(self.elems.recount_resident_bytes()) + self.sum_sink_bytes()
+    }
+
+    /// Everything but the per-key results, given the element index's
+    /// share.
+    fn non_sink_bytes(&self, elems: usize) -> usize {
         use std::mem::size_of;
-        let mut total = self.postings.sorted.len() * size_of::<(Key, TxnId)>()
-            + self.elems.resident_bytes()
-            + self.deps.resident_bytes();
-        for sink in self.caches.iter().flat_map(|c| c.sinks.values()) {
-            total += sink.edges.len() * size_of::<Edge>()
-                + sink.observed_elems.len() * size_of::<Elem>()
-                + sink.anomalies.len() * size_of::<Arc<Anomaly>>();
-        }
-        total +=
-            (self.coverage.pairs.len() + self.coverage.observed.len()) * size_of::<(Key, Elem)>();
-        total + self.orders.realtime.resident_bytes() + self.orders.timestamp.resident_bytes()
+        self.postings.sorted.len() * size_of::<(Key, TxnId)>()
+            + elems
+            + self.deps.resident_bytes()
+            + (self.coverage.pairs.len() + self.coverage.observed.len()) * size_of::<(Key, Elem)>()
+            + self.orders.realtime.resident_bytes()
+            + self.orders.timestamp.resident_bytes()
+    }
+
+    fn sum_sink_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.caches
+            .iter()
+            .flat_map(|c| c.sinks.values())
+            .map(|sink| {
+                sink.edges.len() * size_of::<Edge>()
+                    + sink.observed_elems.len() * size_of::<Elem>()
+                    + sink.anomalies.len() * size_of::<Arc<Anomaly>>()
+            })
+            .sum()
     }
 
     /// Capture what retirement folded out of the state, for a

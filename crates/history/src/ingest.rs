@@ -295,7 +295,7 @@ impl NdjsonIngestor {
                 };
             }
         };
-        match self.pairer.feed_with(&ev, self.policy) {
+        match self.pairer.feed_with(ev, self.policy) {
             Ok(Recovered::Ingested(i)) => Ok(Some(i)),
             Ok(recovered) => {
                 if let Some(d) = recovered.diagnostic(pos) {

@@ -81,6 +81,15 @@ fn mops_compatible(invocation: &[Mop], completion: &[Mop]) -> bool {
             .all(|(i, c)| *i == c.to_invocation())
 }
 
+/// The status a completion of kind `kind` records.
+fn completion_status(kind: EventKind) -> TxnStatus {
+    match kind {
+        EventKind::Ok => TxnStatus::Committed,
+        EventKind::Fail => TxnStatus::Aborted,
+        _ => TxnStatus::Indeterminate,
+    }
+}
+
 impl EventLog {
     /// Pair invocations with completions, producing a [`History`].
     ///
@@ -114,11 +123,7 @@ impl EventLog {
                             process: ev.process,
                         });
                     }
-                    let status = match ev.kind {
-                        EventKind::Ok => TxnStatus::Committed,
-                        EventKind::Fail => TxnStatus::Aborted,
-                        _ => TxnStatus::Indeterminate,
-                    };
+                    let status = completion_status(ev.kind);
                     // Database-exposed timestamps travel on the events:
                     // start on the invocation, commit on an Ok completion.
                     let timestamps = match (inv.time_ns, ev.time_ns, ev.kind) {
@@ -173,7 +178,7 @@ impl EventLog {
                 line: i + 1,
                 byte: 0,
             };
-            match pairer.feed_with(ev, policy) {
+            match pairer.feed_with(ev.clone(), policy) {
                 Ok(recovered) => {
                     if let Some(d) = recovered.diagnostic(pos) {
                         diagnostics.push(d);
@@ -209,12 +214,21 @@ pub enum Ingest {
 /// This is the frontier the `elle-stream` checker carries: the only
 /// state besides the paired history itself is the open-invocation table,
 /// so raw events can be dropped as soon as they are fed.
+///
+/// Events are fed by value and moved into the history, so no mop is
+/// copied: an invocation's mops become its transaction's, and a
+/// completion's replace them. A violation the recovery ladder repairs
+/// (an adopted orphan, an abandoned invocation) moves the event the
+/// same way; one it drops, or one [`RecoveryPolicy::Strict`] refuses,
+/// is dropped with its error.
 #[derive(Debug, Default)]
 pub struct StreamingPairer {
     history: History,
     /// Open invocation per process: transaction id + invoke timestamp.
     open: FxHashMap<ProcessId, (TxnId, Option<u64>)>,
     last_index: Option<usize>,
+    /// Mops held by the retained transactions.
+    mops: usize,
 }
 
 impl StreamingPairer {
@@ -240,6 +254,12 @@ impl StreamingPairer {
     /// the oldest open id — so the open table is untouched.
     pub fn retire_prefix(&mut self, r: u32) {
         debug_assert!(self.open.values().all(|&(id, _)| id.0 >= r));
+        let base = self.history.base();
+        let n = (r.saturating_sub(base) as usize).min(self.history.txns().len());
+        self.mops -= self.history.txns()[..n]
+            .iter()
+            .map(|t| t.mops.len())
+            .sum::<usize>();
         self.history.retire_prefix(r);
     }
 
@@ -248,6 +268,12 @@ impl StreamingPairer {
     /// [`EventLog::pair`] renders them at history end.
     pub fn history(&self) -> &History {
         &self.history
+    }
+
+    /// Micro-operations held by the retained transactions: the
+    /// history's [`History::mop_count`], kept as it changes.
+    pub fn retained_mops(&self) -> usize {
+        self.mops
     }
 
     /// Number of invocations currently awaiting completion.
@@ -269,56 +295,53 @@ impl StreamingPairer {
         entries
     }
 
-    /// Feed the next event.
-    pub fn feed(&mut self, ev: &Event) -> Result<Ingest, PairingError> {
+    /// Feed the next event. The event is moved into the history: an
+    /// invocation becomes a transaction, and a completion's mops
+    /// replace its invocation's.
+    pub fn feed(&mut self, ev: Event) -> Result<Ingest, PairingError> {
+        self.try_feed(ev).map_err(|(e, _)| e)
+    }
+
+    /// [`StreamingPairer::feed`], handing the event back on error so
+    /// recovery can still move it.
+    fn try_feed(&mut self, ev: Event) -> Result<Ingest, (PairingError, Event)> {
         if self.last_index.is_some_and(|last| ev.index <= last) {
-            return Err(PairingError::NonMonotonicIndex { index: ev.index });
+            return Err((PairingError::NonMonotonicIndex { index: ev.index }, ev));
         }
         self.last_index = Some(ev.index);
         match ev.kind {
             EventKind::Invoke => {
-                let id = TxnId(self.history.len() as u32);
                 if self.open.contains_key(&ev.process) {
-                    return Err(PairingError::OverlappingInvoke {
+                    let err = PairingError::OverlappingInvoke {
                         index: ev.index,
                         process: ev.process,
-                    });
+                    };
+                    return Err((err, ev));
                 }
-                self.open.insert(ev.process, (id, ev.time_ns));
-                self.history.txns_mut().push(Transaction {
-                    id,
-                    process: ev.process,
-                    mops: ev.mops.clone(),
-                    status: TxnStatus::Indeterminate,
-                    invoke_index: ev.index,
-                    complete_index: None,
-                    timestamps: None,
-                });
-                Ok(Ingest::Invoked(id))
+                Ok(Ingest::Invoked(self.admit(ev)))
             }
             EventKind::Ok | EventKind::Fail | EventKind::Info => {
-                let (id, invoke_ts) =
-                    self.open
-                        .remove(&ev.process)
-                        .ok_or(PairingError::CompletionWithoutInvoke {
-                            index: ev.index,
-                            process: ev.process,
-                        })?;
+                let Some((id, invoke_ts)) = self.open.remove(&ev.process) else {
+                    let err = PairingError::CompletionWithoutInvoke {
+                        index: ev.index,
+                        process: ev.process,
+                    };
+                    return Err((err, ev));
+                };
                 let txn = self.history.get_mut(id);
                 if !mops_compatible(&txn.mops, &ev.mops) {
                     // Restore the open entry: the caller may recover.
                     self.open.insert(ev.process, (id, invoke_ts));
-                    return Err(PairingError::MismatchedMops {
+                    let err = PairingError::MismatchedMops {
                         index: ev.index,
                         process: ev.process,
-                    });
+                    };
+                    return Err((err, ev));
                 }
-                txn.status = match ev.kind {
-                    EventKind::Ok => TxnStatus::Committed,
-                    EventKind::Fail => TxnStatus::Aborted,
-                    _ => TxnStatus::Indeterminate,
-                };
-                txn.mops = ev.mops.clone();
+                // Compatible mops are equally many, so the retained mop
+                // count is unchanged.
+                txn.status = completion_status(ev.kind);
+                txn.mops = ev.mops;
                 txn.complete_index = Some(ev.index);
                 txn.timestamps = match (invoke_ts, ev.time_ns, ev.kind) {
                     (Some(s), Some(c), EventKind::Ok) => Some((s, c)),
@@ -329,7 +352,29 @@ impl StreamingPairer {
         }
     }
 
-    /// Feed the next event under a [`RecoveryPolicy`].
+    /// Open a transaction for invocation `ev` and return its id.
+    fn admit(&mut self, ev: Event) -> TxnId {
+        let id = TxnId(self.history.len() as u32);
+        self.open.insert(ev.process, (id, ev.time_ns));
+        self.push(Transaction {
+            id,
+            process: ev.process,
+            mops: ev.mops,
+            status: TxnStatus::Indeterminate,
+            invoke_index: ev.index,
+            complete_index: None,
+            timestamps: None,
+        });
+        id
+    }
+
+    fn push(&mut self, txn: Transaction) {
+        self.mops += txn.mops.len();
+        self.history.txns_mut().push(txn);
+    }
+
+    /// Feed the next event under a [`RecoveryPolicy`], moving it into
+    /// the history as [`StreamingPairer::feed`] does.
     ///
     /// `Strict` is exactly [`StreamingPairer::feed`]. `Quarantine` turns
     /// each pairing violation into a repair (see [`crate::ingest`] for
@@ -343,12 +388,12 @@ impl StreamingPairer {
     ///   stays open
     pub fn feed_with(
         &mut self,
-        ev: &Event,
+        ev: Event,
         policy: RecoveryPolicy,
     ) -> Result<Recovered, PairingError> {
-        let err = match self.feed(ev) {
+        let (err, ev) = match self.try_feed(ev) {
             Ok(i) => return Ok(Recovered::Ingested(i)),
-            Err(e) => e,
+            Err(failed) => failed,
         };
         if policy == RecoveryPolicy::Strict {
             return Err(err);
@@ -366,18 +411,14 @@ impl StreamingPairer {
             // observed by the client, so data flow is exact — only the
             // real-time interval collapses.
             PairingError::CompletionWithoutInvoke { .. } => {
-                // `feed` advanced `last_index` before failing, so the
+                // `try_feed` advanced `last_index` before failing, so the
                 // event must be admitted inline, not re-fed.
                 let id = TxnId(self.history.len() as u32);
-                self.history.txns_mut().push(Transaction {
+                self.push(Transaction {
                     id,
                     process: ev.process,
-                    mops: ev.mops.clone(),
-                    status: match ev.kind {
-                        EventKind::Ok => TxnStatus::Committed,
-                        EventKind::Fail => TxnStatus::Aborted,
-                        _ => TxnStatus::Indeterminate,
-                    },
+                    mops: ev.mops,
+                    status: completion_status(ev.kind),
                     invoke_index: ev.index,
                     complete_index: Some(ev.index),
                     timestamps: None,
@@ -394,17 +435,7 @@ impl StreamingPairer {
                 let Some((abandoned, _)) = self.open.remove(&ev.process) else {
                     return Ok(Recovered::Skipped(err));
                 };
-                let admitted = TxnId(self.history.len() as u32);
-                self.open.insert(ev.process, (admitted, ev.time_ns));
-                self.history.txns_mut().push(Transaction {
-                    id: admitted,
-                    process: ev.process,
-                    mops: ev.mops.clone(),
-                    status: TxnStatus::Indeterminate,
-                    invoke_index: ev.index,
-                    complete_index: None,
-                    timestamps: None,
-                });
+                let admitted = self.admit(ev);
                 Ok(Recovered::Abandoned {
                     abandoned,
                     admitted,
@@ -573,7 +604,7 @@ mod tests {
 
         let mut p = StreamingPairer::new();
         for (k, ev) in l.events().iter().enumerate() {
-            p.feed(ev).expect("well-formed log");
+            p.feed(ev.clone()).expect("well-formed log");
             let prefix = EventLog::from_events(l.events()[..=k].to_vec()).unwrap();
             assert_eq!(p.history(), &prefix.pair().unwrap(), "prefix {k}");
         }
@@ -592,7 +623,7 @@ mod tests {
             time_ns: None,
         };
         assert!(matches!(
-            p.feed(&ev),
+            p.feed(ev),
             Err(PairingError::CompletionWithoutInvoke { .. })
         ));
         // Overlapping invoke.
@@ -603,13 +634,13 @@ mod tests {
             mops: vec![Mop::append(1, 1)],
             time_ns: None,
         };
-        p.feed(&inv).unwrap();
+        p.feed(inv.clone()).unwrap();
         let inv2 = Event {
             index: 2,
             ..inv.clone()
         };
         assert!(matches!(
-            p.feed(&inv2),
+            p.feed(inv2),
             Err(PairingError::OverlappingInvoke { .. })
         ));
         // Mismatched mops leaves the invocation open.
@@ -621,7 +652,7 @@ mod tests {
             time_ns: None,
         };
         assert!(matches!(
-            p.feed(&bad_ok),
+            p.feed(bad_ok),
             Err(PairingError::MismatchedMops { .. })
         ));
         assert_eq!(p.open_count(), 1);
@@ -634,7 +665,7 @@ mod tests {
             time_ns: None,
         };
         assert!(matches!(
-            p.feed(&stale),
+            p.feed(stale),
             Err(PairingError::NonMonotonicIndex { .. })
         ));
     }
@@ -643,7 +674,7 @@ mod tests {
     fn streaming_pairer_carries_timestamps() {
         let mut p = StreamingPairer::new();
         let mut push = |index, kind, time_ns| {
-            p.feed(&Event {
+            p.feed(Event {
                 index,
                 process: ProcessId(0),
                 kind,

@@ -9,10 +9,15 @@
 //!   are re-rendered with whitespace, reordered keys, unknown and
 //!   duplicate keys, escaped keys and variant names, and numbers the
 //!   direct subset refuses (`1.0`, `-0`, out of range); then truncated
-//!   and bit-flipped.
+//!   and bit-flipped. Two systematic variations reach every point where
+//!   the writer-layout lane hands an object to the tolerant reader: one
+//!   space at each token boundary, and each pair of keys swapped.
+//! * **Exact lengths:** a loaded history's mops and list reads carry no
+//!   spare capacity, whichever direct tier decoded them.
 
 use elle_history::{
-    event_from_json, event_to_json, Elem, Event, EventKind, Mop, ProcessId, ReadValue,
+    event_from_json, event_to_json, Elem, Event, EventKind, Mop, NdjsonIngestor, ProcessId,
+    ReadValue, RecoveryPolicy,
 };
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -246,6 +251,84 @@ fn rerender(ev: &Event, style: Style, seed: u64) -> String {
     out
 }
 
+/// `line` with one space inserted at each token boundary in turn, the
+/// line's two ends included. Canonical lines hold no whitespace and no
+/// escapes, so every token is a punctuation byte, a string, or a run of
+/// number or `null` bytes.
+fn spaced_at_each_boundary(line: &str) -> Vec<String> {
+    let b = line.as_bytes();
+    let mut starts = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        starts.push(i);
+        i += match b[i] {
+            b'"' => 2 + b[i + 1..].iter().position(|&c| c == b'"').expect("closed"),
+            c if c.is_ascii_alphanumeric() || c == b'-' => b[i..]
+                .iter()
+                .take_while(|c| c.is_ascii_alphanumeric() || **c == b'-')
+                .count(),
+            _ => 1,
+        };
+    }
+    starts.push(b.len());
+    starts
+        .into_iter()
+        .map(|at| format!("{} {}", &line[..at], &line[at..]))
+        .collect()
+}
+
+/// `v` with one pair of keys of one object swapped, for every object
+/// and every pair.
+fn key_swaps(v: &Value) -> Vec<Value> {
+    let mut out = Vec::new();
+    match v {
+        Value::Map(entries) => {
+            for i in 0..entries.len() {
+                for j in i + 1..entries.len() {
+                    let mut swapped = entries.clone();
+                    swapped.swap(i, j);
+                    out.push(Value::Map(swapped));
+                }
+            }
+            for (k, (_, child)) in entries.iter().enumerate() {
+                for c in key_swaps(child) {
+                    let mut e = entries.clone();
+                    e[k].1 = c;
+                    out.push(Value::Map(e));
+                }
+            }
+        }
+        Value::Array(items) => {
+            for (k, item) in items.iter().enumerate() {
+                for c in key_swaps(item) {
+                    let mut a = items.clone();
+                    a[k] = c;
+                    out.push(Value::Array(a));
+                }
+            }
+        }
+        _ => {}
+    }
+    out
+}
+
+/// Every single-space and single-swap variation of `ev`'s canonical
+/// line decodes as the derived path does, and to `ev`.
+fn assert_variations_agree(ev: &Event) -> Result<(), String> {
+    let line = canonical(ev);
+    let mut lines = spaced_at_each_boundary(&line);
+    for swapped in key_swaps(&ev.serialize()) {
+        let mut out = String::new();
+        render(&swapped, Style::default(), &mut Dice(0), &mut out);
+        lines.push(out);
+    }
+    for line in &lines {
+        assert_same_decode(line)?;
+        prop_assert_eq!(event_from_json(line).as_ref(), Ok(ev), "input: {}", line);
+    }
+    Ok(())
+}
+
 // ── Properties ──────────────────────────────────────────────────────────
 
 proptest! {
@@ -307,6 +390,13 @@ proptest! {
         for cut in cuts.iter().step_by(cuts.len() / 64 + 1) {
             assert_same_decode(&line[..*cut])?;
         }
+    }
+
+    /// One space at any token boundary, or any one pair of keys
+    /// swapped, changes nothing.
+    #[test]
+    fn every_single_space_and_swap_agrees(ev in arb_event()) {
+        assert_variations_agree(&ev)?;
     }
 
     /// A single flipped bit anywhere agrees, whenever the result is
@@ -423,6 +513,71 @@ fn pinned_refusals_keep_the_generic_messages() {
             (Some(m), Err(e)) => assert_eq!(e.to_string(), m, "{line}"),
             (None, Ok(_)) => {}
             _ => panic!("{line}: unexpected generic result {want:?}"),
+        }
+    }
+}
+
+#[test]
+fn every_variant_survives_every_single_space_and_swap() {
+    for ev in every_variant() {
+        assert_variations_agree(&ev).unwrap();
+    }
+}
+
+/// A paired log of list-append transactions whose reads grow.
+fn list_log(txns: usize) -> Vec<Event> {
+    let mut events = Vec::new();
+    for t in 0..txns {
+        let (key, process) = ((t % 3) as u64, ProcessId((t % 4) as u32));
+        let read: Vec<u64> = (0..t as u64).filter(|e| e % 3 == key).collect();
+        for (kind, value) in [(EventKind::Invoke, None), (EventKind::Ok, Some(read))] {
+            let mut mops = vec![Mop::append(key, t as u64)];
+            mops.push(match value {
+                None => Mop::read(key),
+                Some(read) => Mop::read_list(key, read),
+            });
+            events.push(Event {
+                index: events.len(),
+                process,
+                kind,
+                mops,
+                time_ns: None,
+            });
+        }
+    }
+    events
+}
+
+/// The decoders copy mops and list reads out of their scratch at exact
+/// length, and pairing moves them, so a loaded history holds no spare
+/// capacity — in the writer's layout, with every line restarted in the
+/// tolerant reader, and with every mop restarted in it.
+#[test]
+fn loaded_histories_hold_vectors_at_exact_length() {
+    let compact: String = list_log(200)
+        .iter()
+        .map(|ev| canonical(ev) + "\n")
+        .collect();
+    for wire in [
+        compact.clone(),
+        compact.replace(',', ", ").replace(':', ": "),
+        compact.replace("\"key\":", "\"key\": "),
+    ] {
+        let mut ingestor = NdjsonIngestor::new(RecoveryPolicy::Strict);
+        ingestor.feed_str(&wire).unwrap();
+        let (history, _) = ingestor.finish();
+        assert_eq!(history.len(), 200);
+        for t in history.txns() {
+            assert_eq!(t.mops.capacity(), t.mops.len(), "{t:?}");
+            for m in &t.mops {
+                if let Mop::Read {
+                    value: Some(ReadValue::List(elems)),
+                    ..
+                } = m
+                {
+                    assert_eq!(elems.capacity(), elems.len(), "{m}");
+                }
+            }
         }
     }
 }

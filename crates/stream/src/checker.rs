@@ -30,7 +30,7 @@ use elle_core::pipeline::Analysis;
 use elle_core::{CheckOptions, Report, StageTimings};
 use elle_history::{
     Event, EventKind, History, Ingest, Mop, PairingError, Recovered, RecoveryPolicy,
-    StreamingPairer, Transaction, TxnId, TxnStatus,
+    StreamingPairer, TxnId, TxnStatus,
 };
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -224,17 +224,24 @@ impl StreamChecker {
     /// A deterministic estimate of resident incremental state, in
     /// bytes. Length-based (never capacity-based) so identical streams
     /// report identical gauges; element payloads (list read values) are
-    /// charged at their header size only.
+    /// charged at their header size only. O(1): the pairer counts the
+    /// retained mops and the analysis its per-key results as they
+    /// change, so a budget may be checked after every event.
     pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let txns: usize = self
-            .pairer
-            .history()
-            .txns()
-            .iter()
-            .map(|t| size_of::<Transaction>() + t.mops.len() * size_of::<Mop>())
-            .sum();
-        txns + self.analysis.resident_bytes()
+        std::mem::size_of_val(self.pairer.history().txns())
+            + self.pairer.retained_mops() * std::mem::size_of::<Mop>()
+            + self.analysis.resident_bytes()
+    }
+
+    /// [`StreamChecker::resident_bytes`], recounted over every retained
+    /// transaction and cached result: the reference the running totals
+    /// are tested against.
+    #[doc(hidden)]
+    pub fn recount_resident_bytes(&self) -> usize {
+        let history = self.pairer.history();
+        std::mem::size_of_val(history.txns())
+            + history.mop_count() * std::mem::size_of::<Mop>()
+            + self.analysis.recount_resident_bytes()
     }
 
     /// Window gauges, `Some` iff a bounded policy is active.
@@ -348,7 +355,7 @@ impl StreamChecker {
         ev: &Event,
         policy: RecoveryPolicy,
     ) -> Result<Recovered, PairingError> {
-        let recovered = self.pairer.feed_with(ev, policy)?;
+        let recovered = self.pairer.feed_with(ev.clone(), policy)?;
         let history = self.pairer.history();
         match &recovered {
             Recovered::Ingested(Ingest::Invoked(id)) => {

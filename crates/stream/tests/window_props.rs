@@ -5,7 +5,9 @@
 //! memory flat under a byte budget while the unbounded checker grows.
 
 use elle_core::{AnomalyType, CheckOptions};
-use elle_history::{events_from_ndjson, history_to_ndjson, Event, History, HistoryBuilder};
+use elle_history::{
+    events_from_ndjson, history_to_ndjson, Event, History, HistoryBuilder, RecoveryPolicy,
+};
 use elle_stream::{StreamChecker, WindowCarry, WindowPolicy};
 use proptest::prelude::*;
 
@@ -322,6 +324,46 @@ fn soak_resident_bytes_stays_flat_over_500_epochs() {
         final_unbounded > 4 * final_windowed,
         "unbounded ({final_unbounded}) must dwarf windowed ({final_windowed})"
     );
+}
+
+/// The resident-byte budget is read after every event, so
+/// `resident_bytes` is kept as running totals rather than summed over
+/// the stream. Under a byte budget whose seals retire, with quarantine
+/// repairs adopting orphans, abandoning opens and skipping duplicates,
+/// the running value must equal a full recount after every event and
+/// every seal.
+#[test]
+fn resident_bytes_equal_a_full_recount_after_every_event() {
+    for (i, kind) in KINDS.into_iter().enumerate() {
+        let h = rotating_history(kind, 0x5EED + i as u64, 300, 3, 4);
+        let events = events_of(&h);
+        let opts = CheckOptions::strict_serializable();
+        let mut checker = StreamChecker::with_window(opts, WindowPolicy::Bytes(8 * 1024));
+        for (n, ev) in events.iter().enumerate() {
+            // Lose every 11th event and deliver every 13th twice.
+            if n % 11 == 5 {
+                continue;
+            }
+            for _ in 0..1 + usize::from(n % 13 == 7) {
+                let _ = checker.ingest_event_with(ev, RecoveryPolicy::Quarantine);
+                assert_eq!(
+                    checker.resident_bytes(),
+                    checker.recount_resident_bytes(),
+                    "{kind:?}, after event {n}"
+                );
+            }
+            if n % 12 == 11 {
+                checker.seal_epoch();
+                assert_eq!(
+                    checker.resident_bytes(),
+                    checker.recount_resident_bytes(),
+                    "{kind:?}, after the seal at event {n}"
+                );
+            }
+        }
+        assert!(checker.retired_txns() > 0, "{kind:?}: the budget retires");
+        assert!(checker.quarantined() > 0, "{kind:?}: repairs ran");
+    }
 }
 
 /// Snapshot + restore under an active window, for every object kind:
