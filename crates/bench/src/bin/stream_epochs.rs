@@ -35,22 +35,15 @@ fn main() {
     let opts = CheckOptions::strict_serializable();
 
     let mut stream = StreamChecker::new(opts);
-    let mut txns_since = 0usize;
     let mut rows: Vec<String> = Vec::new();
-    let mut fed = 0usize;
-    let mut epoch_ix = 0usize;
-    while fed < events.len() {
-        let ev = &events[fed];
-        let is_invoke = ev.kind == elle_history::EventKind::Invoke;
+    for (i, ev) in events.iter().enumerate() {
         stream.ingest_event(ev).expect("well-formed stream");
-        fed += 1;
-        if is_invoke {
-            txns_since += 1;
-        }
-        if txns_since >= epoch_txns || fed == events.len() {
+        let fed = i + 1;
+        if stream.txns_this_epoch() >= epoch_txns || fed == events.len() {
             let t0 = Instant::now();
             let epoch = stream.seal_epoch();
             let seal_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let epoch_ix = epoch.epoch;
 
             // Batch re-check of the same prefix (the cost a non-
             // incremental service would pay per epoch). Sampled every
@@ -86,8 +79,6 @@ fn main() {
                 "epoch {epoch_ix}: prefix {} txns, seal {seal_ms:.1} ms, batch {batch_ms} ms",
                 epoch.txns
             );
-            txns_since = 0;
-            epoch_ix += 1;
         }
     }
 

@@ -420,51 +420,6 @@ pub fn analyze_keys<D: DatatypeAnalysis>(
     (pairs, gather)
 }
 
-/// The retained hash-map grouping the flat pipeline replaced, kept as a
-/// differential reference: identical `Occ` stream, but bucketed through
-/// `FxHashMap<Key, Vec<Occ>>` with an explicit key sort — the shape of
-/// the pre-flat gather. Property tests assert [`analyze_keys`] is
-/// byte-identical to this for every datatype and scheduling mode.
-#[doc(hidden)]
-pub fn analyze_keys_ref<D: DatatypeAnalysis>(
-    cx: &AnalysisCtx<'_, D::Config>,
-    poisoned: &FxHashSet<Key>,
-    mode: Parallelism,
-) -> Vec<(Key, KeySink)> {
-    let mut buf = GatherBuf::new();
-    let aux = D::gather(cx, &mut buf);
-    let (slots, items) = buf.into_parts();
-    let mut data: FxHashMap<Key, Vec<D::Occ<'_>>> = FxHashMap::default();
-    for (slot, occ) in slots.iter().zip(items) {
-        data.entry(cx.keys.key(*slot)).or_default().push(occ);
-    }
-    let mut keys_sorted: Vec<Key> = data.keys().copied().collect();
-    keys_sorted.sort_unstable();
-
-    let parallel = match mode {
-        Parallelism::Sequential => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto => {
-            keys_sorted.len() >= AUTO_PARALLEL_MIN_KEYS && !auto_forced_sequential()
-        }
-    };
-    let analyze_one = |key: &Key| {
-        let occs: &[D::Occ<'_>] = &data[key];
-        let mut sink = KeySink {
-            observed_elems: D::observed_elems(occs),
-            ..KeySink::default()
-        };
-        D::analyze_key(cx, &aux, *key, occs, poisoned.contains(key), &mut sink);
-        sink
-    };
-    let sinks: Vec<KeySink> = if parallel {
-        keys_sorted.par_iter().map(analyze_one).collect()
-    } else {
-        keys_sorted.iter().map(analyze_one).collect()
-    };
-    keys_sorted.into_iter().zip(sinks).collect()
-}
-
 // ── Shared passes ───────────────────────────────────────────────────────
 
 /// A datatype's verdict on one internal-consistency step: the message

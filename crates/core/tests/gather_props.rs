@@ -2,7 +2,7 @@
 //! arbitrary histories — poisoned keys, duplicate elements, aborted and
 //! info transactions, garbage reads — [`analyze_keys`] (packed
 //! `(slot, occurrence)` buffer + counting sort) must be **byte-for-byte**
-//! identical to [`analyze_keys_ref`], the retained hash-map grouping it
+//! identical to `analyze_keys_ref` below, the hash-map grouping it
 //! replaced (`FxHashMap<Key, Vec<Occ>>` + explicit key sort over the
 //! same occurrence stream): same key order, same anomaly vector
 //! (explanation strings included), same edges and witnesses, same
@@ -13,17 +13,54 @@
 
 use elle_core::counter::Counter;
 use elle_core::datatype::{
-    analyze_keys, analyze_keys_ref, duplicate_anomalies, AnalysisCtx, DatatypeAnalysis, KeySink,
-    Parallelism,
+    analyze_keys, duplicate_anomalies, AnalysisCtx, DatatypeAnalysis, KeySink, Parallelism,
 };
 use elle_core::list_append::ListAppend;
 use elle_core::rw_register::{RegisterOptions, RwRegister};
 use elle_core::set_add::SetAdd;
+use elle_core::GatherBuf;
 use elle_core::{KeyTypes, ProvenanceIndex};
 use elle_dbsim::{DbConfig, FaultPlan, IsolationLevel, ObjectKind};
 use elle_gen::{run_workload, GenParams};
 use elle_history::{History, Key};
 use proptest::prelude::*;
+use rayon::prelude::*;
+use rustc_hash::{FxHashMap, FxHashSet};
+
+/// The hash-map grouping the flat pipeline replaced, kept as the
+/// differential reference: the same `Occ` stream from `D::gather`, but
+/// bucketed through `FxHashMap<Key, Vec<Occ>>` with an explicit key
+/// sort — the shape of the pre-flat gather.
+fn analyze_keys_ref<D: DatatypeAnalysis>(
+    cx: &AnalysisCtx<'_, D::Config>,
+    poisoned: &FxHashSet<Key>,
+    mode: Parallelism,
+) -> Vec<(Key, KeySink)> {
+    let mut buf = GatherBuf::new();
+    let aux = D::gather(cx, &mut buf);
+    let (slots, items) = buf.into_parts();
+    let mut data: FxHashMap<Key, Vec<D::Occ<'_>>> = FxHashMap::default();
+    for (slot, occ) in slots.iter().zip(items) {
+        data.entry(cx.keys.key(*slot)).or_default().push(occ);
+    }
+    let mut keys_sorted: Vec<Key> = data.keys().copied().collect();
+    keys_sorted.sort_unstable();
+
+    let analyze_one = |key: &Key| {
+        let occs: &[D::Occ<'_>] = &data[key];
+        let mut sink = KeySink {
+            observed_elems: D::observed_elems(occs),
+            ..KeySink::default()
+        };
+        D::analyze_key(cx, &aux, *key, occs, poisoned.contains(key), &mut sink);
+        sink
+    };
+    let sinks: Vec<KeySink> = match mode {
+        Parallelism::Parallel => keys_sorted.par_iter().map(analyze_one).collect(),
+        _ => keys_sorted.iter().map(analyze_one).collect(),
+    };
+    keys_sorted.into_iter().zip(sinks).collect()
+}
 
 fn arb_history(kind: ObjectKind) -> impl Strategy<Value = History> {
     (

@@ -190,11 +190,19 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Decode one NDJSON event line, its newline and surrounding blanks
-/// ignored: `Ok(None)` for a blank line, an [`IngestCause::Decode`]
-/// error at `pos` for a line that is not an event.
+/// `s` without the JSON whitespace around it: space, tab, LF and CR.
+/// Other Unicode whitespace (U+00A0, U+2028, …) stays, so a line JSON
+/// rejects is still rejected.
+pub fn trim_json_ws(s: &str) -> &str {
+    s.trim_matches([' ', '\t', '\n', '\r'])
+}
+
+/// Decode one NDJSON event line, its newline and surrounding JSON
+/// whitespace ignored: `Ok(None)` for a blank line, an
+/// [`IngestCause::Decode`] error at `pos` for a line that is not an
+/// event.
 pub fn decode_event_line(raw: &str, pos: SourcePos) -> Result<Option<Event>, IngestError> {
-    let trimmed = raw.trim();
+    let trimmed = trim_json_ws(raw);
     if trimmed.is_empty() {
         return Ok(None);
     }

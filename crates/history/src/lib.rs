@@ -46,13 +46,14 @@ pub use event::{Event, EventKind, EventLog};
 pub use event_json::{event_from_json, event_to_json};
 pub use ids::{Elem, Key, ProcessId, TxnId};
 pub use ingest::{
-    decode_event_line, events_from_ndjson_with, Diagnostic, IngestCause, IngestError,
+    decode_event_line, events_from_ndjson_with, trim_json_ws, Diagnostic, IngestCause, IngestError,
     NdjsonIngestor, Recovered, RecoveryAction, RecoveryPolicy, SourcePos,
 };
 pub use mop::{Mop, ReadValue};
 pub use pairing::{Ingest, PairingError, StreamingPairer};
 pub use serde_io::{
-    events_from_ndjson, events_to_ndjson, history_from_json, history_to_json, history_to_ndjson,
+    events_from_ndjson, events_to_ndjson, history_from_json, history_to_events, history_to_json,
+    history_to_ndjson,
 };
 pub use snapshot::{snapshot_from_str, snapshot_to_string, SnapshotMeta, SNAPSHOT_VERSION};
 pub use txn::{History, Transaction, TxnStatus};

@@ -15,7 +15,7 @@
 //! re-pairing reproduces it exactly).
 
 use crate::ingest::{events_from_ndjson_with, IngestError, RecoveryPolicy};
-use crate::{event_to_json, Event, EventLog, History, Mop, TxnStatus};
+use crate::{event_to_json, Event, EventKind, EventLog, History, Mop, TxnId, TxnStatus};
 use serde::de::Error as _;
 
 /// Serialize a history to a JSON string.
@@ -59,49 +59,66 @@ pub fn events_from_ndjson(s: &str) -> Result<EventLog, IngestError> {
     events_from_ndjson_with(s, RecoveryPolicy::Strict).map(|(log, _)| log)
 }
 
-/// Export a history as an NDJSON event stream: each transaction becomes
-/// an invoke line (reads unresolved) and, when it completed, an
-/// `ok`/`fail`/`info` line, all sorted by event index.
+/// The event sequence a history pairs back from, sorted by index: each
+/// transaction becomes an invoke event (reads unresolved) and, when it
+/// completed, an `ok`/`fail`/`info` event. An adopted orphan (invoke
+/// and completion at one index) becomes its completion alone, which
+/// [`RecoveryPolicy::Quarantine`] pairing adopts again. Database
+/// timestamps travel as `time_ns`: the start on the invoke event, the
+/// commit on an `ok` event. An open invocation's start is not in the
+/// history; `open_start` supplies it (the streaming pairer's
+/// [`open_entries`](crate::StreamingPairer::open_entries)).
+pub fn history_to_events(h: &History, open_start: impl Fn(TxnId) -> Option<u64>) -> Vec<Event> {
+    let mut events: Vec<Event> = Vec::with_capacity(h.txns().len() * 2);
+    for t in h.txns() {
+        let kind = match t.status {
+            TxnStatus::Committed => EventKind::Ok,
+            TxnStatus::Aborted => EventKind::Fail,
+            TxnStatus::Indeterminate => EventKind::Info,
+        };
+        let completion = |index| Event {
+            index,
+            process: t.process,
+            kind,
+            mops: t.mops.clone(),
+            time_ns: match t.status {
+                TxnStatus::Committed => t.timestamps.map(|(_, c)| c),
+                _ => None,
+            },
+        };
+        match t.complete_index {
+            Some(ci) if ci == t.invoke_index => events.push(completion(ci)),
+            complete => {
+                events.push(Event {
+                    index: t.invoke_index,
+                    process: t.process,
+                    kind: EventKind::Invoke,
+                    mops: t.mops.iter().map(Mop::to_invocation).collect(),
+                    time_ns: t.timestamps.map(|(s, _)| s).or_else(|| open_start(t.id)),
+                });
+                events.extend(complete.map(completion));
+            }
+        }
+    }
+    events.sort_by_key(|e| e.index);
+    events
+}
+
+/// Export a history as an NDJSON event stream, one
+/// [`history_to_events`] event per line.
 ///
 /// Round-trip contract: for histories whose transaction order matches
 /// their invocation order and whose event indices are distinct (every
 /// paired or simulator-produced history; `HistoryBuilder` histories
 /// unless `at()` was used to break ties), `events_from_ndjson(...)
-/// .pair()` reproduces the history exactly. Database timestamps travel
-/// as `time_ns` on the invoke and ok lines, like a live harness would
-/// record them.
+/// .pair()` reproduces the history exactly, and `.pair_with` under
+/// [`RecoveryPolicy::Quarantine`] does so for a quarantined one
+/// (adopted orphans and abandoned invocations included). Database
+/// timestamps travel as `time_ns` on the invoke and ok lines, like a
+/// live harness would record them.
 pub fn history_to_ndjson(h: &History) -> String {
-    let mut events: Vec<Event> = Vec::new();
-    for t in h.txns() {
-        let invocation: Vec<Mop> = t.mops.iter().map(Mop::to_invocation).collect();
-        events.push(Event {
-            index: t.invoke_index,
-            process: t.process,
-            kind: crate::EventKind::Invoke,
-            mops: invocation,
-            time_ns: t.timestamps.map(|(s, _)| s),
-        });
-        if let Some(ci) = t.complete_index {
-            let kind = match t.status {
-                TxnStatus::Committed => crate::EventKind::Ok,
-                TxnStatus::Aborted => crate::EventKind::Fail,
-                TxnStatus::Indeterminate => crate::EventKind::Info,
-            };
-            events.push(Event {
-                index: ci,
-                process: t.process,
-                kind,
-                mops: t.mops.clone(),
-                time_ns: match t.status {
-                    TxnStatus::Committed => t.timestamps.map(|(_, c)| c),
-                    _ => None,
-                },
-            });
-        }
-    }
-    events.sort_by_key(|e| e.index);
     let mut s = String::new();
-    for ev in &events {
+    for ev in &history_to_events(h, |_| None) {
         event_to_json(ev, &mut s);
         s.push('\n');
     }

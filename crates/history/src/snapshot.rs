@@ -54,7 +54,9 @@ pub struct SnapshotMeta {
     pub quarantined: usize,
     /// Events ingested since the last seal (the partial epoch).
     pub events_this_epoch: usize,
-    /// Transactions invoked since the last seal. Together with
+    /// Transactions admitted since the last seal: new invocations,
+    /// adopted orphans and invocations admitted in place of abandoned
+    /// ones. Together with
     /// `events_this_epoch` this lets a restart resume watermark
     /// counting mid-epoch, so count-driven seal points — and with them
     /// epoch numbering — reproduce exactly.

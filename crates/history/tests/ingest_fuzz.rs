@@ -7,7 +7,9 @@
 //! * strict mode's abort and quarantine mode's diagnostics carry the
 //!   *exact* line number and byte offset of the damage;
 //! * quarantine mode always produces a history, and chunked delivery
-//!   is byte-for-byte equivalent to one-shot delivery.
+//!   is byte-for-byte equivalent to one-shot delivery;
+//! * only JSON whitespace may pad a line: other Unicode whitespace
+//!   around it is damage at that line.
 
 use elle_history::{
     events_from_ndjson_with, events_to_ndjson, EventKind, EventLog, IngestCause, Mop,
@@ -103,6 +105,35 @@ proptest! {
         ing.feed_str(torn).unwrap();
         let (h, _) = ing.finish();
         prop_assert!(h.len() <= build_log(&steps).pair().unwrap().len());
+    }
+
+    /// Space, tab and CR around a line are JSON whitespace and decode
+    /// to the same log. A no-break space or U+2028 is not: the padded
+    /// line is a decode error at its exact position under strict, and
+    /// the one quarantined line under quarantine.
+    #[test]
+    fn only_json_whitespace_pads_a_line(steps in arb_steps(), at in 0usize..1 << 20, pad in 0usize..4) {
+        let log = build_log(&steps);
+        let wire = events_to_ndjson(&log);
+        let line = at % wire.lines().count();
+        let (front, back) = [(" \t", "\t\r"), ("", "\r"), ("\u{a0}", ""), ("", "\u{2028}")][pad];
+        let padded: String = wire
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == line { format!("{front}{l}{back}\n") } else { format!("{l}\n") })
+            .collect();
+        let json_ws = pad < 2;
+        match events_from_ndjson_with(&padded, RecoveryPolicy::Strict) {
+            Ok((got, _)) => prop_assert!(json_ws && got == log),
+            Err(e) => {
+                prop_assert!(!json_ws);
+                prop_assert_eq!(e.pos.line, line + 1);
+                prop_assert_eq!(e.pos.byte, line_start(&padded, line + 1));
+                prop_assert!(matches!(e.cause, IngestCause::Decode { .. }));
+            }
+        }
+        let (_, diags) = events_from_ndjson_with(&padded, RecoveryPolicy::Quarantine).unwrap();
+        prop_assert_eq!(diags.len(), usize::from(!json_ws));
     }
 
     /// A single flipped bit never panics either policy; quarantine

@@ -24,8 +24,9 @@ pub struct ServeConfig {
     /// one tenant is always served by one worker (serial per tenant,
     /// parallel across tenants, no locks around checkers).
     pub workers: usize,
-    /// Seal a tenant's epoch every this many newly invoked
-    /// transactions.
+    /// Seal a tenant's epoch every this many transactions its checker
+    /// admitted (`StreamChecker::txns_this_epoch`: a resent duplicate
+    /// does not count, an adopted orphan does).
     pub epoch_txns: Option<usize>,
     /// Seal a tenant's epoch every this many ingested events.
     pub epoch_events: Option<usize>,
@@ -96,10 +97,10 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Does the given counter state hit an epoch watermark?
-    pub(crate) fn watermark_due(&self, txns_since: usize, events_since: usize) -> bool {
-        self.epoch_txns.is_some_and(|n| txns_since >= n.max(1))
-            || self.epoch_events.is_some_and(|n| events_since >= n.max(1))
+    /// Do an epoch's transaction and event counts hit a watermark?
+    pub(crate) fn watermark_due(&self, txns: usize, events: usize) -> bool {
+        self.epoch_txns.is_some_and(|n| txns >= n.max(1))
+            || self.epoch_events.is_some_and(|n| events >= n.max(1))
     }
 }
 

@@ -15,6 +15,7 @@
 use crate::config::ServeConfig;
 use crate::tenant::{IngestReply, Tenant, TenantFinal};
 use crate::wire::{self, parse_request, Request, WireError};
+use elle_history::trim_json_ws;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -149,7 +150,7 @@ impl Server {
     /// accepted lines are enqueued to the owning worker and processed
     /// asynchronously. Every response goes through `sink`.
     pub fn submit(&self, line: &str, sink: &Sink) -> Submitted {
-        if line.trim().is_empty() {
+        if trim_json_ws(line).is_empty() {
             return Submitted::Ok;
         }
         if line.len() > self.shared.cfg.max_line_bytes {

@@ -70,7 +70,8 @@ pub struct Checkpoint {
     pub quarantined: usize,
     /// Events ingested since the last seal (the partial epoch).
     pub events_this_epoch: usize,
-    /// Transactions invoked since the last seal.
+    /// Transactions the checker admitted since the last seal
+    /// (`StreamChecker::txns_this_epoch`).
     pub txns_since_seal: usize,
     /// Soft-rung forced-seal count.
     pub budget_seals: usize,

@@ -1,5 +1,7 @@
-//! One tenant: a [`StreamChecker`] plus its durability, watermark
-//! counters, and degradation state.
+//! One tenant: a [`StreamChecker`] plus its durability and degradation
+//! state. The checker counts each epoch's transactions, events and
+//! quarantined lines; the tenant reads those counts for its watermarks
+//! and checkpoints and keeps no copies.
 //!
 //! The degradation ladder, mildest first:
 //!
@@ -23,7 +25,7 @@
 
 use crate::config::ServeConfig;
 use crate::store::{Checkpoint, JournalLine, Restored, TenantStore};
-use elle_history::{Event, Recovered, RecoveryPolicy, SnapshotMeta};
+use elle_history::{trim_json_ws, Event, Recovered, RecoveryPolicy, SnapshotMeta};
 use elle_stream::{EpochReport, Gauges, Replay, StreamChecker, WindowCarry, WindowPolicy};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -91,8 +93,6 @@ pub struct Tenant {
     checker: StreamChecker,
     store: Option<TenantStore>,
     recovery: RecoveryPolicy,
-    txns_since_seal: usize,
-    events_since_seal: usize,
     /// Journal lines since the last checkpoint or compaction.
     lines_since_checkpoint: usize,
     /// Journal bytes since the last compaction of lines the checker
@@ -110,7 +110,6 @@ pub struct Tenant {
     /// resident until then, so the budget ladder decides as the
     /// uninterrupted run did.
     resident_credit: usize,
-    cli_quarantined: usize,
     forced_seals: usize,
     /// Retirement seals forced by the soft resident-byte rung.
     budget_seals: usize,
@@ -196,6 +195,7 @@ impl Tenant {
             counters.epoch,
             counters.quarantined,
             counters.events_this_epoch,
+            counters.txns_since_seal,
         );
         // A carried window policy wins over the config: a budget-forced
         // tightening must survive restart, or a crash loop would reset
@@ -220,12 +220,9 @@ impl Tenant {
             checker,
             store,
             recovery: cfg.recovery,
-            txns_since_seal: counters.txns_since_seal,
-            events_since_seal: counters.events_this_epoch,
             lines_since_checkpoint: 0,
             journal_live,
             journal_skipped,
-            cli_quarantined: 0,
             forced_seals: 0,
             budget_seals: counters.budget_seals,
             forced_window: counters.forced_window,
@@ -300,7 +297,7 @@ impl Tenant {
     ) -> io::Result<IngestReply> {
         self.lines_since_checkpoint += 1;
         self.journal_skipped += bytes;
-        self.cli_quarantined += 1;
+        self.checker.quarantine_line();
         let mut reply = IngestReply::default();
         match self.recovery {
             RecoveryPolicy::Strict => {
@@ -350,9 +347,6 @@ impl Tenant {
                 } else {
                     self.journal_live += bytes;
                 }
-                if invokes_txn(&recovered) {
-                    self.txns_since_seal += 1;
-                }
             }
             Err(e) => {
                 // Strict mode: the first pairing violation fails the
@@ -364,11 +358,13 @@ impl Tenant {
                 return Ok(reply);
             }
         }
-        self.events_since_seal += 1;
         if self.epoch_opened.is_none() {
             self.epoch_opened = Some(Instant::now());
         }
-        if cfg.watermark_due(self.txns_since_seal, self.events_since_seal) {
+        if cfg.watermark_due(
+            self.checker.txns_this_epoch(),
+            self.checker.events_this_epoch(),
+        ) {
             reply.sealed = Some(self.seal_epoch()?);
         }
         if reply.sealed.is_none() {
@@ -435,8 +431,6 @@ impl Tenant {
     fn seal_epoch(&mut self) -> io::Result<String> {
         let epoch = self.checker.seal_epoch_guarded();
         self.resident_credit = 0;
-        self.txns_since_seal = 0;
-        self.events_since_seal = 0;
         self.epoch_opened = None;
         let line = self.envelope(&epoch);
         if let Some(store) = &mut self.store {
@@ -512,18 +506,11 @@ impl Tenant {
             self.name,
             self.checker.epochs_sealed(),
             self.checker.txn_count(),
-            self.events_since_seal,
-            self.quarantined_total(),
+            self.checker.events_this_epoch(),
+            self.checker.quarantined(),
             self.forced_seals,
             self.failed.is_some(),
         )
-    }
-
-    fn quarantined_total(&self) -> usize {
-        // After a restore the checker's counter already carries the
-        // decode-level count from before the restart, so the sum equals
-        // an uninterrupted run's.
-        self.checker.quarantined() + self.cli_quarantined
     }
 
     /// The checker's resident bytes, as an uninterrupted run's checker
@@ -537,9 +524,9 @@ impl Tenant {
         let policy = self.checker.window_policy();
         Checkpoint {
             epoch: self.checker.epochs_sealed(),
-            quarantined: self.quarantined_total(),
+            quarantined: self.checker.quarantined(),
             events_this_epoch: self.checker.events_this_epoch(),
-            txns_since_seal: self.txns_since_seal,
+            txns_since_seal: self.checker.txns_this_epoch(),
             budget_seals: self.budget_seals,
             forced_window: self.forced_window,
             over_soft: self.over_soft,
@@ -614,7 +601,6 @@ impl Tenant {
     fn envelope(&self, epoch: &EpochReport) -> String {
         let mut gauges = String::new();
         Gauges {
-            quarantined: self.quarantined_total(),
             forced_seals: self.forced_seals,
             budget_seals: self.budget_seals,
             forced_window: self.forced_window,
@@ -645,7 +631,8 @@ pub fn solo_verdict(cfg: &ServeConfig, tenant: &str, lines: &[String]) -> String
     cfg.data_dir = None;
     let (mut t, _) = Tenant::open(tenant, &cfg).expect("ephemeral tenants cannot fail to open");
     for line in lines {
-        if line.trim().is_empty() || line.len() > cfg.max_line_bytes || t.failed().is_some() {
+        if trim_json_ws(line).is_empty() || line.len() > cfg.max_line_bytes || t.failed().is_some()
+        {
             continue;
         }
         match crate::wire::parse_request(line) {
@@ -659,16 +646,4 @@ pub fn solo_verdict(cfg: &ServeConfig, tenant: &str, lines: &[String]) -> String
         }
     }
     t.close().verdict
-}
-
-/// Did this recovery outcome admit a *new* transaction invocation?
-/// Drives the transaction-count epoch watermark.
-fn invokes_txn(r: &Recovered) -> bool {
-    use elle_history::Ingest;
-    matches!(
-        r,
-        Recovered::Ingested(Ingest::Invoked(_))
-            | Recovered::Adopted(..)
-            | Recovered::Abandoned { .. }
-    )
 }

@@ -26,7 +26,7 @@
 //! [`event_from_json`], with the staged parse's exact result.
 
 use crate::config::valid_tenant_id;
-use elle_history::{event_from_json, Event};
+use elle_history::{event_from_json, trim_json_ws, Event};
 use serde::{Deserialize, Value};
 
 /// One parsed request line.
@@ -88,9 +88,9 @@ impl WireError {
     }
 }
 
-/// Parse one request line.
+/// Parse one request line, the JSON whitespace around it ignored.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let line = line.trim();
+    let line = trim_json_ws(line);
     match tagged_event(line) {
         Some((tenant, event)) => Ok(Request::Event {
             tenant: tenant.to_string(),
@@ -204,7 +204,7 @@ pub fn warning(tenant: &str, message: &str) -> String {
 pub fn tag_event_line(tenant: &str, event_json: &str) -> String {
     format!(
         "{{\"tenant\":\"{tenant}\",\"event\":{}}}",
-        event_json.trim()
+        trim_json_ws(event_json)
     )
 }
 
@@ -274,6 +274,7 @@ mod tests {
             tag_event_line("t-1", &body),
             tag_event_line("t-1", &spaced),
             format!("  {{\"tenant\":\"a\",\"event\": {body} }}\n"),
+            format!("\t{}\r\n", tag_event_line("a", &body)),
             // op and event together resolve as the op, in either order.
             format!("{{\"tenant\":\"a\",\"event\":{body},\"op\":\"seal\"}}"),
             format!("{{\"tenant\":\"a\",\"op\":\"seal\",\"event\":{body}}}"),
@@ -294,7 +295,11 @@ mod tests {
         let whole = tag_event_line("t-1", &body);
         lines.extend((0..whole.len()).map(|cut| whole[..cut].to_string()));
         for line in &lines {
-            assert_eq!(parse_request(line), parse_staged(line.trim()), "{line}");
+            assert_eq!(
+                parse_request(line),
+                parse_staged(trim_json_ws(line)),
+                "{line}"
+            );
         }
         assert!(matches!(
             parse_request(&lines[0]),

@@ -29,8 +29,8 @@
 use elle_core::pipeline::Analysis;
 use elle_core::{CheckOptions, Report, StageTimings};
 use elle_history::{
-    Event, EventKind, History, Ingest, Mop, PairingError, Recovered, RecoveryPolicy,
-    StreamingPairer, TxnId, TxnStatus,
+    history_to_events, Event, History, Ingest, Mop, PairingError, Recovered, RecoveryPolicy,
+    StreamingPairer, TxnId,
 };
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -127,7 +127,7 @@ pub struct EpochReport {
 
 /// A portable capture of a [`StreamChecker`]'s rebuildable state: the
 /// synthesized accepted-event sequence (derived from the paired history
-/// and the open-invocation table) plus the counters replay cannot
+/// and the open-invocation table) plus the counts replay cannot
 /// recompute. Produced by [`StreamChecker::snapshot`], consumed by
 /// [`StreamChecker::restore`] — the crash-consistency primitive behind
 /// `elle-serve`'s per-tenant snapshots.
@@ -139,6 +139,8 @@ pub struct CheckerSnapshot {
     pub quarantined: usize,
     /// Events ingested since the last seal (the partial epoch).
     pub events_this_epoch: usize,
+    /// Transactions admitted since the last seal (the partial epoch).
+    pub txns_this_epoch: usize,
     /// The accepted event sequence, sorted by index. Replaying it under
     /// [`RecoveryPolicy::Quarantine`] reproduces the paired history and
     /// its transaction ids exactly.
@@ -165,6 +167,13 @@ pub struct WindowCarry {
 /// The incremental checker. Feed events with
 /// [`StreamChecker::ingest_event`]; seal epochs with
 /// [`StreamChecker::seal_epoch`] whenever a watermark fires.
+///
+/// The checker is the one owner of each epoch's counts: the
+/// transactions it admitted ([`StreamChecker::txns_this_epoch`]), the
+/// events it accepted ([`StreamChecker::events_this_epoch`]) and the
+/// quarantine gauge ([`StreamChecker::quarantined`]), lines that never
+/// became an event included ([`StreamChecker::quarantine_line`]).
+/// Drivers read them for their watermarks and keep no copies.
 #[derive(Debug)]
 pub struct StreamChecker {
     opts: CheckOptions,
@@ -172,8 +181,10 @@ pub struct StreamChecker {
     /// The shared pipeline's state, over the dirty-keys scope.
     analysis: Analysis,
     events_this_epoch: usize,
+    /// The history's length at the last seal.
+    txns_at_seal: usize,
     epoch: usize,
-    /// Events quarantined by the recovery policy since stream start.
+    /// Events and lines quarantined since stream start.
     quarantined: usize,
     /// Test hook: panic at the start of sealing this epoch ordinal, to
     /// exercise the poisoned-epoch recovery path deterministically.
@@ -189,6 +200,7 @@ impl StreamChecker {
             pairer: StreamingPairer::new(),
             analysis: Analysis::incremental(opts),
             events_this_epoch: 0,
+            txns_at_seal: 0,
             epoch: 0,
             quarantined: 0,
             panic_at_epoch: None,
@@ -381,9 +393,17 @@ impl StreamChecker {
         Ok(recovered)
     }
 
-    /// Events quarantined by the recovery policy since stream start.
+    /// Events quarantined by the recovery policy since stream start,
+    /// plus the lines counted by [`StreamChecker::quarantine_line`].
     pub fn quarantined(&self) -> usize {
         self.quarantined
+    }
+
+    /// Count a quarantined line that never became an event (it did not
+    /// decode, or outgrew a size limit) into
+    /// [`StreamChecker::quarantined`].
+    pub fn quarantine_line(&mut self) {
+        self.quarantined += 1;
     }
 
     /// Ingest every event of a log in order.
@@ -433,9 +453,15 @@ impl StreamChecker {
             poisoned: None,
             window,
         };
-        self.events_this_epoch = 0;
-        self.epoch += 1;
+        self.start_epoch();
         out
+    }
+
+    /// Open the next epoch: its counts start from zero.
+    fn start_epoch(&mut self) {
+        self.events_this_epoch = 0;
+        self.txns_at_seal = self.pairer.history().len();
+        self.epoch += 1;
     }
 
     /// Seal with panic isolation: a panic anywhere in the seal is
@@ -464,14 +490,9 @@ impl StreamChecker {
                     quarantined_events: self.quarantined,
                     ..StageTimings::default()
                 };
-                let events = self.events_this_epoch;
-                // The poisoned epoch is consumed: its delta is folded
-                // into the rebuilt (all-delta) state and the ordinal
-                // advances so the stream keeps its epoch numbering.
-                self.events_this_epoch = 0;
                 let out = EpochReport {
                     epoch: self.epoch,
-                    events,
+                    events: self.events_this_epoch,
                     txns: n,
                     report,
                     rebuilt: true,
@@ -484,7 +505,10 @@ impl StreamChecker {
                     poisoned: Some(message),
                     window: self.window_stats(),
                 };
-                self.epoch += 1;
+                // The poisoned epoch is consumed: its delta is folded
+                // into the rebuilt (all-delta) state and the ordinal
+                // advances so the stream keeps its epoch numbering.
+                self.start_epoch();
                 out
             }
         }
@@ -493,15 +517,16 @@ impl StreamChecker {
     /// Capture everything needed to reconstruct this checker in
     /// another process: the synthesized accepted-event sequence (the
     /// same replay path [`StreamChecker::seal_epoch_guarded`]'s
-    /// in-process recovery uses) plus the carried counters — the epoch
-    /// ordinal, the quarantine gauge, and the partial epoch's event
-    /// count — so a [`StreamChecker::restore`]d checker's next
-    /// [`EpochReport`] is byte-stable with the pre-crash numbering.
+    /// in-process recovery uses) plus the carried counts — the epoch
+    /// ordinal, the quarantine gauge, and the partial epoch's event and
+    /// transaction counts — so a [`StreamChecker::restore`]d checker's
+    /// next [`EpochReport`] is byte-stable with the pre-crash numbering.
     pub fn snapshot(&self) -> CheckerSnapshot {
         CheckerSnapshot {
             epoch: self.epoch,
             quarantined: self.quarantined,
             events_this_epoch: self.events_this_epoch,
+            txns_this_epoch: self.txns_this_epoch(),
             events: self.synthesize_events(),
             window: self.window_carry(),
         }
@@ -525,10 +550,11 @@ impl StreamChecker {
     /// synthesized events through a fresh checker under
     /// [`RecoveryPolicy::Quarantine`] (adopted orphans re-enter as bare
     /// completions and re-adopt; abandoned opens re-abandon), then
-    /// restore the epoch ordinal and quarantine gauge the replay itself
-    /// cannot know. The restored checker's next seal takes the full
-    /// batch-equivalent path, so its report is byte-identical to an
-    /// uninterrupted run's. [`Replay`] is the same rebuild in steps.
+    /// restore the epoch ordinal, quarantine gauge and partial epoch's
+    /// counts the replay itself cannot know. The restored checker's next
+    /// seal takes the full batch-equivalent path, so its report is
+    /// byte-identical to an uninterrupted run's. [`Replay`] is the same
+    /// rebuild in steps.
     pub fn restore(opts: CheckOptions, snap: &CheckerSnapshot) -> StreamChecker {
         let mut replay = Replay::new(opts, snap.window.as_ref());
         for ev in &snap.events {
@@ -537,12 +563,26 @@ impl StreamChecker {
             // absorbs them and reproduces the same transactions.
             let _ = replay.event(ev);
         }
-        replay.finish(snap.epoch, snap.quarantined, snap.events_this_epoch)
+        replay.finish(
+            snap.epoch,
+            snap.quarantined,
+            snap.events_this_epoch,
+            snap.txns_this_epoch,
+        )
     }
 
-    /// Events ingested since the last seal (the partial epoch).
+    /// Events accepted since the last seal (the partial epoch), a
+    /// skipped one included: the event watermark's count.
     pub fn events_this_epoch(&self) -> usize {
         self.events_this_epoch
+    }
+
+    /// Transactions admitted since the last seal (the partial epoch):
+    /// new invocations, adopted orphans and invocations admitted in
+    /// place of abandoned ones. A skipped event admits none. The
+    /// transaction watermark's count.
+    pub fn txns_this_epoch(&self) -> usize {
+        self.pairer.history().len() - self.txns_at_seal
     }
 
     /// The check options this checker judges against.
@@ -561,49 +601,9 @@ impl StreamChecker {
             .into_iter()
             .map(|(_, id, ts)| (id, ts))
             .collect();
-        let history = self.pairer.history();
-        let mut events: Vec<Event> = Vec::with_capacity(history.len() * 2);
-        for t in history.txns() {
-            let kind = match t.status {
-                TxnStatus::Committed => EventKind::Ok,
-                TxnStatus::Aborted => EventKind::Fail,
-                TxnStatus::Indeterminate => EventKind::Info,
-            };
-            match t.complete_index {
-                // Adopted orphan: one completion event, re-adopted on
-                // replay.
-                Some(ci) if ci == t.invoke_index => events.push(Event {
-                    index: ci,
-                    process: t.process,
-                    kind,
-                    mops: t.mops.clone(),
-                    time_ns: None,
-                }),
-                complete => {
-                    events.push(Event {
-                        index: t.invoke_index,
-                        process: t.process,
-                        kind: EventKind::Invoke,
-                        mops: t.mops.iter().map(Mop::to_invocation).collect(),
-                        time_ns: t
-                            .timestamps
-                            .map(|(s, _)| s)
-                            .or_else(|| open_ts.get(&t.id).copied().flatten()),
-                    });
-                    if let Some(ci) = complete {
-                        events.push(Event {
-                            index: ci,
-                            process: t.process,
-                            kind,
-                            mops: t.mops.clone(),
-                            time_ns: t.timestamps.map(|(_, c)| c),
-                        });
-                    }
-                }
-            }
-        }
-        events.sort_unstable_by_key(|e| e.index);
-        events
+        history_to_events(self.pairer.history(), |id| {
+            open_ts.get(&id).copied().flatten()
+        })
     }
 
     /// Rebuild every piece of incremental state from the paired history
@@ -660,12 +660,13 @@ impl<'a> Replay<'a> {
 
     /// The restored checker: the carry's retired facts folded back in,
     /// and the epoch ordinal, quarantine gauge and partial epoch's
-    /// event count set to the given values.
+    /// event and transaction counts set to the given values.
     pub fn finish(
         self,
         epoch: usize,
         quarantined: usize,
         events_this_epoch: usize,
+        txns_this_epoch: usize,
     ) -> StreamChecker {
         let mut checker = self.checker;
         if let Some(c) = self.window {
@@ -674,6 +675,11 @@ impl<'a> Replay<'a> {
         checker.epoch = epoch;
         checker.quarantined = quarantined;
         checker.events_this_epoch = events_this_epoch;
+        checker.txns_at_seal = checker
+            .pairer
+            .history()
+            .len()
+            .saturating_sub(txns_this_epoch);
         checker
     }
 }

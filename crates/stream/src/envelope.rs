@@ -64,12 +64,12 @@ impl EpochReport {
     }
 
     /// The gauges this epoch carries itself: its poison message,
-    /// quarantine count, forced seals and window.
+    /// quarantine count and window. The seal counts a driver forced
+    /// are the driver's to add.
     pub fn gauges(&self) -> Gauges<'_> {
         Gauges {
             poisoned: self.poisoned.as_deref(),
             quarantined: self.frontier.quarantined_events,
-            forced_seals: self.timings.forced_seals,
             window: self.window,
             ..Gauges::default()
         }

@@ -9,10 +9,13 @@ use std::time::{Duration, Instant};
 /// after every ingested event); the policy only answers "now?".
 #[derive(Debug, Clone, Copy)]
 pub struct EpochPolicy {
-    /// Seal after this many newly ingested transactions (counted at
-    /// invocation).
+    /// Seal after this many transactions the checker admitted
+    /// ([`StreamChecker::txns_this_epoch`](crate::StreamChecker::txns_this_epoch)):
+    /// new invocations, adopted orphans and invocations admitted in
+    /// place of abandoned ones. A resent duplicate does not count.
     pub txns: Option<usize>,
-    /// Seal after this many ingested events.
+    /// Seal after this many accepted events
+    /// ([`StreamChecker::events_this_epoch`](crate::StreamChecker::events_this_epoch)).
     pub events: Option<usize>,
     /// Seal when this much wall-clock time has passed since the last
     /// seal (for live tailing; meaningless for file replay).

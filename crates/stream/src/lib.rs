@@ -23,7 +23,8 @@
 //! Every stage of the seal is [`elle_core::pipeline`]'s: the batch
 //! checker runs the same sequence once over all keys, this crate runs
 //! it at every seal over the epoch's dirty keys. The stream crate owns
-//! only pairing, the ingest hooks, the window policy and its safety
+//! only pairing, the ingest hooks, each epoch's counts (the one source
+//! every driver's watermarks read), the window policy and its safety
 //! clamps, snapshot/restore, and poisoned-epoch isolation.
 //!
 //! ## The correctness anchor

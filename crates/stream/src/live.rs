@@ -11,7 +11,7 @@ use crate::{EpochPolicy, EpochReport, StreamChecker, WindowPolicy};
 use elle_core::CheckOptions;
 use elle_dbsim::{DbConfig, SimDb};
 use elle_gen::{GenParams, Workload};
-use elle_history::{EventKind, RecoveryPolicy};
+use elle_history::RecoveryPolicy;
 use std::time::Instant;
 
 /// Generate and run a workload against the simulator, checking it live.
@@ -38,23 +38,16 @@ pub fn run_live_windowed(
 ) -> EpochReport {
     let mut checker = StreamChecker::with_window(opts, window);
     let mut workload = Workload::new(params);
-    let mut txns_since = 0usize;
-    let mut events_since = 0usize;
     let mut since_seal = Instant::now();
     SimDb::new(db).run_with(&mut workload, |ev| {
         // The simulator emits well-formed streams, but a pairing slip
         // must not take the whole live run down: quarantine it and let
         // the diagnostic surface in the epoch's frontier stats.
         let _ = checker.ingest_event_with(ev, RecoveryPolicy::Quarantine);
-        events_since += 1;
-        if ev.kind == EventKind::Invoke {
-            txns_since += 1;
-        }
-        if policy.should_seal(txns_since, events_since, since_seal) {
+        let (txns, events) = (checker.txns_this_epoch(), checker.events_this_epoch());
+        if policy.should_seal(txns, events, since_seal) {
             let report = checker.seal_epoch_guarded();
             on_epoch(&report);
-            txns_since = 0;
-            events_since = 0;
             since_seal = Instant::now();
         }
     });

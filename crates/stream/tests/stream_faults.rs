@@ -1,17 +1,19 @@
 //! Failure-handling properties of the streaming checker: quarantined
 //! ingest degrades soundly instead of erroring, a panic inside a seal
 //! poisons exactly one epoch and the rebuilt state matches the batch
-//! checker afterwards, and simulator fault schedules stream end to end
-//! without a panic.
+//! checker afterwards, simulator fault schedules stream end to end
+//! without a panic, and the checker's epoch counts follow the recovery
+//! outcomes on damaged streams.
 
 use elle_core::{CheckOptions, Checker};
 use elle_dbsim::{DbConfig, FaultSchedule, IsolationLevel, ObjectKind};
 use elle_gen::GenParams;
 use elle_history::{
-    events_from_ndjson_with, history_to_ndjson, Event, EventKind, EventLog, Mop, ProcessId,
-    Recovered, RecoveryPolicy,
+    decode_event_line, events_from_ndjson_with, history_to_ndjson, Event, EventKind, EventLog,
+    Ingest, Mop, ProcessId, Recovered, RecoveryPolicy, SourcePos,
 };
 use elle_stream::StreamChecker;
+use proptest::prelude::*;
 
 fn ev(index: usize, p: u32, kind: EventKind, mops: Vec<Mop>) -> Event {
     Event {
@@ -281,4 +283,86 @@ fn round_trip_ndjson_under_strict_policy_is_lossless() {
         serde_json::to_string(&h).unwrap(),
         serde_json::to_string(&h2).unwrap()
     );
+}
+
+/// A checker's epoch transaction and event counts and its quarantine
+/// gauge.
+fn counts(s: &StreamChecker) -> (usize, usize, usize) {
+    (s.txns_this_epoch(), s.events_this_epoch(), s.quarantined())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On a wire damaged by duplicates, delays, lost events, torn lines
+    /// and crashed processes, the checker's counts are the recovery
+    /// outcomes': an epoch's transactions are its invocations, adopted
+    /// orphans and abandonments, its events every accepted event, and
+    /// the gauge every skipped, adopted and abandoned event plus every
+    /// line that did not decode. The counts survive snapshot and
+    /// restore, and every seal, a poisoned one included, resets both
+    /// epoch counts.
+    #[test]
+    fn the_checker_counts_each_epoch_by_its_recovery_outcomes(
+        seed in any::<u64>(),
+        seal_every in 1usize..12,
+        restore_every in 3usize..40,
+        poisoned_epoch in 0usize..6,
+    ) {
+        let params = GenParams::contended(60, ObjectKind::ListAppend).with_seed(seed);
+        let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
+            .with_processes(4)
+            .with_seed(seed);
+        let clean = elle_gen::run_workload_log(params, db);
+        let schedule = FaultSchedule {
+            seed,
+            duplicate_prob: 0.1,
+            delay_prob: 0.05,
+            drop_prob: 0.08,
+            torn_prob: 0.05,
+            crash_prob: 0.05,
+            ..FaultSchedule::none()
+        };
+        let (wire, _) = schedule.apply(&clean);
+        let opts = CheckOptions::serializable();
+        let mut s = StreamChecker::new(opts);
+        s.inject_seal_panic(poisoned_epoch);
+        let (mut txns, mut events, mut quarantined) = (0, 0, 0);
+        for (i, line) in wire.lines().enumerate() {
+            match decode_event_line(line, SourcePos::default()) {
+                Ok(None) => continue,
+                Err(_) => {
+                    s.quarantine_line();
+                    quarantined += 1;
+                }
+                Ok(Some(ev)) => {
+                    events += 1;
+                    match s.ingest_event_with(&ev, RecoveryPolicy::Quarantine).unwrap() {
+                        Recovered::Ingested(Ingest::Invoked(_)) => txns += 1,
+                        Recovered::Ingested(Ingest::Completed(_)) => {}
+                        Recovered::Skipped(_) => quarantined += 1,
+                        Recovered::Adopted(..) | Recovered::Abandoned { .. } => {
+                            txns += 1;
+                            quarantined += 1;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(counts(&s), (txns, events, quarantined), "line {}", i + 1);
+            if i % restore_every == restore_every - 1 {
+                let restored = StreamChecker::restore(opts, &s.snapshot());
+                prop_assert_eq!(counts(&restored), counts(&s), "restored at line {}", i + 1);
+                s = restored;
+                s.inject_seal_panic(poisoned_epoch);
+            }
+            if i % seal_every == seal_every - 1 {
+                let epoch = s.seal_epoch_guarded();
+                prop_assert_eq!(epoch.poisoned.is_some(), epoch.epoch == poisoned_epoch);
+                prop_assert_eq!(epoch.events, events);
+                prop_assert_eq!(epoch.frontier.quarantined_events, quarantined);
+                (txns, events) = (0, 0);
+                prop_assert_eq!(counts(&s), (0, 0, quarantined), "sealed at line {}", i + 1);
+            }
+        }
+    }
 }

@@ -17,9 +17,10 @@
 //! was poisoned by an internal checker error.
 
 use elle::cli::{self, read_line_capped, Args, Cli, LineRead, Status, Stop};
+use elle::core::StageTimings;
 use elle::history::{decode_event_line, IngestCause, IngestError, RecoveryPolicy, SourcePos};
 use elle::prelude::*;
-use elle::stream::{EpochPolicy, EpochReport, StreamChecker, WindowPolicy};
+use elle::stream::{EpochPolicy, EpochReport, Gauges, StreamChecker, WindowPolicy};
 use std::io::{self, BufRead, BufReader};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -65,13 +66,19 @@ The status is the final epoch's; 3 means its seal was poisoned by an
 internal checker error.",
 };
 
-fn emit(epoch: &EpochReport, as_json: bool, timing: bool) {
+/// Print one sealed epoch, with the seals the stalled-epoch watchdog
+/// forced so far among its gauges.
+fn emit(epoch: &EpochReport, as_json: bool, timing: bool, forced_seals: usize) {
     if as_json {
         // One self-contained JSON line per epoch; `report` is the full
         // batch-identical report object, after the gauges that appear
         // only when set (a poisoned epoch's `ok` is null).
         let mut gauges = String::new();
-        epoch.gauges().write(&mut gauges);
+        Gauges {
+            forced_seals,
+            ..epoch.gauges()
+        }
+        .write(&mut gauges);
         println!(
             "{{\"epoch\":{},\"txns\":{},\"events\":{},\"ok\":{},\"rebuilt\":{},\"open_txns\":{}{gauges},\"report\":{}}}",
             epoch.epoch,
@@ -109,8 +116,12 @@ fn emit(epoch: &EpochReport, as_json: bool, timing: bool) {
         }
     }
     if timing {
+        let timings = StageTimings {
+            forced_seals,
+            ..epoch.timings.clone()
+        };
         eprintln!("epoch {} timing:", epoch.epoch);
-        eprint!("{}", epoch.timings.render());
+        eprint!("{}", timings.render());
     }
 }
 
@@ -212,18 +223,14 @@ impl Lines<'_> {
     }
 }
 
-/// Seal (guarded), surface the CLI-level gauges on the report, emit.
+/// Seal (guarded) and emit.
 fn seal_and_emit(
     checker: &mut StreamChecker,
     cfg: &ReaderConfig,
     forced_seals: usize,
-    cli_quarantined: usize,
 ) -> EpochReport {
-    let mut epoch = checker.seal_epoch_guarded();
-    epoch.timings.forced_seals = forced_seals;
-    epoch.timings.quarantined_events += cli_quarantined;
-    epoch.frontier.quarantined_events += cli_quarantined;
-    emit(&epoch, cfg.as_json, cfg.timing);
+    let epoch = checker.seal_epoch_guarded();
+    emit(&epoch, cfg.as_json, cfg.timing, forced_seals);
     epoch
 }
 
@@ -243,12 +250,9 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
         lineno: 0,
         consumed: 0,
     };
-    let mut txns_since = 0usize;
-    let mut events_since = 0usize;
     let mut since_seal = Instant::now();
     let mut attempts = 0u32;
     let mut forced_seals = 0usize;
-    let mut cli_quarantined = 0usize;
     loop {
         let next = match lines.next() {
             Ok(next) => {
@@ -291,10 +295,6 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
                             }
                         }
                     }
-                    events_since += 1;
-                    if ev.kind == EventKind::Invoke {
-                        txns_since += 1;
-                    }
                     None
                 }
                 Err(err) => Some(err),
@@ -305,29 +305,23 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
                 return Err(err.to_string());
             }
             eprintln!("quarantined: {err} — line skipped");
-            cli_quarantined += 1;
+            checker.quarantine_line();
         }
         // Seal when events are pending and a watermark fired or the
         // epoch has stayed open longer than --max-epoch-ms.
-        let due = cfg.policy.should_seal(txns_since, events_since, since_seal);
+        let (txns, events) = (checker.txns_this_epoch(), checker.events_this_epoch());
+        let due = cfg.policy.should_seal(txns, events, since_seal);
         let forced = cfg.max_epoch.is_some_and(|m| since_seal.elapsed() >= m);
-        if (due || forced) && events_since > 0 {
+        if (due || forced) && events > 0 {
             if !due {
                 forced_seals += 1;
             }
-            seal_and_emit(&mut checker, cfg, forced_seals, cli_quarantined);
-            txns_since = 0;
-            events_since = 0;
+            seal_and_emit(&mut checker, cfg, forced_seals);
             since_seal = Instant::now();
         }
     }
     // Final seal at end of stream.
-    Ok(seal_and_emit(
-        &mut checker,
-        cfg,
-        forced_seals,
-        cli_quarantined,
-    ))
+    Ok(seal_and_emit(&mut checker, cfg, forced_seals))
 }
 
 fn main() -> ExitCode {
@@ -401,7 +395,7 @@ fn run(args: &mut Args) -> Result<Status, Stop> {
             .with_seed(0xE11E);
         let last =
             elle::stream::run_live_windowed(params, db, cfg.policy, cfg.opts, cfg.window, |e| {
-                emit(e, cfg.as_json, cfg.timing)
+                emit(e, cfg.as_json, cfg.timing, 0)
             });
         return Ok(Status::epoch(&last));
     }

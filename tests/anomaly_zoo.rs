@@ -378,3 +378,25 @@ fn zoo_fixture_verdicts_match_between_clis() {
         );
     }
 }
+
+#[test]
+fn quarantined_fixture_histories_round_trip_through_ndjson() {
+    // The salvaged history exports to NDJSON that re-imports and pairs
+    // back to it: an adopted orphan (invoke and completion at one index)
+    // exports as its completion alone, which quarantine adopts again;
+    // an abandoned invocation exports as an invoke the next one on its
+    // process overlaps again.
+    use elle::history::{events_from_ndjson, history_to_ndjson, NdjsonIngestor, RecoveryPolicy};
+    for name in ["crash_recovery.ndjson", "lost_ack.ndjson"] {
+        let raw = std::fs::read_to_string(fixture(name)).expect("fixture readable");
+        let mut ingestor = NdjsonIngestor::new(RecoveryPolicy::Quarantine);
+        ingestor.feed_str(&raw).expect("quarantine never errs");
+        let (salvaged, _) = ingestor.finish();
+        let export = history_to_ndjson(&salvaged);
+        let log = events_from_ndjson(&export).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (paired, _) = log
+            .pair_with(RecoveryPolicy::Quarantine)
+            .expect("quarantine never errs");
+        assert_eq!(paired, salvaged, "{name}: {export}");
+    }
+}

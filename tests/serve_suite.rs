@@ -238,20 +238,28 @@ fn oversized_and_malformed_lines_are_rejected_not_fatal() {
     let (sink, lines) = collecting_sink();
     let server = Server::start(cfg.clone(), Arc::clone(&sink)).unwrap();
     let log = tenant_log(77, 10);
-    server.submit(
-        &format!("{{\"tenant\":\"t\",\"event\":{}}}", "x".repeat(400)),
-        &sink,
-    );
-    server.submit("{torn json", &sink);
-    server.submit("{\"tenant\":\"../evil\",\"op\":\"seal\"}", &sink);
-    for line in tagged_lines("t", &log) {
-        server.submit(&line, &sink);
+    let wire = tagged_lines("t", &log);
+    let mut submitted = vec![
+        format!("{{\"tenant\":\"t\",\"event\":{}}}", "x".repeat(400)),
+        "{torn json".to_string(),
+        "{\"tenant\":\"../evil\",\"op\":\"seal\"}".to_string(),
+        // Unicode whitespace that JSON does not allow: neither blank
+        // nor JSON.
+        "\u{a0}".to_string(),
+        format!("{}\u{2028}", wire[0]),
+    ];
+    submitted.extend(wire);
+    for line in &submitted {
+        server.submit(line, &sink);
     }
     let finals = server.drain();
     let responses = lines.lock().unwrap().clone();
-    assert!(responses.iter().any(|l| l.contains("\"code\":400")));
+    let rejects = responses.iter().filter(|l| l.contains("\"code\":400"));
+    assert_eq!(rejects.count(), 5, "{responses:?}");
     let batch = Checker::new(cfg.opts).check(&log.pair().unwrap());
-    assert_eq!(final_for(&finals, "t").ok, Some(batch.ok()));
+    let served = final_for(&finals, "t");
+    assert_eq!(served.ok, Some(batch.ok()));
+    assert_eq!(served.verdict, solo_verdict(&cfg, "t", &submitted));
 }
 
 /// The tentpole differential: across 50 seeded multi-tenant schedules,
@@ -1084,5 +1092,50 @@ fn parent_data_directory_opens_and_continues_byte_identically() {
     let out = child.wait_with_output().expect("wait");
     assert!(out.status.success(), "{:?}", out.status);
     assert_eq!(String::from_utf8(out.stdout).unwrap(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Closing a tenant mid-epoch seals that epoch, so the checkpoint
+/// written at close records no transactions since the seal, and the
+/// tenant reopened from its data directory seals its next epoch at the
+/// full watermark.
+#[test]
+fn a_closed_tenant_reopens_at_a_fresh_epoch() {
+    let dir = tmp_dir("close_reopen");
+    let cfg = ServeConfig {
+        epoch_txns: Some(5),
+        data_dir: Some(dir.clone()),
+        ..small_cfg()
+    };
+    let lines = tagged_lines("c0", &tenant_log(29, 40));
+    let is_invoke = |line: &str| line.contains("\"kind\":\"Invoke\"");
+    let (mut t, _) = Tenant::open("c0", &cfg).unwrap();
+    let (mut seals, mut invokes, mut fed) = (0, 0, 0);
+    // Two invocations past the first seal, then close mid-epoch.
+    while seals == 0 || invokes < 2 {
+        invokes += usize::from(is_invoke(&lines[fed]));
+        if feed(&mut t, &cfg, &lines[fed]).is_some() {
+            seals += 1;
+            invokes = 0;
+        }
+        fed += 1;
+    }
+    t.close();
+    let journal = std::fs::read_to_string(journal_of(&dir.join("tenants/c0"))).unwrap();
+    let last = journal.lines().last().unwrap();
+    assert!(
+        is_checkpoint(last) && last.contains("\"events_this_epoch\":0,\"txns_since_seal\":0,"),
+        "{last}"
+    );
+
+    let (mut t, _) = Tenant::open("c0", &cfg).unwrap();
+    let mut invokes = 0;
+    for line in &lines[fed..] {
+        invokes += usize::from(is_invoke(line));
+        if feed(&mut t, &cfg, line).is_some() {
+            break;
+        }
+    }
+    assert_eq!(invokes, 5, "the first seal after reopening");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -369,3 +369,140 @@ fn follow_mode_resumes_a_partial_line() {
     );
     let _ = std::fs::remove_file(&path);
 }
+
+/// The `"epoch":N,"txns":N,"events":N` prefix of each verdict line,
+/// from `elle-stream --json` or `elle-serve` output alike.
+fn epoch_splits(stdout: &str) -> Vec<String> {
+    stdout
+        .lines()
+        .filter_map(|line| {
+            let at = line.find("\"epoch\":")?;
+            let len = line[at..].find(",\"ok\":")?;
+            Some(line[at..at + len].to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn stream_and_service_seal_a_damaged_stream_at_the_same_points() {
+    // `--epoch-txns` counts the transactions the checker admitted: an
+    // adopted orphan (the fixture's lost invocation) counts, a resent
+    // invocation does not. `elle-stream --quarantine` and `elle-serve`
+    // therefore seal at the same events.
+    let lost_ack = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/lost_ack.ndjson"
+    ))
+    .unwrap();
+    let invoke = r#"{"index":0,"process":0,"kind":"Invoke","mops":[{"Append":{"key":1,"elem":1}}],"time_ns":null}"#;
+    let resent = [
+        invoke,
+        invoke,
+        r#"{"index":1,"process":0,"kind":"Ok","mops":[{"Append":{"key":1,"elem":1}}],"time_ns":null}"#,
+        r#"{"index":2,"process":1,"kind":"Invoke","mops":[{"Read":{"key":1,"value":null}}],"time_ns":null}"#,
+        r#"{"index":3,"process":1,"kind":"Ok","mops":[{"Read":{"key":1,"value":{"List":[1]}}}],"time_ns":null}"#,
+    ]
+    .map(|l| format!("{l}\n"))
+    .concat();
+    for (name, wire, want) in [
+        (
+            "lost_ack",
+            lost_ack,
+            ["0,\"txns\":2,\"events\":3", "1,\"txns\":3,\"events\":2"],
+        ),
+        (
+            "resent",
+            resent,
+            ["0,\"txns\":2,\"events\":4", "1,\"txns\":2,\"events\":1"],
+        ),
+    ] {
+        let path = std::env::temp_dir().join(format!("elle_stream_cli_splits_{name}.ndjson"));
+        std::fs::write(&path, &wire).unwrap();
+        let out = stream_bin()
+            .arg(path.to_str().unwrap())
+            .args(["--quarantine", "--json", "--epoch-txns", "2"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
+        let streamed = epoch_splits(&String::from_utf8_lossy(&out.stdout));
+
+        let mut child = Command::new(env!("CARGO_BIN_EXE_elle-serve"))
+            .args(["--epoch-txns", "2"])
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("binary runs");
+        let tagged: String = wire
+            .lines()
+            .map(|l| format!("{{\"tenant\":\"t0\",\"event\":{l}}}\n"))
+            .collect();
+        std::io::Write::write_all(&mut child.stdin.take().unwrap(), tagged.as_bytes()).unwrap();
+        let out = child.wait_with_output().expect("wait");
+        assert_eq!(out.status.code(), Some(0), "{name}: {out:?}");
+        let served = epoch_splits(&String::from_utf8_lossy(&out.stdout));
+
+        let want: Vec<String> = want.iter().map(|s| format!("\"epoch\":{s}")).collect();
+        assert_eq!(streamed, want, "{name}: elle-stream");
+        assert_eq!(served, want, "{name}: elle-serve");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn only_json_whitespace_pads_an_event_line() {
+    // A no-break space is Unicode whitespace but not JSON whitespace:
+    // the line it starts is not an event. CR and tab padding are JSON.
+    let nd_path = write_workload("elle_stream_cli_nbsp.ndjson", 10);
+    let wire = std::fs::read_to_string(&nd_path).unwrap();
+    let lines: Vec<&str> = wire.lines().collect();
+    let padded: String = lines.iter().map(|l| format!("\t{l} \r\n")).collect();
+    let at = lines[0].len() + lines[1].len() + 2;
+    let nbsp: String = lines
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            if i == 2 {
+                format!("\u{a0}{l}\n")
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect();
+    for bin in [
+        env!("CARGO_BIN_EXE_elle-check"),
+        env!("CARGO_BIN_EXE_elle-stream"),
+    ] {
+        std::fs::write(&nd_path, &padded).unwrap();
+        let out = Command::new(bin)
+            .arg(&nd_path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{bin}: {out:?}");
+
+        std::fs::write(&nd_path, &nbsp).unwrap();
+        let out = Command::new(bin)
+            .arg(&nd_path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("line 3 (byte {at})")),
+            "{bin}: {stderr}"
+        );
+
+        let out = Command::new(bin)
+            .arg(&nd_path)
+            .arg("--quarantine")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("quarantined: line 3 (byte {at})"))
+                && stderr.contains("line skipped"),
+            "{bin}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&nd_path);
+}
