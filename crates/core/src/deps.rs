@@ -588,13 +588,19 @@ impl DepGraph {
     }
 
     /// Bytes resident in the sealed spine (edges, masks, witness rows
-    /// and arena) — the dominant carried-graph footprint a windowed
-    /// checker meters against its byte budget.
+    /// and the witnesses they hold) — the dominant carried-graph
+    /// footprint a windowed checker meters against its byte budget.
+    /// Each row holds one witness per class in its edge's mask, so the
+    /// live witnesses are the per-class edge counts' sum. Superseded
+    /// arena rows are not counted: which rows a merge supersedes
+    /// depends on where earlier seals fell, and a restored checker,
+    /// which never ran those seals, must meter the same edge set alike.
     pub fn resident_bytes(&self) -> usize {
+        let witnesses: usize = self.spine.counts.iter().sum();
         self.spine.packed.len() * 8
             + self.spine.masks.len()
             + self.spine.rows.len() * std::mem::size_of::<(u32, u8)>()
-            + self.spine.arena.len() * std::mem::size_of::<Witness>()
+            + witnesses * std::mem::size_of::<Witness>()
             + self.pending.len() * std::mem::size_of::<(u64, Witness)>()
     }
 

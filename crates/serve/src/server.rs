@@ -10,7 +10,21 @@
 //! *before* enqueueing a line and the owning worker releases when it
 //! dequeues it. A line that would blow a budget is rejected on the
 //! caller's thread with a `429`; queue memory is bounded by
-//! construction, never by luck.
+//! construction, never by luck. A `status` op for a tenant the registry
+//! does not hold is answered there too, with a `404`: it registers
+//! nothing and writes nothing.
+//!
+//! A worker takes its lines in batches. It drains its mailbox; when
+//! the mailbox runs dry it naps for one quantum (`NAP`, 1 ms) and
+//! drains again, and it parks on the channel only after a nap found
+//! nothing. While it naps no receiver is parked, so
+//! [`Server::submit`]'s send wakes no one, and one wake serves every
+//! line that arrived during the nap. It naps only when lines come
+//! faster than one per quantum (it found work already queued, or its
+//! last park was shorter than a quantum), so a sparse feed still parks
+//! after every line. No line, tick or drain waits more than one quantum
+//! longer than on a worker that parks at once, and each tenant's lines
+//! stay in FIFO order in its worker's one mailbox.
 
 use crate::config::ServeConfig;
 use crate::tenant::{IngestReply, Tenant, TenantFinal};
@@ -21,7 +35,12 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a worker naps after its mailbox runs dry before it looks
+/// again instead of parking. A fixed sleep, never a spin: polling would
+/// cost CPU per line, which is what napping saves.
+const NAP: Duration = Duration::from_millis(1);
 
 /// Where response lines go: verdict envelopes, warnings, rejects. The
 /// binary points this at stdout (or the requesting socket); tests
@@ -201,6 +220,11 @@ impl Server {
             match registry.get(&tenant) {
                 Some(b) => Arc::clone(b),
                 None => {
+                    if let Request::Status { .. } = req {
+                        drop(registry);
+                        sink(&wire::reject(Some(&tenant), 404, "unknown tenant"));
+                        return Submitted::Rejected;
+                    }
                     if registry.len() >= self.shared.cfg.max_tenants {
                         drop(registry);
                         sink(&wire::reject(
@@ -338,7 +362,28 @@ fn send_reply(sink: &Sink, tenant: &str, reply: &IngestReply) {
 }
 
 fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Msg>, mut tenants: HashMap<String, Tenant>) {
-    for msg in rx {
+    // Nap when the mailbox runs dry only if lines come faster than one
+    // per quantum: work was already queued, or the last park was short.
+    let mut nap = false;
+    loop {
+        let msg = match rx.try_recv() {
+            Ok(msg) => {
+                nap = true;
+                msg
+            }
+            Err(mpsc::TryRecvError::Disconnected) => return,
+            Err(mpsc::TryRecvError::Empty) if nap => {
+                nap = false;
+                std::thread::sleep(NAP);
+                continue;
+            }
+            Err(mpsc::TryRecvError::Empty) => {
+                let parked = Instant::now();
+                let Ok(msg) = rx.recv() else { return };
+                nap = parked.elapsed() < NAP;
+                msg
+            }
+        };
         match msg {
             Msg::Req {
                 tenant: name,
@@ -396,7 +441,9 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Msg>, mut tenants: HashMa
                             continue;
                         }
                         let outcome = match req {
-                            Request::Event { event, .. } => tenant.ingest(&shared.cfg, &event),
+                            Request::Event { event, .. } => {
+                                tenant.ingest_owned(&shared.cfg, *event)
+                            }
                             Request::BadEvent { message, .. } => {
                                 tenant.ingest_bad(&shared.cfg, &message)
                             }

@@ -84,6 +84,10 @@ pub struct Checkpoint {
     /// checker lacks until its first seal.
     #[serde(default)]
     pub resident_bytes: usize,
+    /// Hard-rung latch: its last seal retired nothing, and no seal has
+    /// retired anything since. Written only when set.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    pub hard_spent: bool,
     /// The retirement policy, when it must outlive a restart: set once
     /// the policy is bounded or anything has retired, as a snapshot
     /// carries it; `None` lets the service's configured window apply.
@@ -358,6 +362,7 @@ mod tests {
             forced_window: 5,
             over_soft: true,
             resident_bytes: 123_456,
+            hard_spent: true,
             window: Some(WindowPolicy::TxnCount(8000)),
         }
     }

@@ -18,7 +18,9 @@
 //! 4. **forced-window** — the tenant's checker state breached its
 //!    resident-byte budget; its retirement window is tightened and it
 //!    keeps serving with bounded memory (`forced_window` gauge). The
-//!    soft rung (3/4 of the budget) forces a retirement seal first.
+//!    soft rung (3/4 of the budget) forces a retirement seal first. A
+//!    hard-rung seal that retired nothing spends the rung until a seal
+//!    retires something or residency falls under the soft rung.
 //! 5. **failed** — under [`RecoveryPolicy::Strict`] the first damaged
 //!    line fails the tenant; subsequent requests are rejected with a
 //!    `422`. No rung of the ladder ever touches another tenant.
@@ -66,10 +68,11 @@ pub struct TenantFinal {
 }
 
 /// Serve-layer budget state persisted in the snapshot beside the
-/// checker's own window carry. The ladder gauges and the soft-rung
-/// latch must survive restart, or a recovered tenant's envelopes drift
-/// from an uninterrupted run's by exactly the forgotten rungs (a reset
-/// latch re-fires the soft seal the live run already took).
+/// checker's own window carry. The ladder gauges and both rungs'
+/// latches must survive restart, or a recovered tenant's envelopes
+/// drift from an uninterrupted run's by exactly the forgotten rungs (a
+/// reset latch re-fires the seal the live run already took or
+/// withheld).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BudgetCarry {
     /// The checker's retired-prefix carry. `None` when the policy is
@@ -85,6 +88,9 @@ struct BudgetCarry {
     /// [`Checkpoint::resident_bytes`]).
     #[serde(default)]
     resident_bytes: usize,
+    /// Hard-rung latch at snapshot time (see [`Checkpoint::hard_spent`]).
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    hard_spent: bool,
 }
 
 /// One tenant's full state: checker, store, counters, degradation.
@@ -118,6 +124,11 @@ pub struct Tenant {
     /// Edge-trigger latch for the soft rung: one forced seal per
     /// crossing, re-armed when retirement brings residency back under.
     over_soft: bool,
+    /// Latch for the hard rung: set when its seal retired nothing, so a
+    /// window that cannot retire is not halved at every event; cleared
+    /// when a later seal retires something or residency falls back
+    /// under the soft rung.
+    hard_spent: bool,
     failed: Option<String>,
     epoch_opened: Option<Instant>,
 }
@@ -157,7 +168,7 @@ impl Tenant {
         };
         let window = carry.as_ref().and_then(|c| c.window.as_ref());
         let mut replay = Replay::new(cfg.opts, window);
-        for ev in events.iter().flatten() {
+        for ev in events.into_iter().flatten() {
             let _ = replay.event(ev);
         }
         // The checkpointed prefix replays like the snapshot: ingest
@@ -170,7 +181,7 @@ impl Tenant {
             let ingested = match JournalLine::decode(line) {
                 JournalLine::Checkpoint => continue,
                 JournalLine::Event(ev) => replay
-                    .event(&ev)
+                    .event(ev)
                     .is_ok_and(|r| !matches!(r, Recovered::Skipped(_))),
                 JournalLine::Undecodable(_) => false,
             };
@@ -188,6 +199,7 @@ impl Tenant {
             budget_seals: carry.as_ref().map_or(0, |c| c.budget_seals),
             forced_window: carry.as_ref().map_or(0, |c| c.forced_window),
             over_soft: carry.as_ref().is_some_and(|c| c.over_soft),
+            hard_spent: carry.as_ref().is_some_and(|c| c.hard_spent),
             resident_bytes: carry.as_ref().map_or(0, |c| c.resident_bytes),
             window: None,
         });
@@ -227,6 +239,7 @@ impl Tenant {
             budget_seals: counters.budget_seals,
             forced_window: counters.forced_window,
             over_soft: counters.over_soft,
+            hard_spent: counters.hard_spent,
             failed: None,
             epoch_opened: None,
         };
@@ -246,7 +259,7 @@ impl Tenant {
             let bytes = line.len() + 1;
             let reply = match JournalLine::decode(line) {
                 JournalLine::Checkpoint => continue,
-                JournalLine::Event(ev) => t.apply_event(cfg, &ev, bytes, false)?,
+                JournalLine::Event(ev) => t.apply_event(cfg, ev, bytes, false)?,
                 JournalLine::Undecodable(message) => t.skip_line(cfg, &message, bytes, false)?,
             };
             replayed.extend(reply.sealed);
@@ -265,12 +278,17 @@ impl Tenant {
         self.failed.as_deref()
     }
 
-    /// Ingest one decoded event: journal it, feed the checker, seal if
-    /// a watermark is due, and checkpoint after a seal or every
-    /// `snapshot_events` journal lines.
+    /// [`Tenant::ingest_owned`] for a borrowed event: clones it.
     pub fn ingest(&mut self, cfg: &ServeConfig, ev: &Event) -> io::Result<IngestReply> {
+        self.ingest_owned(cfg, ev.clone())
+    }
+
+    /// Ingest one decoded event: journal it, move it into the checker,
+    /// seal if a watermark is due, and checkpoint after a seal or every
+    /// `snapshot_events` journal lines.
+    pub fn ingest_owned(&mut self, cfg: &ServeConfig, ev: Event) -> io::Result<IngestReply> {
         let bytes = match &mut self.store {
-            Some(store) => store.append_event(ev)?,
+            Some(store) => store.append_event(&ev)?,
             None => 0,
         };
         self.apply_event(cfg, ev, bytes, true)
@@ -321,13 +339,13 @@ impl Tenant {
     fn apply_event(
         &mut self,
         cfg: &ServeConfig,
-        ev: &Event,
+        ev: Event,
         bytes: usize,
         live: bool,
     ) -> io::Result<IngestReply> {
         let mut reply = IngestReply::default();
         self.lines_since_checkpoint += 1;
-        match self.checker.ingest_event_with(ev, self.recovery) {
+        match self.checker.ingest_owned(ev, self.recovery) {
             Ok(recovered) => {
                 match &recovered {
                     Recovered::Ingested(_) => {}
@@ -384,8 +402,11 @@ impl Tenant {
     /// Soft rung (3/4 of the budget): one forced retirement seal per
     /// crossing. Hard rung (the budget): tighten the window —
     /// `forced-window` — and seal, so the tenant keeps serving with
-    /// bounded memory instead of being rejected or killed. Residency is
-    /// a deterministic function of the ingested prefix and the seal
+    /// bounded memory instead of being rejected or killed. A hard seal
+    /// that retired nothing spends the rung until a later seal retires
+    /// something or residency falls under the soft rung: tightening a
+    /// window that cannot retire only seals one-event epochs. Residency
+    /// is a deterministic function of the ingested prefix and the seal
     /// points (a restored checker's missing seal-built state is
     /// credited back), so journal replay reproduces every rung (and
     /// with it epoch numbering).
@@ -397,9 +418,13 @@ impl Tenant {
         let soft = hard - hard / 4;
         if resident <= soft {
             self.over_soft = false;
+            self.hard_spent = false;
             return Ok(None);
         }
         if resident > hard {
+            if self.hard_spent {
+                return Ok(None);
+            }
             self.forced_window += 1;
             let tightened = match self.checker.window_policy() {
                 WindowPolicy::Bytes(b) => WindowPolicy::Bytes((b / 2).max(1)),
@@ -408,6 +433,8 @@ impl Tenant {
             };
             self.checker.set_window_policy(tightened);
             self.over_soft = false;
+            // Spent unless this seal retires something.
+            self.hard_spent = true;
             return self.seal_epoch().map(Some);
         }
         if self.over_soft {
@@ -429,14 +456,25 @@ impl Tenant {
     /// Seal the current epoch and log its verdict, without a
     /// checkpoint (the caller decides: replay writes none).
     fn seal_epoch(&mut self) -> io::Result<String> {
-        let epoch = self.checker.seal_epoch_guarded();
-        self.resident_credit = 0;
+        let epoch = self.seal_checker();
         self.epoch_opened = None;
         let line = self.envelope(&epoch);
         if let Some(store) = &mut self.store {
             store.append_verdict(&line)?;
         }
         Ok(line)
+    }
+
+    /// Seal the checker's epoch. The seal rebuilds the state a restart
+    /// credited, and one that retires something re-arms the hard rung.
+    fn seal_checker(&mut self) -> EpochReport {
+        let retired = self.checker.retired_txns();
+        let epoch = self.checker.seal_epoch_guarded();
+        self.resident_credit = 0;
+        if self.checker.retired_txns() > retired {
+            self.hard_spent = false;
+        }
+        epoch
     }
 
     /// Watchdog hook: force a seal when the open epoch is older than
@@ -465,8 +503,7 @@ impl Tenant {
                 ),
             };
         }
-        let epoch = self.checker.seal_epoch_guarded();
-        self.resident_credit = 0;
+        let epoch = self.seal_checker();
         let line = self.envelope(&epoch);
         if let Some(store) = &mut self.store {
             let _ = store.append_verdict(&line);
@@ -530,6 +567,7 @@ impl Tenant {
             budget_seals: self.budget_seals,
             forced_window: self.forced_window,
             over_soft: self.over_soft,
+            hard_spent: self.hard_spent,
             resident_bytes: match self.resident_budget {
                 Some(_) => self.resident_bytes(),
                 None => 0,
@@ -582,6 +620,7 @@ impl Tenant {
                 forced_window: c.forced_window,
                 over_soft: c.over_soft,
                 resident_bytes: c.resident_bytes,
+                hard_spent: c.hard_spent,
             };
             meta.window = Some(serde::Serialize::serialize(&carry));
         }
@@ -637,7 +676,7 @@ pub fn solo_verdict(cfg: &ServeConfig, tenant: &str, lines: &[String]) -> String
         }
         match crate::wire::parse_request(line) {
             Ok(crate::wire::Request::Event { event, .. }) => {
-                let _ = t.ingest(&cfg, &event);
+                let _ = t.ingest_owned(&cfg, *event);
             }
             Ok(crate::wire::Request::BadEvent { message, .. }) => {
                 let _ = t.ingest_bad(&cfg, &message);

@@ -13,10 +13,10 @@
 //! ```
 //!
 //! Responses are one JSON object per line too: `{"tenant":…,"error":
-//! {"code":…,"reason":…}}` rejects (429 budget, 400 malformed, 503
-//! draining, 422 failed tenant), `{"tenant":…,"warning":…}` quarantine
-//! diagnostics, and per-seal verdict envelopes (see
-//! [`crate::tenant`]).
+//! {"code":…,"reason":…}}` rejects (429 budget, 400 malformed, 404
+//! status of an unknown tenant, 503 draining, 422 failed tenant),
+//! `{"tenant":…,"warning":…}` quarantine diagnostics, and per-seal
+//! verdict envelopes (see [`crate::tenant`]).
 //!
 //! Parsing is staged — the envelope first, the event second — so a
 //! malformed event body is still *attributed* to its tenant and flows

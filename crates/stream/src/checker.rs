@@ -356,18 +356,28 @@ impl StreamChecker {
             .map(|_| ())
     }
 
-    /// Ingest one event under a [`RecoveryPolicy`]. `Strict` is exactly
-    /// [`StreamChecker::ingest_event`]; `Quarantine` repairs pairing
-    /// violations (skip / adopt orphan / abandon open — see
-    /// [`elle_history::ingest`]) and folds the repaired transaction into
-    /// the incremental state. Returns what recovery did, so callers can
-    /// attach source positions to diagnostics.
+    /// [`StreamChecker::ingest_owned`] for a borrowed event: clones it.
     pub fn ingest_event_with(
         &mut self,
         ev: &Event,
         policy: RecoveryPolicy,
     ) -> Result<Recovered, PairingError> {
-        let recovered = self.pairer.feed_with(ev.clone(), policy)?;
+        self.ingest_owned(ev.clone(), policy)
+    }
+
+    /// Ingest one event under a [`RecoveryPolicy`], moving it into the
+    /// pairer. `Strict` is exactly [`StreamChecker::ingest_event`];
+    /// `Quarantine` repairs pairing violations (skip / adopt orphan /
+    /// abandon open — see [`elle_history::ingest`]) and folds the
+    /// repaired transaction into the incremental state. Returns what
+    /// recovery did, so callers can attach source positions to
+    /// diagnostics.
+    pub fn ingest_owned(
+        &mut self,
+        ev: Event,
+        policy: RecoveryPolicy,
+    ) -> Result<Recovered, PairingError> {
+        let recovered = self.pairer.feed_with(ev, policy)?;
         let history = self.pairer.history();
         match &recovered {
             Recovered::Ingested(Ingest::Invoked(id)) => {
@@ -561,7 +571,7 @@ impl StreamChecker {
             // Synthesized events can only trip the violations recovery
             // repairs (orphan adoption, open abandonment); Quarantine
             // absorbs them and reproduces the same transactions.
-            let _ = replay.event(ev);
+            let _ = replay.event(ev.clone());
         }
         replay.finish(
             snap.epoch,
@@ -653,9 +663,8 @@ impl<'a> Replay<'a> {
     }
 
     /// Ingest one replayed event under [`RecoveryPolicy::Quarantine`].
-    pub fn event(&mut self, ev: &Event) -> Result<Recovered, PairingError> {
-        self.checker
-            .ingest_event_with(ev, RecoveryPolicy::Quarantine)
+    pub fn event(&mut self, ev: Event) -> Result<Recovered, PairingError> {
+        self.checker.ingest_owned(ev, RecoveryPolicy::Quarantine)
     }
 
     /// The restored checker: the carry's retired facts folded back in,

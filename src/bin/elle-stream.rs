@@ -287,7 +287,7 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
             Next::Line(text, pos) => match decode_event_line(text, pos) {
                 Ok(None) => continue,
                 Ok(Some(ev)) => {
-                    match checker.ingest_event_with(&ev, cfg.recovery) {
+                    match checker.ingest_owned(ev, cfg.recovery) {
                         Err(e) => return Err(IngestError::from_pairing(pos, e).to_string()),
                         Ok(recovered) => {
                             if let Some(d) = recovered.diagnostic(pos) {

@@ -6,7 +6,7 @@
 use elle::dbsim::{chaos_session, delivered_lines, FaultSchedule};
 use elle::prelude::*;
 use elle::serve::{
-    parse_request, solo_verdict, Request, ServeConfig, Server, Sink, Tenant, TenantFinal,
+    parse_request, solo_verdict, Request, ServeConfig, Server, Sink, Submitted, Tenant, TenantFinal,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -172,7 +172,6 @@ fn seal_panic_in_one_tenant_leaves_others_byte_identical() {
 
 #[test]
 fn budget_rejects_are_attributed_and_isolated() {
-    use elle::serve::Submitted;
     let mut cfg = small_cfg();
     cfg.workers = 1;
     cfg.max_tenant_bytes = 4096; // roughly two dozen wire lines
@@ -737,17 +736,20 @@ fn strict_failure_survives_restart_with_its_reason() {
     }
 }
 
-/// Feed one wire line to an in-process tenant: events through
-/// `Tenant::ingest`, undecodable bodies through `ingest_bad`, `seal`
-/// ops through `Tenant::seal`. Returns the verdict envelope of any
-/// seal the line caused.
+/// Feed one wire line to an in-process tenant, as a worker does:
+/// events through `Tenant::ingest_owned`, undecodable bodies through
+/// `ingest_bad`, `seal`
+/// ops through `Tenant::seal`, `status` ops through
+/// `Tenant::status_line`. Returns the verdict envelope of any seal the
+/// line caused, or the status line.
 fn feed(t: &mut Tenant, cfg: &ServeConfig, line: &str) -> Option<String> {
     match parse_request(line).expect("test wire lines parse") {
-        Request::Event { event, .. } => t.ingest(cfg, &event).expect("durable ingest").sealed,
+        Request::Event { event, .. } => t.ingest_owned(cfg, *event).expect("durable ingest").sealed,
         Request::BadEvent { message, .. } => {
             t.ingest_bad(cfg, &message).expect("durable ingest").sealed
         }
         Request::Seal { .. } => Some(t.seal().expect("durable seal")),
+        Request::Status { tenant: Some(_) } => Some(t.status_line()),
         other => panic!("not a tenant line: {other:?}"),
     }
 }
@@ -1033,14 +1035,7 @@ fn durable_tenant_journals_each_event_once() {
         if feed(&mut t, &cfg, line).is_none() {
             continue;
         }
-        let status = t.status_line();
-        let at = status.find("\"retired_txns\":").unwrap() + "\"retired_txns\":".len();
-        let now: usize = status[at..]
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
+        let now = gauge(&t.status_line(), "retired_txns");
         let journal = std::fs::read_to_string(journal_of(&tenant_dir)).unwrap();
         if now > retired {
             // Compacted at this seal: the fresh journal holds only the
@@ -1138,4 +1133,256 @@ fn a_closed_tenant_reopens_at_a_fresh_epoch() {
     }
     assert_eq!(invokes, 5, "the first seal after reopening");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Batched handoff keeps every tenant's responses in order: eight
+/// contended tenants on two workers, fed from one thread in bursts
+/// whose gaps cycle through none, 0.2 ms and 3 ms (below, near and
+/// above a worker's nap quantum, so lines land on draining, napping and
+/// parked workers), each tenant with one `seal` and one `status` op
+/// mid-stream. Each tenant's response lines, in arrival order, equal a
+/// single-thread replay of its lines through `Tenant`, and a drain
+/// right after the last burst returns every final.
+#[test]
+fn batched_handoff_keeps_each_tenants_responses_in_order() {
+    let cfg = ServeConfig {
+        workers: 2,
+        ..small_cfg()
+    };
+    let tenants: Vec<(String, Vec<String>)> = (0..8)
+        .map(|t| {
+            let name = format!("hb-{t}");
+            let mut lines = tagged_lines(&name, &tenant_log(900 + t, 40));
+            let third = lines.len() / 3;
+            lines.insert(
+                2 * third,
+                format!("{{\"tenant\":\"{name}\",\"op\":\"status\"}}"),
+            );
+            lines.insert(third, format!("{{\"tenant\":\"{name}\",\"op\":\"seal\"}}"));
+            (name, lines)
+        })
+        .collect();
+    let mut wire: Vec<&String> = Vec::new();
+    let longest = tenants.iter().map(|(_, l)| l.len()).max().unwrap();
+    for i in 0..longest {
+        for (_, lines) in &tenants {
+            wire.extend(lines.get(i));
+        }
+    }
+    let gaps = [
+        std::time::Duration::ZERO,
+        std::time::Duration::from_micros(200),
+        std::time::Duration::from_millis(3),
+    ];
+    let (sink, received) = collecting_sink();
+    let server = Server::start(cfg.clone(), Arc::clone(&sink)).unwrap();
+    for (burst, gap) in wire.chunks(6).zip(gaps.iter().cycle()) {
+        for line in burst {
+            assert_eq!(server.submit(line, &sink), Submitted::Ok);
+        }
+        std::thread::sleep(*gap);
+    }
+    let finals = server.drain();
+    assert_eq!(finals.len(), tenants.len());
+    let received = received.lock().unwrap().clone();
+    for (name, lines) in &tenants {
+        let (mut t, _) = Tenant::open(name, &cfg).unwrap();
+        let want: Vec<String> = lines.iter().filter_map(|l| feed(&mut t, &cfg, l)).collect();
+        let prefix = format!("{{\"tenant\":\"{name}\",");
+        let got: Vec<&String> = received.iter().filter(|l| l.starts_with(&prefix)).collect();
+        assert_eq!(got, want.iter().collect::<Vec<_>>(), "tenant {name}");
+        assert!(want.iter().any(|l| l.contains("\"status\":{")));
+        assert_eq!(final_for(&finals, name).verdict, t.close().verdict);
+    }
+}
+
+/// A `status` op for a tenant the service does not hold is answered on
+/// the caller's thread with a 404. It registers nothing and writes
+/// nothing, so drain reports no final for it and a restart recovers
+/// nothing; a later event opens the tenant as usual.
+#[test]
+fn status_for_an_unknown_tenant_is_a_404_and_creates_nothing() {
+    let dir = tmp_dir("status_404");
+    let cfg = ServeConfig {
+        data_dir: Some(dir.clone()),
+        ..small_cfg()
+    };
+    let (sink, lines) = collecting_sink();
+    let server = Server::start(cfg.clone(), Arc::clone(&sink)).unwrap();
+    assert_eq!(
+        server.submit(r#"{"tenant":"typo","op":"status"}"#, &sink),
+        Submitted::Rejected
+    );
+    server.submit(r#"{"op":"status"}"#, &sink);
+    let finals = server.drain();
+    assert_eq!(
+        *lines.lock().unwrap(),
+        [
+            r#"{"tenant":"typo","error":{"code":404,"reason":"unknown tenant"}}"#,
+            r#"{"status":{"tenants":0,"buffered_bytes":0,"draining":false}}"#,
+        ]
+    );
+    assert!(finals.is_empty(), "{finals:?}");
+    assert!(!dir.join("tenants").join("typo").exists());
+
+    let wire = tagged_lines("typo", &tenant_log(33, 10));
+    let server = Server::start(cfg.clone(), Arc::clone(&sink)).unwrap();
+    for line in &wire {
+        assert_eq!(server.submit(line, &sink), Submitted::Ok);
+    }
+    let finals = server.drain();
+    assert_eq!(finals.len(), 1);
+    assert_eq!(
+        final_for(&finals, "typo").verdict,
+        solo_verdict(&cfg, "typo", &wire)
+    );
+    assert!(dir.join("tenants").join("typo").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A window that retires nothing stops tightening. Contended tenants
+/// keep every key live, so under a 16 KiB budget with an unbounded
+/// window the hard rung's seal retires nothing. The rung then stays
+/// spent instead of halving the window and sealing a one-event epoch at
+/// every later event; the served verdict is still the solo oracle's,
+/// and a kill and restart after the rung fired converges to the
+/// uninterrupted run's final envelope byte for byte (the spent latch
+/// is part of the checkpoint).
+#[test]
+fn a_hard_rung_that_retires_nothing_fires_once() {
+    let cfg = ServeConfig {
+        max_tenant_resident_bytes: Some(16 * 1024),
+        ..ServeConfig::default()
+    };
+    let discard: Sink = Arc::new(|_| {});
+    for seed in [1, 7, 42] {
+        let name = format!("spent-{seed}");
+        let wire = tagged_lines(&name, &tenant_log(seed, 90));
+        let (sink, lines) = collecting_sink();
+        let server = Server::start(cfg.clone(), Arc::clone(&sink)).unwrap();
+        for line in &wire {
+            assert_eq!(server.submit(line, &sink), Submitted::Ok);
+        }
+        let finals = server.drain();
+        let served = &final_for(&finals, &name).verdict;
+        let envelopes: Vec<String> = lines
+            .lock()
+            .unwrap()
+            .iter()
+            .cloned()
+            .chain([served.clone()])
+            .collect();
+        let fired = envelopes
+            .iter()
+            .position(|l| l.contains("\"forced_window\":"))
+            .unwrap_or_else(|| panic!("seed {seed}: the hard rung never fired"));
+        let one_event = envelopes
+            .iter()
+            .filter(|l| l.contains("\"events\":1,"))
+            .count();
+        assert!(one_event <= 1, "seed {seed}: {one_event} one-event epochs");
+        assert!(served.contains("\"forced_window\":1,"), "{served}");
+        assert_eq!(*served, solo_verdict(&cfg, &name, &wire), "seed {seed}");
+
+        // Kill past the line whose seal spent the rung, then restart.
+        let mut fed = 0;
+        let (mut t, _) = Tenant::open(&name, &cfg).unwrap();
+        let mut seals = 0;
+        while seals <= fired {
+            seals += usize::from(feed(&mut t, &cfg, &wire[fed]).is_some());
+            fed += 1;
+        }
+        let split = fed + (wire.len() - fed) / 2;
+        let dir = tmp_dir(&format!("hard_spent_{seed}"));
+        let durable = ServeConfig {
+            data_dir: Some(dir.clone()),
+            ..cfg.clone()
+        };
+        let server = Server::start(durable.clone(), Arc::clone(&discard)).unwrap();
+        for line in &wire[..split] {
+            server.submit(line, &discard);
+        }
+        server.abort();
+        let server = Server::start(durable, Arc::clone(&discard)).unwrap();
+        for line in &wire[split..] {
+            server.submit(line, &discard);
+        }
+        let got = server.drain();
+        assert_eq!(final_for(&got, &name).verdict, *served, "seed {seed}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Wire lines for one tenant's single-process transactions, each
+/// appending element `e` of `elems` to `key`, from event `*index` on.
+fn append_lines(
+    tenant: &str,
+    key: u64,
+    elems: std::ops::Range<u64>,
+    index: &mut u64,
+) -> Vec<String> {
+    let mut lines = Vec::new();
+    for e in elems {
+        for kind in ["Invoke", "Ok"] {
+            lines.push(format!(
+                "{{\"tenant\":\"{tenant}\",\"event\":{{\"index\":{index},\"process\":0,\"kind\":\"{kind}\",\"mops\":[{{\"Append\":{{\"key\":{key},\"elem\":{e}}}}}],\"time_ns\":null}}}}"
+            ));
+            *index += 1;
+        }
+    }
+    lines
+}
+
+/// The value of an envelope's or status line's numeric field, 0 when
+/// absent.
+fn gauge(envelope: &str, field: &str) -> usize {
+    let tag = format!("\"{field}\":");
+    envelope.find(&tag).map_or(0, |at| {
+        let rest = &envelope[at + tag.len()..];
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..end].parse().unwrap()
+    })
+}
+
+/// A spent hard rung re-arms when a later seal retires something. The
+/// tenant appends to key 1 for 100 transactions, then to key 2 for 300.
+/// Under a 16 KiB budget the hard rung fires in the key-1 phase and its
+/// seal retires nothing, since every transaction touches the key the
+/// latest ones touch. The rung stays spent while the key-2 phase grows
+/// past the budget, until a watermark seal retires the key-1
+/// transactions; residency is still over the budget, so the rung fires
+/// again at the next event.
+#[test]
+fn a_spent_hard_rung_rearms_when_a_seal_retires() {
+    let cfg = ServeConfig {
+        epoch_txns: Some(20),
+        max_tenant_resident_bytes: Some(16 * 1024),
+        ..ServeConfig::default()
+    };
+    let mut index = 0;
+    let mut wire = append_lines("rearm", 1, 0..100, &mut index);
+    wire.extend(append_lines("rearm", 2, 0..300, &mut index));
+    let (mut t, _) = Tenant::open("rearm", &cfg).unwrap();
+    let envelopes: Vec<String> = wire.iter().filter_map(|l| feed(&mut t, &cfg, l)).collect();
+    let fired = |n: usize| {
+        envelopes
+            .iter()
+            .position(|e| gauge(e, "forced_window") == n)
+            .unwrap_or_else(|| panic!("the hard rung fired fewer than {n} times"))
+    };
+    let (first, second) = (fired(1), fired(2));
+    let retired = |i: usize| gauge(&envelopes[i], "retired_txns");
+    assert_eq!(retired(first), 0, "the first hard seal retires nothing");
+    assert!(
+        second > first + 1,
+        "the spent rung held through watermark seals"
+    );
+    assert_eq!(retired(second - 1), 100, "a watermark seal retired key 1");
+    assert_eq!(
+        gauge(&envelopes[second], "events"),
+        1,
+        "and the rung fired next"
+    );
 }
