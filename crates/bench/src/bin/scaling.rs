@@ -87,6 +87,6 @@ fn row(n_txns: usize, c: usize, timing: bool, samples: usize) {
     );
     if let Some(stages) = last_stages {
         eprintln!("# {n_txns} txns, {c} procs:");
-        eprint!("{}", stages.render());
+        eprint!("{}", stages.render(&[]));
     }
 }

@@ -240,22 +240,6 @@ pub struct StageTimings {
     /// Peak bytes parked in the thread-local scratch-buffer pool, i.e.
     /// how much pre-faulted memory later runs get to recycle.
     pub pool_peak: usize,
-    /// Events quarantined by the ingest recovery policy so far (0 in
-    /// strict runs and on clean streams).
-    #[serde(default)]
-    pub quarantined_events: usize,
-    /// Epoch seals forced by a resource budget (`--max-epoch-ms`)
-    /// rather than a watermark (0 in batch runs and unbudgeted streams).
-    #[serde(default)]
-    pub forced_seals: usize,
-    /// Bytes resident in the carried checker state after the seal (0 in
-    /// batch runs and unwindowed streams, which don't meter residency).
-    #[serde(default)]
-    pub resident_bytes: usize,
-    /// Transactions retired from the window so far (0 outside windowed
-    /// streaming).
-    #[serde(default)]
-    pub retired_txns: usize,
 }
 
 impl StageTimings {
@@ -270,8 +254,11 @@ impl StageTimings {
         self.stages.iter().map(|(_, s)| s).sum()
     }
 
-    /// Render an aligned human-readable table.
-    pub fn render(&self) -> String {
+    /// Render an aligned human-readable table: the stages and their
+    /// total, then the three peaks and the caller's `gauges` (`(name,
+    /// value, unit)` rows, such as a driver's quarantine count), each
+    /// only when nonzero.
+    pub fn render(&self, gauges: &[(&str, usize, &str)]) -> String {
         use std::fmt::Write as _;
         let width = self
             .stages
@@ -285,46 +272,15 @@ impl StageTimings {
             let _ = writeln!(s, "  {name:<width$}  {:>9.3} ms", secs * 1e3);
         }
         let _ = writeln!(s, "  {:<width$}  {:>9.3} ms", "total", self.total() * 1e3);
-        if self.edge_buf_peak > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<width$}  {:>9} edges",
-                "edge buf peak", self.edge_buf_peak
-            );
-        }
-        if self.gather_buf_peak > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<width$}  {:>9} bytes",
-                "gather buf peak", self.gather_buf_peak
-            );
-        }
-        if self.pool_peak > 0 {
-            let _ = writeln!(s, "  {:<width$}  {:>9} bytes", "pool peak", self.pool_peak);
-        }
-        if self.quarantined_events > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<width$}  {:>9} events",
-                "quarantined", self.quarantined_events
-            );
-        }
-        if self.forced_seals > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<width$}  {:>9} seals",
-                "forced seals", self.forced_seals
-            );
-        }
-        if self.resident_bytes > 0 {
-            let _ = writeln!(
-                s,
-                "  {:<width$}  {:>9} bytes",
-                "resident", self.resident_bytes
-            );
-        }
-        if self.retired_txns > 0 {
-            let _ = writeln!(s, "  {:<width$}  {:>9} txns", "retired", self.retired_txns);
+        let peaks = [
+            ("edge buf peak", self.edge_buf_peak, "edges"),
+            ("gather buf peak", self.gather_buf_peak, "bytes"),
+            ("pool peak", self.pool_peak, "bytes"),
+        ];
+        for &(name, n, unit) in peaks.iter().chain(gauges) {
+            if n > 0 {
+                let _ = writeln!(s, "  {name:<width$}  {n:>9} {unit}");
+            }
         }
         s
     }

@@ -9,38 +9,28 @@
 //!   `serde_json::from_str::<Event>(s)` returns — the same `Ok` value
 //!   and the same `Err` text.
 //!
-//! The reader has three tiers, tried in order, with one result:
+//! The reader has two tiers, tried in order, with one result:
 //!
 //! 1. **The writer-layout lane** matches the exact bytes the writer
 //!    produces. Its literals (`{"index":`, `{"Append":{"key":`,
 //!    `{"List":[`, …) come from the one table the writer writes from,
-//!    so the two cannot drift, and it reads numbers in place. At the
-//!    first byte that departs from that layout it restarts the object
-//!    in the tolerant reader: inside `mops` only the current mop,
-//!    anywhere else the whole line. Numbers of up to 19 digits are read
-//!    without overflow checks, because 19 digits cannot exceed
-//!    `u64::MAX` (20 digits); a longer number departs, and the tolerant
-//!    reader checks it.
-//! 2. **The tolerant direct reader** reads any line inside the *direct
-//!    subset* straight into [`Event`] / [`Mop`] / [`ReadValue`]: JSON
-//!    whitespace anywhere; object keys in any order, each known key
-//!    exactly once; strings without escapes; unsigned integers as plain
-//!    in-range digits (`u32` for `process`, `u64` elsewhere); signed
-//!    `amount` and `Counter` values down to `i64::MIN`; `null` where the
-//!    type allows it; and enum maps with exactly one key.
-//! 3. **The generic derived path** takes every other line: escapes,
-//!    unknown or duplicate keys, fractions and exponents, `-0` in
-//!    unsigned fields, overflow and trailing bytes. It is also the only
-//!    source of error messages.
+//!    so the two cannot drift, and it reads numbers in place: up to 19
+//!    digits without overflow checks, because 19 digits cannot exceed
+//!    `u64::MAX`, and a 20th digit with them. Every line
+//!    [`event_to_json`] writes decodes here. It builds list elements
+//!    and the event's mops in scratch buffers reused across lines (one
+//!    set per thread) and copies them out at their exact length.
+//! 2. **The generic derived path** takes the whole line at the first
+//!    byte that departs from that layout, anywhere in it: whitespace,
+//!    keys in another order, escapes, unknown or duplicate keys,
+//!    fractions and exponents, `-0` in unsigned fields, overflow and
+//!    trailing bytes. It is the only source of error messages. Its
+//!    vectors are shrunk to their length, so a decoded event holds no
+//!    spare capacity whichever tier read it.
 //!
-//! The lane and the tolerant reader build list elements and each
-//! event's mops in scratch buffers reused across lines (one set per
-//! thread), and copy them out at their exact length, so a decoded
-//! event holds no spare capacity.
-//!
-//! A new [`Mop`] or [`ReadValue`] variant must be added to the writer,
-//! the lane and the tolerant reader here (and to `tests/event_codec.rs`).
-//! The writer's match is exhaustive, so the compiler flags it there;
+//! A new [`Mop`] or [`ReadValue`] variant must be added to the writer
+//! and the lane here (and to `tests/event_codec.rs`). The writer's
+//! match is exhaustive, so the compiler flags it there;
 //! `the_lane_reads_every_variant_without_a_restart` fails until the
 //! lane reads it too.
 
@@ -81,14 +71,14 @@ pub fn event_to_json(ev: &Event, out: &mut String) {
 }
 
 /// Decode one event line: exactly `serde_json::from_str::<Event>(s)`,
-/// without the `Value` tree when the line is inside the direct subset.
+/// without the `Value` tree when the line is in the writer's layout.
 pub fn event_from_json(s: &str) -> Result<Event, serde_json::Error> {
     let mut reader = Reader::with_scratch(s, SCRATCH.take());
     let ev = reader.document();
     SCRATCH.set(reader.scratch);
     match ev {
         Some(ev) => Ok(ev),
-        None => serde_json::from_str(s),
+        None => serde_json::from_str(s).map(exact_length),
     }
 }
 
@@ -234,8 +224,6 @@ fn push_i64(out: &mut String, n: i64) {
 
 // ── Reading ─────────────────────────────────────────────────────────────
 
-const EVENT_KEYS: [&[u8]; 5] = [b"index", b"process", b"kind", b"mops", b"time_ns"];
-
 /// The most digits a `u64` always holds: `10^19 - 1 < u64::MAX`.
 const SAFE_DIGITS: usize = 19;
 
@@ -251,10 +239,26 @@ thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
-/// A cursor over one line. Every method returns `None` as soon as the
-/// input leaves what it reads: a lane method's caller restarts in the
-/// tolerant reader, and a tolerant method's caller defers to the
-/// generic path, so `None` never needs a reason.
+/// Drop the spare capacity the generic path's growing vectors keep, so
+/// a decoded event holds none, whichever tier read it.
+fn exact_length(mut ev: Event) -> Event {
+    ev.mops.shrink_to_fit();
+    for m in &mut ev.mops {
+        if let Mop::Read {
+            value: Some(ReadValue::List(elems)),
+            ..
+        } = m
+        {
+            elems.shrink_to_fit();
+        }
+    }
+    ev
+}
+
+/// A cursor over one line in the writer's layout. Every method returns
+/// `None` at the first byte that departs from that layout, and the
+/// caller sends the whole line to the generic path, so `None` never
+/// needs a reason.
 struct Reader<'a> {
     b: &'a [u8],
     i: usize,
@@ -275,25 +279,16 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The whole input as one event, with nothing but whitespace after:
-    /// the lane's reading, or, if the line departs from the writer's
-    /// layout outside `mops`, the tolerant reader's.
+    /// The whole input as one event in the writer's layout, with
+    /// nothing but JSON whitespace after it.
     fn document(&mut self) -> Option<Event> {
-        let ev = match self.lane_event() {
-            Some(ev) => ev,
-            None => {
-                self.i = 0;
-                self.event()?
-            }
-        };
-        self.ws();
-        (self.i == self.b.len()).then_some(ev)
+        let ev = self.lane_event()?;
+        self.b[self.i..]
+            .iter()
+            .all(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
+            .then_some(ev)
     }
 
-    // ── The writer-layout lane ──────────────────────────────────────
-
-    /// One event in the writer's exact layout. A mop that departs from
-    /// it is re-read from its start by the tolerant [`Reader::mop`].
     fn lane_event(&mut self) -> Option<Event> {
         self.lit(lit::INDEX)?;
         let index = usize::try_from(self.lane_u64()?).ok()?;
@@ -309,16 +304,8 @@ impl<'a> Reader<'a> {
             self.i += 1;
         } else {
             loop {
-                let start = self.i;
-                let mop = match self.lane_mop() {
-                    Some(mop) => mop,
-                    None => {
-                        self.i = start;
-                        self.mop()?
-                    }
-                };
+                let mop = self.lane_mop()?;
                 self.scratch.mops.push(mop);
-                self.ws();
                 match self.bump()? {
                     b',' => {}
                     b']' => break,
@@ -342,8 +329,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// One mop in the writer's exact layout, most frequent variants
-    /// first.
+    /// One mop, most frequent variants first.
     fn lane_mop(&mut self) -> Option<Mop> {
         let mop = if self.lit(lit::READ).is_some() {
             let key = Key(self.lane_u64()?);
@@ -430,9 +416,9 @@ impl<'a> Reader<'a> {
             .then(|| self.i += lit.len())
     }
 
-    /// One to [`SAFE_DIGITS`] decimal digits, read in place. Such a
-    /// number cannot overflow, so the arithmetic is unchecked; a longer
-    /// one departs from the lane.
+    /// A `u64` of one to 20 decimal digits, read in place. The first
+    /// [`SAFE_DIGITS`] cannot overflow, so their arithmetic is
+    /// unchecked; a 20th digit is checked, and a 21st departs.
     fn lane_u64(&mut self) -> Option<u64> {
         let digits = &self.b[self.i..];
         let mut n = 0u64;
@@ -443,7 +429,12 @@ impl<'a> Reader<'a> {
                 break;
             }
             if len == SAFE_DIGITS {
-                return None;
+                n = n.checked_mul(10)?.checked_add(u64::from(d))?;
+                len += 1;
+                if digits.get(len).is_some_and(u8::is_ascii_digit) {
+                    return None;
+                }
+                break;
             }
             n = n * 10 + u64::from(d);
             len += 1;
@@ -463,230 +454,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    // ── The tolerant direct reader ──────────────────────────────────
-
-    fn event(&mut self) -> Option<Event> {
-        let (mut index, mut process, mut kind, mut mops, mut time_ns) =
-            (None, None, None, None, None);
-        self.object(&EVENT_KEYS, |r, field| {
-            match field {
-                0 => index = Some(usize::try_from(r.u64()?).ok()?),
-                1 => process = Some(ProcessId(u32::try_from(r.u64()?).ok()?)),
-                2 => {
-                    let name = r.str()?;
-                    kind = Some(
-                        KINDS
-                            .into_iter()
-                            .find(|&k| kind_name(k).as_bytes() == name)?,
-                    );
-                }
-                3 => {
-                    r.scratch.mops.clear();
-                    r.array(|r| {
-                        let mop = r.mop()?;
-                        r.scratch.mops.push(mop);
-                        Some(())
-                    })?;
-                    mops = Some(r.scratch.mops.drain(..).collect());
-                }
-                _ => time_ns = Some(r.or_null(Self::u64)?),
-            }
-            Some(())
-        })?;
-        Some(Event {
-            index: index?,
-            process: process?,
-            kind: kind?,
-            mops: mops?,
-            time_ns: time_ns?,
-        })
-    }
-
-    fn mop(&mut self) -> Option<Mop> {
-        let variant = self.variant()?;
-        let (mut key, mut elem, mut amount, mut value) = (None, None, None, None);
-        let second: &[u8] = match variant {
-            b"Append" | b"Write" | b"AddToSet" => b"elem",
-            b"Increment" => b"amount",
-            b"Read" => b"value",
-            _ => return None,
-        };
-        self.object(&[b"key", second], |r, field| {
-            match (field, variant) {
-                (0, _) => key = Some(Key(r.u64()?)),
-                (_, b"Increment") => amount = Some(r.i64()?),
-                (_, b"Read") => value = Some(r.or_null(Self::read_value)?),
-                _ => elem = Some(Elem(r.u64()?)),
-            }
-            Some(())
-        })?;
-        self.eat(b'}')?;
-        let key = key?;
-        Some(match variant {
-            b"Append" => Mop::Append { key, elem: elem? },
-            b"Write" => Mop::Write { key, elem: elem? },
-            b"AddToSet" => Mop::AddToSet { key, elem: elem? },
-            b"Increment" => Mop::Increment {
-                key,
-                amount: amount?,
-            },
-            _ => Mop::Read { key, value: value? },
-        })
-    }
-
-    fn read_value(&mut self) -> Option<ReadValue> {
-        let v = match self.variant()? {
-            b"List" => {
-                self.elems()?;
-                ReadValue::List(self.scratch.elems.clone())
-            }
-            // Duplicates collapse, as the generic `BTreeSet` read does.
-            b"Set" => {
-                self.elems()?;
-                ReadValue::Set(self.scratch.elems.iter().copied().collect())
-            }
-            b"Register" => ReadValue::Register(self.or_null(|r| r.u64().map(Elem))?),
-            b"Counter" => ReadValue::Counter(self.i64()?),
-            _ => return None,
-        };
-        self.eat(b'}')?;
-        Some(v)
-    }
-
-    /// An array of elements, into the scratch.
-    fn elems(&mut self) -> Option<()> {
-        self.scratch.elems.clear();
-        self.array(|r| {
-            let e = r.u64()?;
-            r.scratch.elems.push(Elem(e));
-            Some(())
-        })
-    }
-
-    /// The opening of a one-key enum map, `{"Variant":`, yielding the
-    /// variant name; the caller reads the value and then the `}`.
-    fn variant(&mut self) -> Option<&'a [u8]> {
-        self.eat(b'{')?;
-        let name = self.str()?;
-        self.eat(b':')?;
-        Some(name)
-    }
-
-    /// An object whose keys are exactly `keys`, in any order, each
-    /// once; `field(self, k)` reads the value of `keys[k]`.
-    fn object(
-        &mut self,
-        keys: &[&[u8]],
-        mut field: impl FnMut(&mut Self, usize) -> Option<()>,
-    ) -> Option<()> {
-        self.eat(b'{')?;
-        let mut seen = 0u32;
-        loop {
-            let name = self.str()?;
-            let k = keys.iter().position(|&key| key == name)?;
-            if seen & (1 << k) != 0 {
-                return None;
-            }
-            seen |= 1 << k;
-            self.eat(b':')?;
-            field(self, k)?;
-            self.ws();
-            match self.bump()? {
-                b',' => {}
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        (seen == (1 << keys.len()) - 1).then_some(())
-    }
-
-    /// An array; `item(self)` reads one element.
-    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.eat(b'[')?;
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Some(());
-        }
-        loop {
-            item(self)?;
-            self.ws();
-            match self.bump()? {
-                b',' => {}
-                b']' => return Some(()),
-                _ => return None,
-            }
-        }
-    }
-
-    /// A string without escapes, as its raw bytes.
-    fn str(&mut self) -> Option<&'a [u8]> {
-        self.eat(b'"')?;
-        let start = self.i;
-        let len = self.b[start..]
-            .iter()
-            .position(|&c| c == b'"' || c == b'\\')?;
-        if self.b[start + len] == b'\\' {
-            return None;
-        }
-        self.i = start + len + 1;
-        Some(&self.b[start..start + len])
-    }
-
-    /// A non-negative integer that fits in a `u64`.
-    fn u64(&mut self) -> Option<u64> {
-        self.ws();
-        self.digits()
-    }
-
-    /// A signed integer that fits in an `i64`.
-    fn i64(&mut self) -> Option<i64> {
-        self.ws();
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-            i64::try_from(-i128::from(self.digits()?)).ok()
-        } else {
-            i64::try_from(self.digits()?).ok()
-        }
-    }
-
-    /// One or more decimal digits, without overflowing a `u64`.
-    fn digits(&mut self) -> Option<u64> {
-        let start = self.i;
-        let mut n = 0u64;
-        while let Some(&c @ b'0'..=b'9') = self.b.get(self.i) {
-            n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
-            self.i += 1;
-        }
-        (self.i > start).then_some(n)
-    }
-
-    /// `null` as `None`, or a value `read` reads as `Some`.
-    fn or_null<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
-        self.ws();
-        if self.b[self.i..].starts_with(b"null") {
-            self.i += 4;
-            return Some(None);
-        }
-        read(self).map(Some)
-    }
-
-    /// Skip whitespace, then consume `c`.
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.ws();
-        (self.bump()? == c).then_some(())
-    }
-
     fn bump(&mut self) -> Option<u8> {
         let c = *self.b.get(self.i)?;
         self.i += 1;
         Some(c)
-    }
-
-    fn ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.b.get(self.i) {
-            self.i += 1;
-        }
     }
 }
 
@@ -745,9 +516,9 @@ mod tests {
 
     #[test]
     fn the_lane_reads_every_variant_without_a_restart() {
-        let most = 10u64.pow(19) - 1;
+        let most = u64::MAX;
         let ev = Event {
-            index: most as usize,
+            index: usize::MAX,
             process: ProcessId(u32::MAX),
             kind: EventKind::Info,
             mops: vec![
@@ -789,43 +560,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_departure_inside_mops_restarts_only_that_mop() {
-        let ev = Event {
-            time_ns: None,
-            ..sample()
-        };
-        let mut line = String::new();
-        event_to_json(&ev, &mut line);
-        // Every mop departs after its key; the lane keeps the line.
-        let inside = line.replace("\"key\":", "\"key\": ");
-        let mut r = Reader::new(&inside);
-        assert_eq!(r.lane_event(), Some(ev.clone()), "{inside}");
-        assert_eq!(r.i, inside.len());
-        // A departure outside mops restarts the whole line.
-        let outside = line.replace("\"index\":", "\"index\": ");
-        assert_eq!(Reader::new(&outside).lane_event(), None, "{outside}");
-        assert_eq!(Reader::new(&outside).document(), Some(ev));
+    /// `line` departs from the writer's layout: the lane declines it,
+    /// and `event_from_json` returns what the derived path returns.
+    fn leaves_the_lane(line: &str) -> Result<Event, serde_json::Error> {
+        assert_eq!(Reader::new(line).document(), None, "{line}");
+        let ev = event_from_json(line);
+        assert_eq!(ev, serde_json::from_str::<Event>(line), "{line}");
+        ev
     }
 
+    /// The lane keeps no per-mop restart any more (the name is older):
+    /// a departure inside `mops` sends the whole line to the derived
+    /// path, which still reads the event the writer wrote.
+    #[test]
+    fn a_departure_inside_mops_restarts_only_that_mop() {
+        let mut line = String::new();
+        event_to_json(&sample(), &mut line);
+        let inside = line.replace("\"key\":", "\"key\": ");
+        assert_ne!(inside, line);
+        assert_eq!(Reader::new(&inside).lane_event(), None, "{inside}");
+        assert_eq!(leaves_the_lane(&inside).ok(), Some(sample()));
+    }
+
+    /// The lane reads a 20th digit checked, so `u64::MAX` stays on it;
+    /// a 20-digit number past `u64::MAX` leaves the lane for the
+    /// derived path, the one tolerant reader left, which rejects it.
     #[test]
     fn twenty_digits_leave_the_lane_for_the_tolerant_reader() {
+        let most = u64::MAX.to_string();
+        let over = "18446744073709551616";
+        assert_eq!((most.len(), over.len()), (20, 20));
         let mut text = String::new();
-        push_mop(&mut text, &Mop::append(1, 10u64.pow(19)));
+        push_mop(&mut text, &Mop::append(1, u64::MAX));
+        assert_eq!(
+            Reader::new(&text).lane_mop(),
+            Some(Mop::append(1, u64::MAX))
+        );
+        let text = text.replace(&most, over);
         assert_eq!(Reader::new(&text).lane_mop(), None, "{text}");
         let mut line = String::new();
         event_to_json(&sample(), &mut line);
-        assert_eq!(Reader::new(&line).lane_event(), None, "{line}");
-        assert_eq!(Reader::new(&line).document(), Some(sample()));
+        let line = line.replace(&most, over);
+        assert!(leaves_the_lane(&line).is_err(), "{line}");
     }
 
+    /// Any layout still decodes, now through the derived path (the name
+    /// is older than the deletion of the direct tolerant reader): a
+    /// departure outside `mops`, and keys out of order with whitespace.
     #[test]
     fn reads_any_layout_directly() {
+        let mut line = String::new();
+        event_to_json(&sample(), &mut line);
+        let outside = line.replace("\"index\":", "\"index\": ");
+        assert_ne!(outside, line);
+        assert_eq!(leaves_the_lane(&outside).ok(), Some(sample()));
         let line = " {\"mops\" :[ {\"Read\":{\"value\":{\"Set\":[2,1,2]},\"key\":1}} ],\n\t\"time_ns\":null,\"kind\":\"Ok\",\"process\":0,\"index\":7}\r ";
-        let ev = Reader::new(line)
-            .document()
-            .expect("inside the direct subset");
-        assert_eq!(Ok(ev), serde_json::from_str::<Event>(line));
+        assert!(leaves_the_lane(line).is_ok(), "{line}");
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!   an `Err` with the same text. Inputs start from canonical lines and
 //!   are re-rendered with whitespace, reordered keys, unknown and
 //!   duplicate keys, escaped keys and variant names, and numbers the
-//!   direct subset refuses (`1.0`, `-0`, out of range); then truncated
-//!   and bit-flipped. Two systematic variations reach every point where
-//!   the writer-layout lane hands an object to the tolerant reader: one
+//!   writer-layout lane refuses (`1.0`, `-0`, out of range); then
+//!   truncated and bit-flipped. Two systematic variations reach every
+//!   point where a line departs from the lane for the generic path: one
 //!   space at each token boundary, and each pair of keys swapped.
 //! * **Exact lengths:** a loaded history's mops and list reads carry no
-//!   spare capacity, whichever direct tier decoded them.
+//!   spare capacity, whichever tier decoded them.
 
 use elle_history::{
     event_from_json, event_to_json, Elem, Event, EventKind, Mop, NdjsonIngestor, ProcessId,
@@ -134,7 +134,7 @@ struct Style {
     extra_keys: bool,
     /// `\u00XX` escapes in keys, variant names and strings.
     escapes: bool,
-    /// Numbers the direct subset refuses, or boundary values.
+    /// Numbers the lane refuses, or boundary values.
     numbers: bool,
 }
 
@@ -548,10 +548,10 @@ fn list_log(txns: usize) -> Vec<Event> {
     events
 }
 
-/// The decoders copy mops and list reads out of their scratch at exact
-/// length, and pairing moves them, so a loaded history holds no spare
-/// capacity — in the writer's layout, with every line restarted in the
-/// tolerant reader, and with every mop restarted in it.
+/// The lane copies mops and list reads out of its scratch at exact
+/// length, the generic path shrinks them, and pairing moves them, so a
+/// loaded history holds no spare capacity — in the writer's layout, and
+/// in the two off-layout wires the generic path decodes.
 #[test]
 fn loaded_histories_hold_vectors_at_exact_length() {
     let compact: String = list_log(200)

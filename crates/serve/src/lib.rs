@@ -21,7 +21,9 @@
 //!   an explicit `429`-style reject line, never unbounded memory.
 //! * **Watchdog seals** — `max_epoch` forces a seal on any tenant whose
 //!   epoch stays open too long with events buffered, generalizing
-//!   `elle-stream --max-epoch-ms` across tenants.
+//!   `elle-stream --max-epoch-ms` across tenants. Each worker keeps its
+//!   own tick and checks its tenants between lines, parking no longer
+//!   than the next tick.
 //! * **Crash consistency** — with a data directory, every accepted
 //!   event is journaled (write-ahead) before ingest, once: the journal
 //!   is the tenant's durable history. Each seal, every

@@ -1,5 +1,5 @@
 //! The multi-tenant engine: admission control on the caller's thread,
-//! a shard-per-worker pool that owns the tenants, and a watchdog.
+//! and a shard-per-worker pool that owns the tenants.
 //!
 //! Tenants are sharded across workers by a stable hash of the tenant
 //! id, so one tenant is always served by one worker: ingestion is
@@ -22,9 +22,15 @@
 //! line that arrived during the nap. It naps only when lines come
 //! faster than one per quantum (it found work already queued, or its
 //! last park was shorter than a quantum), so a sparse feed still parks
-//! after every line. No line, tick or drain waits more than one quantum
+//! after every line. No line or drain waits more than one quantum
 //! longer than on a worker that parks at once, and each tenant's lines
 //! stay in FIFO order in its worker's one mailbox.
+//!
+//! With `max_epoch` set, each worker is its own watchdog: it keeps a
+//! tick every quarter of `max_epoch` (at least 10 ms), force-seals its
+//! stale tenants when one is due, and parks no longer than the next
+//! one. Only [`Server`] holds the mailboxes' senders, so dropping them
+//! stops every worker.
 
 use crate::config::ServeConfig;
 use crate::tenant::{IngestReply, Tenant, TenantFinal};
@@ -67,7 +73,6 @@ enum Msg {
         req: Request,
         sink: Sink,
     },
-    Tick,
     Drain(mpsc::Sender<Vec<TenantFinal>>),
 }
 
@@ -79,12 +84,11 @@ struct Shared {
     default_sink: Sink,
 }
 
-/// The running service: worker threads, their mailboxes, the watchdog.
+/// The running service: worker threads and their mailboxes.
 pub struct Server {
     shared: Arc<Shared>,
     senders: Vec<mpsc::Sender<Msg>>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 /// FNV-1a: a stable tenant→shard hash (must not vary across runs or
@@ -102,9 +106,9 @@ fn shard_of(tenant: &str, workers: usize) -> usize {
 impl Server {
     /// Start the service: recover every tenant found under the data
     /// directory (before any line is accepted, so recovery can't race
-    /// ingestion), then spawn the worker pool and watchdog.
+    /// ingestion), then spawn the worker pool.
     /// `default_sink` receives lines with no requesting caller:
-    /// watchdog-forced seal verdicts.
+    /// the verdicts of seals `max_epoch` forced.
     pub fn start(cfg: ServeConfig, default_sink: Sink) -> io::Result<Server> {
         let workers = cfg.workers.max(1);
         let mut maps: Vec<HashMap<String, Tenant>> = (0..workers).map(|_| HashMap::new()).collect();
@@ -144,23 +148,10 @@ impl Server {
             senders.push(tx);
             handles.push(std::thread::spawn(move || worker_loop(shared, rx, map)));
         }
-        let watchdog = shared.cfg.max_epoch.map(|max| {
-            let senders = senders.clone();
-            std::thread::spawn(move || {
-                let tick = (max / 4).max(Duration::from_millis(10));
-                loop {
-                    std::thread::sleep(tick);
-                    if senders.iter().any(|s| s.send(Msg::Tick).is_err()) {
-                        return;
-                    }
-                }
-            })
-        });
         Ok(Server {
             shared,
             senders,
             workers: handles,
-            watchdog,
         })
     }
 
@@ -309,9 +300,6 @@ impl Server {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        if let Some(h) = self.watchdog.take() {
-            let _ = h.join();
-        }
         finals
     }
 
@@ -320,26 +308,19 @@ impl Server {
     /// drain to the journal first (a crash after processing is also a
     /// crash), which is what makes store-level crash tests
     /// deterministic.
-    pub fn abort(mut self) {
-        self.senders.clear();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.watchdog.take() {
-            let _ = h.join();
-        }
+    pub fn abort(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Consumed by drain()/abort() in the normal paths; this is the
-        // escape hatch that keeps a panicking test from deadlocking.
+        // After drain() there is nothing left to stop. Otherwise this is
+        // abort(), or the escape hatch that keeps a panicking test from
+        // deadlocking: the workers see their mailboxes disconnect once
+        // the queued lines are done, and stop without final seals.
         self.senders.clear();
         for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
     }
@@ -361,11 +342,43 @@ fn send_reply(sink: &Sink, tenant: &str, reply: &IngestReply) {
     }
 }
 
+/// Force-seal every tenant whose epoch has stayed open `max` or
+/// longer; a failed tenant is skipped.
+fn force_stale_seals(shared: &Shared, tenants: &mut HashMap<String, Tenant>, max: Duration) {
+    for tenant in tenants.values_mut() {
+        if tenant.failed().is_some() {
+            continue;
+        }
+        match tenant.maybe_force_seal(max) {
+            Ok(Some(line)) => (shared.default_sink)(&line),
+            Ok(None) => {}
+            Err(e) => (shared.default_sink)(&wire::reject(
+                Some(tenant.name()),
+                500,
+                &format!("durability failure: {e}"),
+            )),
+        }
+    }
+}
+
 fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Msg>, mut tenants: HashMap<String, Tenant>) {
+    // With `max_epoch` set, the worker's watchdog tick: `max_epoch`,
+    // the tick's period and when it is next due.
+    let mut watchdog = shared.cfg.max_epoch.map(|max| {
+        let period = (max / 4).max(Duration::from_millis(10));
+        (max, period, Instant::now() + period)
+    });
     // Nap when the mailbox runs dry only if lines come faster than one
     // per quantum: work was already queued, or the last park was short.
     let mut nap = false;
     loop {
+        if let Some((max, period, due)) = &mut watchdog {
+            let now = Instant::now();
+            if now >= *due {
+                *due = now + *period;
+                force_stale_seals(&shared, &mut tenants, *max);
+            }
+        }
         let msg = match rx.try_recv() {
             Ok(msg) => {
                 nap = true;
@@ -378,8 +391,17 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Msg>, mut tenants: HashMa
                 continue;
             }
             Err(mpsc::TryRecvError::Empty) => {
+                // Park, but no longer than the next tick.
                 let parked = Instant::now();
-                let Ok(msg) = rx.recv() else { return };
+                let received = match watchdog {
+                    Some((_, _, due)) => rx.recv_timeout(due.saturating_duration_since(parked)),
+                    None => rx.recv().map_err(mpsc::RecvTimeoutError::from),
+                };
+                let msg = match received {
+                    Ok(msg) => msg,
+                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                };
                 nap = parked.elapsed() < NAP;
                 msg
             }
@@ -457,24 +479,6 @@ fn worker_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Msg>, mut tenants: HashMa
                             Ok(reply) => send_reply(&sink, &name, &reply),
                             Err(e) => sink(&wire::reject(
                                 Some(&name),
-                                500,
-                                &format!("durability failure: {e}"),
-                            )),
-                        }
-                    }
-                }
-            }
-            Msg::Tick => {
-                if let Some(max) = shared.cfg.max_epoch {
-                    for tenant in tenants.values_mut() {
-                        if tenant.failed().is_some() {
-                            continue;
-                        }
-                        match tenant.maybe_force_seal(max) {
-                            Ok(Some(line)) => (shared.default_sink)(&line),
-                            Ok(None) => {}
-                            Err(e) => (shared.default_sink)(&wire::reject(
-                                Some(tenant.name()),
                                 500,
                                 &format!("durability failure: {e}"),
                             )),

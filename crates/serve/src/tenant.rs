@@ -9,9 +9,9 @@
 //!    [`RecoveryPolicy::Quarantine`]; the tenant keeps checking with
 //!    weaker inferences and the verdict envelope grows a `quarantined`
 //!    gauge.
-//! 2. **forced-seal** — the watchdog sealed an epoch that stayed open
-//!    too long; numbering shifts but every verdict is still exact for
-//!    its prefix (`forced_seals` gauge).
+//! 2. **forced-seal** — the worker's watchdog tick sealed an epoch that
+//!    stayed open too long; numbering shifts but every verdict is still
+//!    exact for its prefix (`forced_seals` gauge).
 //! 3. **poisoned** — a seal panicked; that one epoch's verdict is
 //!    indeterminate (`"ok":null`) and the checker rebuilds itself from
 //!    its own paired history.

@@ -440,12 +440,6 @@ impl StreamChecker {
                 .stages
                 .push(("retirement".to_string(), clock.elapsed().as_secs_f64()));
         }
-        timings.quarantined_events = self.quarantined;
-        let window = self.window_stats();
-        if let Some(w) = &window {
-            timings.resident_bytes = w.resident_bytes;
-            timings.retired_txns = w.retired_txns;
-        }
         let out = EpochReport {
             epoch: self.epoch,
             events: self.events_this_epoch,
@@ -461,7 +455,7 @@ impl StreamChecker {
             },
             timings,
             poisoned: None,
-            window,
+            window: self.window_stats(),
         };
         self.start_epoch();
         out
@@ -496,10 +490,6 @@ impl StreamChecker {
                         self.epoch
                     ),
                 );
-                let timings = StageTimings {
-                    quarantined_events: self.quarantined,
-                    ..StageTimings::default()
-                };
                 let out = EpochReport {
                     epoch: self.epoch,
                     events: self.events_this_epoch,
@@ -511,7 +501,7 @@ impl StreamChecker {
                         quarantined_events: self.quarantined,
                         ..FrontierStats::default()
                     },
-                    timings,
+                    timings: StageTimings::default(),
                     poisoned: Some(message),
                     window: self.window_stats(),
                 };

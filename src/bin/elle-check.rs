@@ -175,7 +175,7 @@ fn run(args: &mut Args) -> Result<Status, Stop> {
         let guarded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             checker.check_timed(&history)
         }));
-        let (report, mut stages) = match guarded {
+        let (report, stages) = match guarded {
             Ok(out) => out,
             Err(p) => {
                 eprintln!(
@@ -185,10 +185,12 @@ fn run(args: &mut Args) -> Result<Status, Stop> {
                 return Ok(Status::Unknown);
             }
         };
-        stages.quarantined_events = quarantined;
         eprintln!("timing (wall clock):");
         eprintln!("  {:<26}  {:>9.3} ms", "parse + pairing", parse_secs * 1e3);
-        eprint!("{}", stages.render());
+        eprint!(
+            "{}",
+            stages.render(&[("quarantined", quarantined, "events")])
+        );
         report
     } else {
         match checker.try_check(&history) {

@@ -17,7 +17,6 @@
 //! was poisoned by an internal checker error.
 
 use elle::cli::{self, read_line_capped, Args, Cli, LineRead, Status, Stop};
-use elle::core::StageTimings;
 use elle::history::{decode_event_line, IngestCause, IngestError, RecoveryPolicy, SourcePos};
 use elle::prelude::*;
 use elle::stream::{EpochPolicy, EpochReport, Gauges, StreamChecker, WindowPolicy};
@@ -116,12 +115,19 @@ fn emit(epoch: &EpochReport, as_json: bool, timing: bool, forced_seals: usize) {
         }
     }
     if timing {
-        let timings = StageTimings {
-            forced_seals,
-            ..epoch.timings.clone()
-        };
+        let (resident, retired) = epoch
+            .window
+            .map_or((0, 0), |w| (w.resident_bytes, w.retired_txns));
         eprintln!("epoch {} timing:", epoch.epoch);
-        eprint!("{}", timings.render());
+        eprint!(
+            "{}",
+            epoch.timings.render(&[
+                ("quarantined", epoch.frontier.quarantined_events, "events"),
+                ("forced seals", forced_seals, "seals"),
+                ("resident", resident, "bytes"),
+                ("retired", retired, "txns"),
+            ])
+        );
     }
 }
 

@@ -12,6 +12,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A small per-tenant workload, deterministically seeded.
 fn tenant_log(seed: u64, txns: usize) -> elle::history::EventLog {
@@ -1385,4 +1386,107 @@ fn a_spent_hard_rung_rearms_when_a_seal_retires() {
         1,
         "and the rung fired next"
     );
+}
+
+/// Run `stop` on a server with `max_epoch` set that has answered one
+/// `seal` op, on a thread of its own, and require it to return within
+/// 10 s: a hang fails the test instead of blocking it.
+fn stops_within_ten_seconds(stop: fn(Server)) {
+    let cfg = ServeConfig {
+        max_epoch: Some(Duration::from_millis(40)),
+        ..small_cfg()
+    };
+    let (sink, lines) = collecting_sink();
+    let server = Server::start(cfg, Arc::clone(&sink)).unwrap();
+    assert_eq!(
+        server.submit(r#"{"tenant":"w","op":"seal"}"#, &sink),
+        Submitted::Ok
+    );
+    let asked = Instant::now();
+    while lines.lock().unwrap().is_empty() {
+        assert!(asked.elapsed() < Duration::from_secs(10), "no answer");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopping = std::thread::spawn(move || {
+        stop(server);
+        let _ = done.send(());
+    });
+    let waited = stopped.recv_timeout(Duration::from_secs(10));
+    assert_ne!(
+        waited,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "the server did not stop within 10 s"
+    );
+    stopping.join().expect("stopping the server panicked");
+}
+
+/// Each worker keeps its own watchdog tick, so only the server holds
+/// the workers' mailboxes open: `abort` disconnects them and returns.
+#[test]
+fn abort_returns_with_max_epoch_set() {
+    stops_within_ten_seconds(Server::abort);
+}
+
+/// As `abort`, so dropping a server with `max_epoch` set returns.
+#[test]
+fn drop_returns_with_max_epoch_set() {
+    stops_within_ten_seconds(drop);
+}
+
+/// A tenant holding events below its watermark is force-sealed by its
+/// worker's tick with no further input, and the forced verdict is the
+/// batch checker's on that prefix. A failed strict-mode tenant on the
+/// same worker, whose epoch opened earlier, is never force-sealed.
+#[test]
+fn a_held_epoch_is_force_sealed_without_further_input() {
+    let cfg = ServeConfig {
+        recovery: elle::history::RecoveryPolicy::Strict,
+        workers: 1,
+        max_epoch: Some(Duration::from_millis(100)),
+        ..small_cfg()
+    };
+    let held = tenant_log(52, 10);
+    assert!(held.pair().unwrap().len() < cfg.epoch_txns.unwrap());
+    let (sink, lines) = collecting_sink();
+    let server = Server::start(cfg.clone(), Arc::clone(&sink)).unwrap();
+    let mut wire = tagged_lines("failed", &tenant_log(51, 4));
+    wire.push(r#"{"tenant":"failed","event":{"index":"x"}}"#.to_string());
+    wire.extend(tagged_lines("held", &held));
+    for line in &wire {
+        assert_eq!(server.submit(line, &sink), Submitted::Ok);
+    }
+    let fed = Instant::now();
+    let forced = loop {
+        let envelope = lines
+            .lock()
+            .unwrap()
+            .iter()
+            .find(|l| l.starts_with(r#"{"tenant":"held","#))
+            .cloned();
+        if let Some(envelope) = envelope {
+            break envelope;
+        }
+        assert!(fed.elapsed() < Duration::from_secs(2), "no forced seal");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(forced.contains(r#""epoch":0,"#), "{forced}");
+    assert!(forced.contains(r#""forced_seals":1,"#), "{forced}");
+    let batch = Checker::new(cfg.opts).check(&held.pair().unwrap());
+    assert_eq!(
+        report_slice(&forced),
+        format!("\"report\":{}}}", serde_json::to_string(&batch).unwrap())
+    );
+    // Two more ticks pass; the failed tenant only has its 422.
+    std::thread::sleep(Duration::from_millis(60));
+    let failed: Vec<String> = lines
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|l| l.starts_with(r#"{"tenant":"failed","#))
+        .cloned()
+        .collect();
+    assert_eq!(failed.len(), 1, "{failed:?}");
+    assert!(failed[0].contains(r#""code":422"#), "{failed:?}");
+    server.drain();
 }

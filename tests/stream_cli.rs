@@ -232,6 +232,75 @@ fn quarantine_gauges_reach_the_timing_output() {
     let _ = std::fs::remove_file(&nd_path);
 }
 
+/// The driver's four gauge rows close each `--timing` table, in one
+/// order and with their units: a windowed run of a stream with a
+/// duplicated line, under `--quarantine`, where every event forces a
+/// seal (`--max-epoch-ms 0`). Keys rotate, so the window retires.
+#[test]
+fn timing_tables_end_with_the_drivers_gauge_rows() {
+    let params = GenParams {
+        n_txns: 60,
+        min_txn_len: 1,
+        max_txn_len: 3,
+        active_keys: 2,
+        writes_per_key: 4,
+        read_prob: 0.4,
+        kind: ObjectKind::ListAppend,
+        seed: 9,
+        final_reads: false,
+    };
+    let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
+        .with_processes(4)
+        .with_seed(9);
+    let wire = elle::history::events_to_ndjson(&elle::gen::run_workload_log(params, db));
+    let nd_path = std::env::temp_dir().join("elle_stream_cli_gauge_rows.ndjson");
+    let dup: String = wire
+        .lines()
+        .enumerate()
+        .flat_map(|(i, l)| if i == 10 { vec![l, l] } else { vec![l] })
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&nd_path, dup).unwrap();
+    let out = stream_bin()
+        .arg(nd_path.to_str().unwrap())
+        .args(["--quarantine", "--timing", "--window-txns", "5"])
+        .args(["--max-epoch-ms", "0"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let epochs = stderr.matches(" timing:\n").count();
+    let last = &stderr[stderr.rfind(" timing:\n").unwrap()..];
+    // The (name, value, unit) rows after the total, the peaks aside.
+    let gauges: Vec<(String, usize, &str)> = last
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("total"))
+        .skip(1)
+        .filter_map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            let [name @ .., value, unit] = words.as_slice() else {
+                panic!("{l}")
+            };
+            let name = name.join(" ");
+            (!name.ends_with("peak")).then(|| (name, value.parse().unwrap(), *unit))
+        })
+        .collect();
+    let rows: Vec<(&str, &str)> = gauges.iter().map(|(n, _, u)| (n.as_str(), *u)).collect();
+    assert_eq!(
+        rows,
+        [
+            ("quarantined", "events"),
+            ("forced seals", "seals"),
+            ("resident", "bytes"),
+            ("retired", "txns"),
+        ],
+        "{last}"
+    );
+    assert_eq!(gauges[0].1, 1, "{last}");
+    assert_eq!(gauges[1].1, epochs - 1, "{last}");
+    let _ = std::fs::remove_file(&nd_path);
+}
+
 #[test]
 fn oversized_lines_are_capped() {
     let nd_path = write_workload("elle_stream_cli_oversize.ndjson", 40);
