@@ -66,12 +66,13 @@ fn main() {
                 "null".to_string()
             };
             rows.push(format!(
-                "    {{\"epoch\": {}, \"prefix_txns\": {}, \"seal_ms\": {:.3}, \"batch_recheck_ms\": {}, \"dirty_keys\": {}, \"scoped_txns\": {}, \"rebuilt\": {}}}",
+                "    {{\"epoch\": {}, \"prefix_txns\": {}, \"seal_ms\": {:.3}, \"batch_recheck_ms\": {}, \"dirty_keys\": {}, \"extended_keys\": {}, \"scoped_txns\": {}, \"rebuilt\": {}}}",
                 epoch_ix,
                 epoch.txns,
                 seal_ms,
                 batch_ms,
                 epoch.frontier.dirty_keys,
+                epoch.frontier.extended_keys,
                 epoch.frontier.scoped_txns,
                 epoch.rebuilt,
             ));

@@ -21,7 +21,8 @@
 
 use crate::anomaly::{Anomaly, AnomalyType, Witness};
 use crate::deps::DepGraph;
-use crate::gather::{GatherBuf, KeySlots};
+use crate::gather::{GatherBuf, Grouped, KeySlots};
+use crate::list_append::ListSummary;
 use crate::observation::{DataType, ElemIndex, WriteRef};
 use elle_history::{Elem, History, Key, Mop, Transaction, TxnId, TxnStatus};
 use rayon::prelude::*;
@@ -109,6 +110,10 @@ pub struct KeySink {
     /// walk over the whole history. May contain repeats; consumers
     /// union into a set.
     pub observed_elems: Vec<Elem>,
+    /// List-append keys with no anomaly, in scoped (streaming) runs
+    /// only: what the next seal needs to extend this result with its
+    /// epoch's reads instead of re-analyzing the key.
+    pub summary: Option<ListSummary>,
 }
 
 impl KeySink {
@@ -381,15 +386,7 @@ pub fn analyze_keys<D: DatatypeAnalysis>(
     poisoned: &FxHashSet<Key>,
     mode: Parallelism,
 ) -> (Vec<(Key, KeySink)>, GatherStats) {
-    let start = Instant::now();
-    let mut buf = GatherBuf::new();
-    let aux = D::gather(cx, &mut buf);
-    let buf_bytes = buf.footprint_bytes();
-    let grouped = buf.group(cx.keys.len());
-    let gather = GatherStats {
-        secs: start.elapsed().as_secs_f64(),
-        buf_bytes: buf_bytes.max(grouped.footprint_bytes()),
-    };
+    let (aux, grouped, gather) = gather_runs::<D>(cx);
     let slots: Vec<u32> = grouped.occupied().collect();
 
     let parallel = match mode {
@@ -418,6 +415,24 @@ pub fn analyze_keys<D: DatatypeAnalysis>(
         .zip(sinks)
         .collect();
     (pairs, gather)
+}
+
+/// The gather half of [`analyze_keys`]: one scan of the scoped
+/// transactions, grouped into contiguous per-key occurrence runs, and
+/// what it cost.
+pub(crate) fn gather_runs<'h, D: DatatypeAnalysis>(
+    cx: &AnalysisCtx<'h, D::Config>,
+) -> (D::Aux<'h>, Grouped<D::Occ<'h>>, GatherStats) {
+    let start = Instant::now();
+    let mut buf = GatherBuf::new();
+    let aux = D::gather(cx, &mut buf);
+    let buf_bytes = buf.footprint_bytes();
+    let grouped = buf.group(cx.keys.len());
+    let gather = GatherStats {
+        secs: start.elapsed().as_secs_f64(),
+        buf_bytes: buf_bytes.max(grouped.footprint_bytes()),
+    };
+    (aux, grouped, gather)
 }
 
 // ── Shared passes ───────────────────────────────────────────────────────

@@ -32,6 +32,13 @@
 //! rescans every read's full value) is preserved verbatim in
 //! [`crate::reference`] and the two are byte-equivalence-tested in
 //! `crates/core/tests/version_props.rs`.
+//!
+//! **Extension.** On a key with no anomaly, a later read can only
+//! extend the spine. A streaming seal therefore keeps a
+//! [`ListSummary`] beside such a key's result and runs the same
+//! per-read code over the epoch's new reads only (`extend_key`),
+//! falling back to [`ListAppend::analyze_key`] over the key's whole
+//! posting list wherever the two could differ.
 
 use crate::anomaly::{Anomaly, AnomalyType, Witness};
 use crate::datatype::{
@@ -274,6 +281,448 @@ fn push_element_events(
     }
 }
 
+/// The spine's per-position tables from one scan: each element's writer
+/// (resolved inside the key's own posting slab), the first repeated
+/// element and the elements no transaction wrote. Every prefix version
+/// reuses them.
+struct SpineTables {
+    writers: Vec<Option<WriteRef>>,
+    first_dup: Option<(usize, Elem)>,
+    garbage: Vec<(usize, Elem)>,
+}
+
+impl SpineTables {
+    fn scan(kw: &crate::observation::KeyWriters<'_>, spine: &[Elem]) -> SpineTables {
+        let writers: Vec<Option<WriteRef>> = spine.iter().map(|e| kw.writer(*e)).collect();
+        let mut seen: FxHashSet<Elem> = FxHashSet::default();
+        let mut first_dup: Option<(usize, Elem)> = None;
+        let mut garbage: Vec<(usize, Elem)> = Vec::new();
+        for (j, e) in spine.iter().enumerate() {
+            if !seen.insert(*e) {
+                if first_dup.is_none() {
+                    first_dup = Some((j, *e));
+                }
+            } else if writers[j].is_none() {
+                garbage.push((j, *e));
+            }
+        }
+        SpineTables {
+            writers,
+            first_dup,
+            garbage,
+        }
+    }
+
+    /// The writer of spine position `j`; only valid on a clean spine.
+    fn writer(&self, j: usize) -> WriteRef {
+        self.writers[j].expect("no garbage in clean key")
+    }
+}
+
+/// Pass B's spine walk: per-position provenance events with the
+/// in-version successor, plus the G1b verdict each position would get
+/// as a version's last element (actual_next = None). For the spine's
+/// own last position the two coincide.
+struct SpineEvents {
+    events: Vec<(usize, FanEvent)>,
+    end_g1b: Vec<Option<(TxnId, Elem)>>,
+}
+
+impl SpineEvents {
+    /// Walk a clean spine. `next_append(writer, e)` is the writer's
+    /// append to the key directly after its append of `e`.
+    fn walk(
+        spine: &[Elem],
+        tables: &SpineTables,
+        next_append: impl Fn(TxnId, Elem) -> Option<Elem>,
+    ) -> SpineEvents {
+        let mut events: Vec<(usize, FanEvent)> = Vec::new();
+        let mut end_g1b: Vec<Option<(TxnId, Elem)>> = vec![None; spine.len()];
+        let mut saw_aborted: Option<(Elem, TxnId)> = None;
+        let mut evs = Vec::new();
+        for (j, e) in spine.iter().enumerate() {
+            let w = tables.writer(j);
+            push_element_events(
+                &mut evs,
+                &mut saw_aborted,
+                *e,
+                w,
+                spine.get(j + 1).copied(),
+                |wt| next_append(wt, *e),
+            );
+            for ev in evs.drain(..) {
+                events.push((j, ev));
+            }
+            if !w.final_for_key {
+                if let Some(next) = next_append(w.txn, *e) {
+                    end_g1b[j] = Some((w.txn, next));
+                }
+            }
+        }
+        SpineEvents { events, end_g1b }
+    }
+
+    /// The events of the spine's prefix of length `l`.
+    fn of_prefix(&self, spine: &[Elem], l: usize) -> Vec<FanEvent> {
+        if l == 0 {
+            return Vec::new();
+        }
+        let mut evs: Vec<FanEvent> = Vec::new();
+        for (pos, ev) in &self.events {
+            if *pos + 1 < l {
+                evs.push(ev.clone());
+            } else if *pos + 1 == l && !matches!(ev, FanEvent::G1b { .. }) {
+                // The version's last element: G1a and dirty layering
+                // apply unchanged; the G1b adjacency verdict is
+                // re-derived below with actual_next = None.
+                evs.push(ev.clone());
+            }
+        }
+        if let Some((writer, expected_next)) = self.end_g1b[l - 1] {
+            evs.push(FanEvent::G1b {
+                elem: spine[l - 1],
+                writer,
+                expected_next: Some(expected_next),
+            });
+        }
+        evs
+    }
+}
+
+/// Pass B's per-read fan-out, with the seed's dedup policies: G1a and
+/// G1b once per (reader, element), dirty updates once per aborted
+/// element.
+#[derive(Default)]
+struct FanOut {
+    scan: ProvenanceScan,
+    dirty_reported: FxHashSet<Elem>,
+    g1b_reported: FxHashSet<(TxnId, Elem)>,
+}
+
+impl FanOut {
+    fn read(
+        &mut self,
+        cx: &AnalysisCtx<'_, ()>,
+        key: Key,
+        occ: &ReadOcc<'_>,
+        events: &[FanEvent],
+        out: &mut KeySink,
+    ) {
+        let vocab = &ListAppend::VOCAB;
+        let reader = occ.txn.id;
+        for ev in events {
+            match ev {
+                FanEvent::G1a { elem, writer } => {
+                    self.scan
+                        .g1a_classified(cx, vocab, key, reader, *elem, *writer, out);
+                }
+                FanEvent::Dirty {
+                    aborted_elem,
+                    aborted_writer,
+                    elem,
+                    writer,
+                } => {
+                    if self.dirty_reported.insert(*aborted_elem) {
+                        out.anomaly(
+                            AnomalyType::DirtyUpdate,
+                            vec![*aborted_writer, *writer],
+                            key,
+                            format!(
+                                "the trace of key {key} contains element {aborted_elem} \
+                                 from aborted transaction {aborted_writer}, later built \
+                                 upon by {writer}'s append of {elem}",
+                            ),
+                        );
+                    }
+                }
+                FanEvent::G1b {
+                    elem,
+                    writer,
+                    expected_next,
+                } => {
+                    if *writer != reader && self.g1b_reported.insert((reader, *elem)) {
+                        out.anomaly(
+                            AnomalyType::G1b,
+                            vec![reader, *writer],
+                            key,
+                            format!(
+                                "{}\n  observed element {elem} of key {key}, an \
+                                 intermediate append of {} (its next append {} is not \
+                                 the following element)",
+                                occ.txn.to_notation(),
+                                cx.history.get(*writer).to_notation(),
+                                expected_next.map_or("<none>".to_string(), |e| e.to_string()),
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether a read is its transaction's first touch of the key and the
+/// transaction appends to the key after it: a read-modify-write, which
+/// takes part in lost-update groups.
+fn reads_then_appends(occ: &ReadOcc<'_>, key: Key) -> bool {
+    let first_touch = occ
+        .txn
+        .mops
+        .iter()
+        .position(|m| m.key() == key)
+        .expect("occ touches key");
+    first_touch == occ.mop
+        && occ.txn.mops[occ.mop..]
+            .iter()
+            .any(|m| matches!(m, Mop::Append { key: k, .. } if *k == key))
+}
+
+/// `ww` edges between consecutive spine elements, for the pairs ending
+/// at positions `from..` (`from >= 1`).
+fn ww_edges(key: Key, spine: &[Elem], tables: &SpineTables, from: usize, out: &mut KeySink) {
+    for j in from..spine.len() {
+        out.edge(
+            tables.writer(j - 1).txn,
+            tables.writer(j).txn,
+            Witness::WwList {
+                key,
+                prev: spine[j - 1],
+                next: spine[j],
+            },
+        );
+    }
+}
+
+/// The `wr` and `rw` edges of one read that lies on the spine, given
+/// the reader's own appends to the key.
+fn read_edges(
+    key: Key,
+    occ: &ReadOcc<'_>,
+    spine: &[Elem],
+    tables: &SpineTables,
+    own: Option<&AppendSeq>,
+    out: &mut KeySink,
+) {
+    let reader = occ.txn.id;
+    let l = occ.value.len();
+    // Strip trailing own appends: the externally-visible prefix.
+    let ext_len = match own {
+        None => l,
+        Some(own) => {
+            let mut e = l;
+            while e > 0 && own.contains(occ.value[e - 1]) {
+                e -= 1;
+            }
+            e
+        }
+    };
+    // wr: the version `ext` was produced by the append of its last
+    // element.
+    if ext_len > 0 {
+        out.edge(
+            tables.writer(ext_len - 1).txn,
+            reader,
+            Witness::WrList {
+                key,
+                elem: occ.value[ext_len - 1],
+            },
+        );
+    }
+    rw_edge(
+        key,
+        reader,
+        occ.value.last().copied(),
+        l,
+        spine,
+        tables,
+        out,
+    );
+}
+
+/// `rw`: a reader of the spine's prefix of length `l` (ending in
+/// `read_last`) anti-depends on the writer of the version directly
+/// after it, if the spine has one.
+fn rw_edge(
+    key: Key,
+    reader: TxnId,
+    read_last: Option<Elem>,
+    l: usize,
+    spine: &[Elem],
+    tables: &SpineTables,
+    out: &mut KeySink,
+) {
+    if l < spine.len() {
+        out.edge(
+            reader,
+            tables.writer(l).txn,
+            Witness::RwList {
+                key,
+                read_last,
+                next: spine[l],
+            },
+        );
+    }
+}
+
+/// What a seal needs to extend a clean key's cached result with the
+/// epoch's reads instead of re-analyzing the key's history: on a clean
+/// key every read is a prefix of the spine, so a later read can only
+/// extend what earlier reads proved (§4.2, traceability). The spine
+/// itself is the key's cached observed elements. Only scoped
+/// (streaming) runs build it, and only for keys with no anomaly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ListSummary {
+    /// The readers whose read is the whole spine, one entry per read:
+    /// they gain their `rw` edge only when the spine grows.
+    pub tip_readers: Vec<TxnId>,
+    /// The version lengths read by read-then-append transactions,
+    /// ascending: a second such read of one of them is a lost update.
+    pub rmw_lens: Vec<usize>,
+}
+
+/// A clean key's result grown by one epoch's reads: what
+/// [`ListAppend::analyze_key`] over the whole posting list would add.
+#[derive(Debug)]
+pub(crate) struct Extension {
+    /// The spine's new tail.
+    pub tail: Vec<Elem>,
+    /// The edges the epoch adds.
+    pub edges: Vec<(TxnId, TxnId, Witness)>,
+    /// The summary the next seal extends.
+    pub summary: ListSummary,
+}
+
+/// A transaction's appends to one key, in program order.
+fn appends_to(t: &Transaction, key: Key) -> AppendSeq {
+    let mut seq = AppendSeq::default();
+    for m in &t.mops {
+        if let Mop::Append { key: k, elem } = m {
+            if *k == key {
+                seq.push(*elem);
+            }
+        }
+    }
+    seq
+}
+
+/// Extend a clean key's cached result (`spine`, `summary`) with `occs`,
+/// the epoch's committed reads of it, gathered with `appends_of` over
+/// the epoch's own transactions. Runs the per-read code
+/// [`ListAppend::analyze_key`] runs, on the new reads only: the spine
+/// tables and walk over the grown spine, the provenance fan-out, the
+/// read-then-append grouping and the edges.
+///
+/// Returns `None` wherever the result is not provably what
+/// `analyze_key` over the whole posting list would return: the old
+/// spine or a new read does not lie on the new longest read, or the new
+/// reads would emit any anomaly (garbage, a duplicate, G1a, G1b or a
+/// dirty update on the new tail or on a new read, or a lost update
+/// against an old or new read-then-append of the same version). The
+/// caller checks the rest: the key's summary exists, no write-level
+/// duplicate poisoned the key, and no transaction that changed in the
+/// epoch wrote an element of the old spine. Old reads need nothing
+/// new: their versions, writers and provenance are unchanged, so only
+/// the tip readers' `rw` edges move, when the spine grows.
+pub(crate) fn extend_key<'h>(
+    cx: &AnalysisCtx<'h, ()>,
+    appends_of: &<ListAppend as DatatypeAnalysis>::Aux<'h>,
+    key: Key,
+    old: &[Elem],
+    summary: &ListSummary,
+    occs: &[ReadOcc<'h>],
+) -> Option<Extension> {
+    // The new spine: the longest read, old spine included (ties are
+    // equal values once every read lies on it).
+    let mut spine: &[Elem] = old;
+    for occ in occs {
+        if occ.value.len() > spine.len() {
+            spine = occ.value;
+        }
+    }
+    let on_spine = |v: &[Elem]| v.len() <= spine.len() && *v == spine[..v.len()];
+    if !on_spine(old) || !occs.iter().all(|o| on_spine(o.value)) {
+        return None;
+    }
+    let mut rmw_lens = summary.rmw_lens.clone();
+    for occ in occs.iter().filter(|o| reads_then_appends(o, key)) {
+        match rmw_lens.binary_search(&occ.value.len()) {
+            Ok(_) => return None,
+            Err(at) => rmw_lens.insert(at, occ.value.len()),
+        }
+    }
+    let mut tip_readers = if spine.len() > old.len() {
+        Vec::new()
+    } else {
+        summary.tip_readers.clone()
+    };
+    tip_readers.extend(
+        occs.iter()
+            .filter(|o| o.value.len() == spine.len())
+            .map(|o| o.txn.id),
+    );
+    let summary_after = ListSummary {
+        tip_readers,
+        rmw_lens,
+    };
+    if occs.is_empty() {
+        return Some(Extension {
+            tail: Vec::new(),
+            edges: Vec::new(),
+            summary: summary_after,
+        });
+    }
+
+    // The grown spine's tables and walk, and the new reads' fan-out
+    // into a temporary sink: any anomaly sends the key back to the full
+    // analysis, which reports it.
+    let tables = SpineTables::scan(&cx.elems.key_writers(key), spine);
+    if tables.first_dup.is_some() || !tables.garbage.is_empty() {
+        return None;
+    }
+    let walk = SpineEvents::walk(spine, &tables, |wt, e| match appends_of.get(&(wt, key)) {
+        Some(seq) => seq.next_after(e),
+        // A writer from before the epoch: read its appends from the
+        // history.
+        None => appends_to(cx.history.get(wt), key).next_after(e),
+    });
+    let mut fan = FanOut::default();
+    let mut out = KeySink::default();
+    for occ in occs {
+        fan.read(
+            cx,
+            key,
+            occ,
+            &walk.of_prefix(spine, occ.value.len()),
+            &mut out,
+        );
+    }
+    if !out.anomalies.is_empty() {
+        return None;
+    }
+
+    ww_edges(key, spine, &tables, old.len().max(1), &mut out);
+    for &reader in &summary.tip_readers {
+        rw_edge(
+            key,
+            reader,
+            old.last().copied(),
+            old.len(),
+            spine,
+            &tables,
+            &mut out,
+        );
+    }
+    for occ in occs {
+        let own = appends_of.get(&(occ.txn.id, key));
+        read_edges(key, occ, spine, &tables, own, &mut out);
+    }
+    Some(Extension {
+        tail: spine[old.len()..].to_vec(),
+        edges: out.edges,
+        summary: summary_after,
+    })
+}
+
 /// The list-append [`DatatypeAnalysis`].
 pub struct ListAppend;
 
@@ -365,9 +814,14 @@ impl DatatypeAnalysis for ListAppend {
 
     fn gather<'h>(cx: &AnalysisCtx<'h, ()>, buf: &mut GatherBuf<ReadOcc<'h>>) -> Self::Aux<'h> {
         // Roughly one append group per (txn, key) append — reserve on the
-        // mop count so the bulk load never rehashes.
+        // scope's mop count so the bulk load never rehashes, and a seal
+        // over a few keys does not size its map by the whole history.
+        let mops = match cx.scope {
+            None => cx.history.mop_count(),
+            Some(ids) => ids.iter().map(|id| cx.history.get(*id).mops.len()).sum(),
+        };
         let mut appends: Self::Aux<'h> =
-            FxHashMap::with_capacity_and_hasher(cx.history.mop_count() / 2, Default::default());
+            FxHashMap::with_capacity_and_hasher(mops / 2, Default::default());
         for t in cx.scoped_txns() {
             for (i, m) in t.mops.iter().enumerate() {
                 match m {
@@ -442,26 +896,11 @@ impl DatatypeAnalysis for ListAppend {
         let longest = &occs[longest_idx];
         let longest_v = longest.value;
 
-        // ── Spine scan: every element of x_f is resolved to its writer
-        //    inside the key's own posting slab (one key → slab probe for
-        //    the whole scan), checked for duplication, and checked for
-        //    garbage exactly once. All prefix versions reuse these
-        //    tables.
+        // ── Spine scan: every element of x_f is resolved to its writer,
+        //    checked for duplication, and checked for garbage exactly
+        //    once. All prefix versions reuse these tables.
         let kw = cx.elems.key_writers(key);
-        let spine_writers: Vec<Option<WriteRef>> =
-            longest_v.iter().map(|e| kw.writer(*e)).collect();
-        let mut spine_seen: FxHashSet<Elem> = FxHashSet::default();
-        let mut spine_first_dup: Option<(usize, Elem)> = None;
-        let mut spine_garbage: Vec<(usize, Elem)> = Vec::new();
-        for (j, e) in longest_v.iter().enumerate() {
-            if !spine_seen.insert(*e) {
-                if spine_first_dup.is_none() {
-                    spine_first_dup = Some((j, *e));
-                }
-            } else if spine_writers[j].is_none() {
-                spine_garbage.push((j, *e));
-            }
-        }
+        let spine = SpineTables::scan(&kw, longest_v);
 
         // ── Per distinct version: prefix verification (one slice
         //    equality against the spine) and pass-A facts, derived from
@@ -474,8 +913,9 @@ impl DatatypeAnalysis for ListAppend {
             let is_prefix = l <= longest_v.len() && v == &longest_v[..l];
             let (first_dup, garbage) = if is_prefix {
                 (
-                    spine_first_dup.filter(|(j, _)| *j < l).map(|(_, e)| e),
-                    spine_garbage
+                    spine.first_dup.filter(|(j, _)| *j < l).map(|(_, e)| e),
+                    spine
+                        .garbage
                         .iter()
                         .take_while(|(j, _)| *j < l)
                         .map(|(_, e)| *e)
@@ -519,131 +959,21 @@ impl DatatypeAnalysis for ListAppend {
         //    reuse a single spine walk (plus an O(1) end-of-version
         //    adjacency check); incompatible values get their own scan. ──
         if !poisoned {
-            // Spine walk: per-position events with the in-version
-            // successor, plus the G1b verdict if the position were a
-            // version's last element (actual_next = None). For the
-            // spine's own last position the two coincide.
-            let mut spine_events: Vec<(usize, FanEvent)> = Vec::new();
-            let mut end_g1b: Vec<Option<(TxnId, Elem)>> = vec![None; longest_v.len()];
-            let mut saw_aborted: Option<(Elem, TxnId)> = None;
-            let mut evs = Vec::new();
-            for (j, e) in longest_v.iter().enumerate() {
-                let w = spine_writers[j].expect("no garbage in clean key");
-                push_element_events(
-                    &mut evs,
-                    &mut saw_aborted,
-                    *e,
-                    w,
-                    longest_v.get(j + 1).copied(),
-                    |wt| {
-                        appends_of
-                            .get(&(wt, key))
-                            .and_then(|seq| seq.next_after(*e))
-                    },
-                );
-                for ev in evs.drain(..) {
-                    spine_events.push((j, ev));
-                }
-                if !w.final_for_key {
-                    if let Some(next) = appends_of
-                        .get(&(w.txn, key))
-                        .and_then(|seq| seq.next_after(*e))
-                    {
-                        end_g1b[j] = Some((w.txn, next));
-                    }
-                }
-            }
-
-            // Materialize each version's event list once.
+            let walk = SpineEvents::walk(longest_v, &spine, |wt, e| {
+                appends_of.get(&(wt, key)).and_then(|seq| seq.next_after(e))
+            });
             for idx in 0..table.len() {
                 let vid = VersionId(idx as u32);
-                let l = table.value(vid).len();
                 let events = if table.meta(vid).is_prefix {
-                    if l == 0 {
-                        Vec::new()
-                    } else {
-                        let mut evs: Vec<FanEvent> = Vec::new();
-                        for (pos, ev) in &spine_events {
-                            if *pos + 1 < l {
-                                evs.push(ev.clone());
-                            } else if *pos + 1 == l && !matches!(ev, FanEvent::G1b { .. }) {
-                                // The version's last element: G1a and
-                                // dirty layering apply unchanged; the
-                                // G1b adjacency verdict is re-derived
-                                // below with actual_next = None.
-                                evs.push(ev.clone());
-                            }
-                        }
-                        if let Some((writer, expected_next)) = end_g1b[l - 1] {
-                            evs.push(FanEvent::G1b {
-                                elem: longest_v[l - 1],
-                                writer,
-                                expected_next: Some(expected_next),
-                            });
-                        }
-                        evs
-                    }
+                    walk.of_prefix(longest_v, table.value(vid).len())
                 } else {
                     scan_value_events(&kw, appends_of, key, table.value(vid))
                 };
                 table.meta_mut(vid).events = events;
             }
-
-            // Fan events out per occurrence, with the seed's dedup
-            // policies: G1a and G1b once per (reader, element), dirty
-            // updates once per aborted element.
-            let mut dirty_reported: FxHashSet<Elem> = FxHashSet::default();
-            let mut g1b_reported: FxHashSet<(TxnId, Elem)> = FxHashSet::default();
+            let mut fan = FanOut::default();
             for (i, occ) in occs.iter().enumerate() {
-                let reader = occ.txn.id;
-                for ev in &table.meta(vids[i]).events {
-                    match ev {
-                        FanEvent::G1a { elem, writer } => {
-                            scan.g1a_classified(cx, vocab, key, reader, *elem, *writer, out);
-                        }
-                        FanEvent::Dirty {
-                            aborted_elem,
-                            aborted_writer,
-                            elem,
-                            writer,
-                        } => {
-                            if dirty_reported.insert(*aborted_elem) {
-                                out.anomaly(
-                                    AnomalyType::DirtyUpdate,
-                                    vec![*aborted_writer, *writer],
-                                    key,
-                                    format!(
-                                        "the trace of key {key} contains element {aborted_elem} \
-                                         from aborted transaction {aborted_writer}, later built \
-                                         upon by {writer}'s append of {elem}",
-                                    ),
-                                );
-                            }
-                        }
-                        FanEvent::G1b {
-                            elem,
-                            writer,
-                            expected_next,
-                        } => {
-                            if *writer != reader && g1b_reported.insert((reader, *elem)) {
-                                out.anomaly(
-                                    AnomalyType::G1b,
-                                    vec![reader, *writer],
-                                    key,
-                                    format!(
-                                        "{}\n  observed element {elem} of key {key}, an \
-                                         intermediate append of {} (its next append {} is not \
-                                         the following element)",
-                                        occ.txn.to_notation(),
-                                        cx.history.get(*writer).to_notation(),
-                                        expected_next
-                                            .map_or("<none>".to_string(), |e| e.to_string()),
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
+                fan.read(cx, key, occ, &table.meta(vids[i]).events, out);
             }
         }
 
@@ -675,25 +1005,20 @@ impl DatatypeAnalysis for ListAppend {
         //    version id — no re-hashing of whole element slices. ────────
         let mut rmw_groups: FxHashMap<VersionId, Vec<TxnId>> = FxHashMap::default();
         for (i, occ) in occs.iter().enumerate() {
-            // First read of the key in this txn, before any own append.
-            let first_touch = occ
-                .txn
-                .mops
-                .iter()
-                .position(|m| m.key() == key)
-                .expect("occ touches key");
-            if first_touch != occ.mop {
-                continue;
-            }
-            let appends_after = occ.txn.mops[occ.mop..]
-                .iter()
-                .any(|m| matches!(m, Mop::Append { key: k, .. } if *k == key));
-            if appends_after {
+            if reads_then_appends(occ, key) {
                 let group = rmw_groups.entry(vids[i]).or_default();
                 if !group.contains(&occ.txn.id) {
                     group.push(occ.txn.id);
                 }
             }
+        }
+        // A scoped (streaming) run caches what the next seal needs to
+        // extend a clean key's result. Clean reads all lie on the spine,
+        // so a version is its length.
+        let mut rmw_lens: Vec<usize> = Vec::new();
+        if cx.scope.is_some() {
+            rmw_lens = rmw_groups.keys().map(|v| table.value(*v).len()).collect();
+            rmw_lens.sort_unstable();
         }
         let mut groups: Vec<(VersionId, Vec<TxnId>)> = rmw_groups
             .into_iter()
@@ -715,73 +1040,29 @@ impl DatatypeAnalysis for ListAppend {
         out.version_order = Some(longest_v.to_vec());
 
         // ── ww edges: consecutive elements of the version order, writers
-        //    straight from the spine tables. ─────────────────────────────
-        for j in 1..longest_v.len() {
-            let (a, b) = (longest_v[j - 1], longest_v[j]);
-            let (wa, wb) = (
-                spine_writers[j - 1].expect("no garbage in clean key"),
-                spine_writers[j].expect("no garbage in clean key"),
-            );
-            out.edge(
-                wa.txn,
-                wb.txn,
-                Witness::WwList {
-                    key,
-                    prev: a,
-                    next: b,
-                },
-            );
-        }
-
-        // ── wr and rw edges per compatible committed read: O(1) per
-        //    occurrence plus the reader's own stripped suffix. ───────────
+        //    straight from the spine tables; then wr and rw edges per
+        //    compatible committed read: O(1) per occurrence plus the
+        //    reader's own stripped suffix. ───────────────────────────────
+        ww_edges(key, longest_v, &spine, 1, out);
         for &i in &compatible {
             let occ = &occs[i];
-            let reader = occ.txn.id;
-            let l = occ.value.len();
-            // Strip trailing own appends: the externally-visible prefix.
-            let ext_len = match appends_of.get(&(reader, key)) {
-                None => l,
-                Some(own) => {
-                    let mut e = l;
-                    while e > 0 && own.contains(occ.value[e - 1]) {
-                        e -= 1;
-                    }
-                    e
-                }
-            };
+            let own = appends_of.get(&(occ.txn.id, key));
+            read_edges(key, occ, longest_v, &spine, own, out);
+        }
 
-            // wr: the version `ext` was produced by the append of its last
-            // element.
-            if ext_len > 0 {
-                let w = spine_writers[ext_len - 1].expect("no garbage in clean key");
-                out.edge(
-                    w.txn,
-                    reader,
-                    Witness::WrList {
-                        key,
-                        elem: occ.value[ext_len - 1],
-                    },
-                );
-            }
-
-            // rw: the version directly after the one this read observed.
-            if l < longest_v.len() {
-                let next = longest_v[l];
-                let w = spine_writers[l].expect("no garbage in clean key");
-                out.edge(
-                    reader,
-                    w.txn,
-                    Witness::RwList {
-                        key,
-                        read_last: occ.value.last().copied(),
-                        next,
-                    },
-                );
-            }
+        if cx.scope.is_some() && out.anomalies.is_empty() {
+            out.summary = Some(ListSummary {
+                tip_readers: occs
+                    .iter()
+                    .filter(|o| o.value.len() == longest_v.len())
+                    .map(|o| o.txn.id)
+                    .collect(),
+                rmw_lens,
+            });
         }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

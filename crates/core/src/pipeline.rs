@@ -29,7 +29,25 @@
 //! dirty-keys scope ([`Analysis::incremental`]): it caches per-key
 //! results, re-analyzes only dirty keys with gather scoped to their
 //! posting lists, and appends the epoch's edge delta to the carried
-//! graph, so a seal pays for the delta rather than for the history.
+//! graph, so a seal pays per dirty key, not for the untouched ones.
+//!
+//! A clean list-append key pays only for the epoch. Its cached result
+//! keeps a [`ListSummary`] (the readers of the whole spine and the
+//! version lengths read-then-appended), and the seal extends it with
+//! the epoch's own reads of the key through the per-read code
+//! [`ListAppend`]'s analysis runs (`list_append::extend_key`): a gather
+//! over the epoch's transactions, `ww` edges along the spine's new
+//! tail, the tip readers' `rw` edges, and each new read's edges and
+//! provenance fan-out. A key falls back to the full analysis over its
+//! posting list when it has no clean cached result (its first seal,
+//! after a restore or a poisoned seal, after an anomaly), when a
+//! write-level duplicate poisons it or it changes datatype, when a
+//! transaction that existed at the last seal and changed since wrote
+//! an element of its cached spine, when the old spine or a new read
+//! does not lie on the new longest read, or when the extension would
+//! emit any anomaly. Keys no earlier transaction touched walk only the
+//! epoch too; [`Sealed::extended_keys`] counts both.
+//!
 //! Because both drivers run the same stages, a streamed prefix reports
 //! byte-for-byte what the batch checker reports on it.
 
@@ -40,7 +58,7 @@ use crate::cycle_search::{self, CycleSearchOptions};
 use crate::datatype::{self, AnalysisCtx, DatatypeAnalysis, GatherStats, KeySink, Parallelism};
 use crate::deps::DepGraph;
 use crate::gather::KeySlots;
-use crate::list_append::ListAppend;
+use crate::list_append::{self, ListAppend, ListSummary};
 use crate::observation::{DataType, ElemIndex, KeyTypes};
 use crate::rw_register::RwRegister;
 use crate::set_add::SetAdd;
@@ -82,8 +100,19 @@ enum Scope {
 #[derive(Debug)]
 struct CachedSink {
     anomalies: Vec<Arc<Anomaly>>,
+    /// A multiset: an extended key's edges are not in the order
+    /// `analyze_key` emits them, and no reader depends on the order —
+    /// [`edge_delta`] diffs multisets, the graph rebuild keeps the
+    /// `Ord`-least witness per edge class whatever the insertion order,
+    /// and retirement drops the sink whole.
     edges: Vec<Edge>,
     observed_elems: Vec<Elem>,
+    /// A clean list-append key's summary, which lets the next seal
+    /// extend this result with the epoch's reads. Not counted in
+    /// [`Analysis::resident_bytes`]: a restored checker has none until
+    /// its first seal, so counting it would make residency depend on
+    /// seal history rather than on the ingested prefix.
+    summary: Option<ListSummary>,
 }
 
 fn intern(anomalies: Vec<Anomaly>) -> Vec<Arc<Anomaly>> {
@@ -504,8 +533,12 @@ pub struct Sealed {
     pub rebuilt: bool,
     /// Keys re-analyzed by this seal.
     pub dirty_keys: usize,
-    /// Transactions the scoped gather walked.
+    /// Transactions the scoped gathers walked.
     pub scoped_txns: usize,
+    /// Dirty keys whose seal walked only the epoch's own transactions:
+    /// clean list-append keys extended from their cached result, and
+    /// keys no earlier transaction touched.
+    pub extended_keys: usize,
 }
 
 /// Per-seal working state threaded through the stages.
@@ -515,6 +548,7 @@ struct SealState {
     dirty: Option<Vec<Key>>,
     dirty_keys: usize,
     scoped_txns: usize,
+    extended_keys: usize,
     gather: GatherStats,
 }
 
@@ -542,6 +576,9 @@ pub struct Analysis {
     aborted: usize,
     /// Transactions new or changed since the last seal.
     delta_txns: Vec<TxnId>,
+    /// The first transaction id of the current epoch: ids below it
+    /// existed at the last seal.
+    epoch_start: u32,
     /// Transactions committed since the last seal, in arrival order.
     newly_committed: Vec<TxnId>,
     needs_rebuild: bool,
@@ -587,6 +624,7 @@ impl Analysis {
             committed: 0,
             aborted: 0,
             delta_txns: Vec::new(),
+            epoch_start: 0,
             newly_committed: Vec::new(),
             needs_rebuild: false,
             key_types_changed: false,
@@ -683,12 +721,88 @@ impl Analysis {
             rebuilt,
             dirty_keys: seal.dirty_keys,
             scoped_txns: seal.scoped_txns,
+            extended_keys: seal.extended_keys,
         }
     }
 
     /// Keys with cached per-key results.
     pub fn cached_keys(&self) -> usize {
         self.caches.iter().map(|c| c.sinks.len()).sum()
+    }
+
+    /// Start the current epoch at transaction id `first`: a restored
+    /// checker's epoch began before the replayed events did.
+    pub fn resume_epoch(&mut self, first: u32) {
+        self.epoch_start = first;
+    }
+
+    /// Re-run the list-append analysis over the full posting list of
+    /// every cached list key and compare the result with the cache:
+    /// edges as a multiset, observed elements, anomalies and the
+    /// summary. The reference the seal's extension path is tested
+    /// against; call it after a seal, before more events arrive.
+    #[doc(hidden)]
+    pub fn recheck_list_cache(&self, history: &History) -> Result<(), String> {
+        // `PASSES[0]` is the list pass.
+        let sinks = &self.caches[0].sinks;
+        if self.scope == Scope::AllKeys || sinks.is_empty() {
+            return Ok(());
+        }
+        let keys: Vec<Key> = sinks.keys().copied().collect();
+        let scope = self.postings.scope_of(&keys);
+        let cx = AnalysisCtx {
+            history,
+            elems: &self.elems,
+            keys: KeySlots::from_sorted(keys),
+            config: (),
+            scope: Some(&scope),
+        };
+        let (_, poisoned) = datatype::duplicates::<ListAppend, _>(&cx);
+        let (pairs, _) =
+            datatype::analyze_keys::<ListAppend>(&cx, &poisoned, Parallelism::Sequential);
+        if pairs.len() != sinks.len() {
+            return Err(format!(
+                "{} cached list keys, {} re-derived",
+                sinks.len(),
+                pairs.len()
+            ));
+        }
+        let sorted = |edges: &[Edge]| {
+            let mut v = edges.to_vec();
+            v.sort_unstable();
+            v
+        };
+        let tips_sorted = |s: &Option<ListSummary>| {
+            s.clone().map(|mut s| {
+                s.tip_readers.sort_unstable();
+                s
+            })
+        };
+        for ((key, fresh), (cached_key, cached)) in pairs.iter().zip(sinks) {
+            let diverges = if key != cached_key {
+                Some("keys")
+            } else if sorted(&fresh.edges) != sorted(&cached.edges) {
+                Some("edges")
+            } else if fresh.observed_elems != cached.observed_elems {
+                Some("observed elements")
+            } else if !fresh
+                .anomalies
+                .iter()
+                .eq(cached.anomalies.iter().map(|a| &**a))
+            {
+                Some("anomalies")
+            } else if tips_sorted(&fresh.summary) != tips_sorted(&cached.summary) {
+                Some("summaries")
+            } else {
+                None
+            };
+            if let Some(what) = diverges {
+                return Err(format!(
+                    "key {key}: cached {what} differ from a re-analysis of its posting list"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Stages 1–5: index, datatype inference, derived orders, graph
@@ -729,6 +843,7 @@ impl Analysis {
 
         // The epoch delta is consumed.
         self.delta_txns = Vec::new();
+        self.epoch_start = history.len() as u32;
         self.needs_rebuild = false;
         self.key_types_changed = false;
         (seal, rebuilt)
@@ -843,11 +958,48 @@ impl Analysis {
         let cx = match &seal.dirty {
             None => AnalysisCtx { scope: None, ..cx },
             Some(dirty) => {
-                let mine: Vec<Key> = dirty
+                let mut mine: Vec<Key> = dirty
                     .iter()
                     .copied()
                     .filter(|k| cx.keys.contains(*k))
                     .collect();
+                if D::DATATYPE == DataType::List {
+                    let delta = &self.delta_txns;
+                    let changed = &delta[..delta.partition_point(|id| id.0 < self.epoch_start)];
+                    let (clean, rest) =
+                        split_extendable(history, &cache.sinks, changed, mine, &poisoned);
+                    mine = rest;
+                    for (key, ext) in
+                        extend_lists(history, &self.elems, delta, &cache.sinks, clean, seal)
+                    {
+                        let Some(ext) = ext else {
+                            mine.push(key);
+                            continue;
+                        };
+                        for &e in &ext.tail {
+                            self.coverage.observe(key, e);
+                        }
+                        for (a, b, w) in &ext.edges {
+                            self.deps.add(*a, *b, w.clone());
+                        }
+                        let sink = cache.sinks.get_mut(&key).expect("extended keys are cached");
+                        sink.edges.extend(ext.edges);
+                        sink.observed_elems.extend(ext.tail);
+                        sink.summary = Some(ext.summary);
+                        seal.dirty_keys += 1;
+                        seal.extended_keys += 1;
+                    }
+                    mine.sort_unstable();
+                }
+                // A key no earlier transaction touched walks only the
+                // epoch's own transactions too.
+                seal.extended_keys += mine
+                    .iter()
+                    .filter(|&&k| {
+                        let run = self.postings.run(k);
+                        run.first().is_some_and(|&(_, t)| t.0 >= self.epoch_start)
+                    })
+                    .count();
                 posted = self.postings.scope_of(&mine);
                 seal.scoped_txns += posted.len();
                 AnalysisCtx {
@@ -858,6 +1010,9 @@ impl Analysis {
             }
         };
         seal.dirty_keys += cx.keys.len();
+        if cx.keys.is_empty() {
+            return;
+        }
         let (pairs, gather) = datatype::analyze_keys::<D>(&cx, &poisoned, Parallelism::Auto);
         seal.gather.absorb(gather);
         for (key, sink) in pairs {
@@ -868,6 +1023,7 @@ impl Analysis {
                 anomalies,
                 edges,
                 observed_elems,
+                summary,
                 ..
             } = sink;
             let anomalies = intern(anomalies);
@@ -881,6 +1037,7 @@ impl Analysis {
                         anomalies,
                         edges: Vec::new(),
                         observed_elems: Vec::new(),
+                        summary: None,
                     };
                     cache.sinks.insert(key, sink);
                 }
@@ -901,6 +1058,7 @@ impl Analysis {
                 anomalies,
                 edges,
                 observed_elems,
+                summary,
             };
             cache.sinks.insert(key, sink);
         }
@@ -1385,6 +1543,77 @@ fn window_evicted_anomaly(k: Key) -> Anomaly {
     }
 }
 
+/// Split a seal's dirty list keys into those it may extend from their
+/// cached result and the rest, both ascending. A key is extendable when
+/// its cached result is clean (it has a summary), no write-level
+/// duplicate poisons it, and none of the `changed` transactions (which
+/// existed at the last seal and completed since) wrote an element its
+/// cached spine holds: that writer's status is stale in the cache.
+fn split_extendable(
+    history: &History,
+    sinks: &BTreeMap<Key, CachedSink>,
+    changed: &[TxnId],
+    dirty: Vec<Key>,
+    poisoned: &FxHashSet<Key>,
+) -> (Vec<Key>, Vec<Key>) {
+    let clean = |k: &Key| sinks.get(k).filter(|s| s.summary.is_some());
+    let mut stale: Vec<Key> = Vec::new();
+    for &id in changed {
+        for (_, k, e) in history.get(id).elem_writes() {
+            if clean(&k).is_some_and(|s| s.observed_elems.contains(&e)) {
+                stale.push(k);
+            }
+        }
+    }
+    dirty
+        .into_iter()
+        .partition(|k| clean(k).is_some() && !poisoned.contains(k) && !stale.contains(k))
+}
+
+/// Extend each of the `clean` keys (from [`split_extendable`]) with the
+/// epoch's reads of it: one gather over the epoch's transactions that
+/// touch them, then [`list_append::extend_key`] per key. `None` sends a
+/// key back to the full analysis over its posting list.
+fn extend_lists(
+    history: &History,
+    elems: &ElemIndex,
+    delta: &[TxnId],
+    sinks: &BTreeMap<Key, CachedSink>,
+    clean: Vec<Key>,
+    seal: &mut SealState,
+) -> Vec<(Key, Option<list_append::Extension>)> {
+    if clean.is_empty() {
+        return Vec::new();
+    }
+    let keys = KeySlots::from_sorted(clean);
+    let scope: Vec<TxnId> = delta
+        .iter()
+        .copied()
+        .filter(|&id| history.get(id).mops.iter().any(|m| keys.contains(m.key())))
+        .collect();
+    seal.scoped_txns += scope.len();
+    let cx = AnalysisCtx {
+        history,
+        elems,
+        keys,
+        config: (),
+        scope: Some(&scope),
+    };
+    let (appends, grouped, gather) = datatype::gather_runs::<ListAppend>(&cx);
+    seal.gather.absorb(gather);
+    (0..cx.keys.len() as u32)
+        .map(|slot| {
+            let key = cx.keys.key(slot);
+            let sink = &sinks[&key];
+            let summary = sink.summary.as_ref().expect("clean keys carry a summary");
+            let occs = grouped.run(slot);
+            let ext =
+                list_append::extend_key(&cx, &appends, key, &sink.observed_elems, summary, occs);
+            (key, ext)
+        })
+        .collect()
+}
+
 /// Multiset difference `new − old`, or `None` when `old ⊄ new` (a
 /// retraction, which voids the delta-append fast path).
 fn edge_delta(old: &[Edge], new: &[Edge]) -> Option<Vec<Edge>> {
@@ -1407,4 +1636,36 @@ fn edge_delta(old: &[Edge], new: &[Edge]) -> Option<Vec<Edge>> {
         return None;
     }
     Some(delta)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ww(a: u32, b: u32, next: u64) -> Edge {
+        let w = Witness::WwList {
+            key: Key(1),
+            prev: Elem(next - 1),
+            next: Elem(next),
+        };
+        (TxnId(a), TxnId(b), w)
+    }
+
+    /// An extended key's cached edges are not in `analyze_key`'s order:
+    /// the delta is the multiset difference whatever either side's
+    /// order, and a retraction is one whatever the order.
+    #[test]
+    fn edge_delta_ignores_the_order_of_both_sides() {
+        let old = vec![ww(0, 1, 2), ww(1, 2, 3), ww(1, 2, 3)];
+        let new = vec![ww(1, 2, 3), ww(2, 3, 4), ww(0, 1, 2), ww(1, 2, 3)];
+        let mut shuffled = old.clone();
+        shuffled.rotate_left(1);
+        for old in [old, shuffled] {
+            assert_eq!(edge_delta(&old, &new), Some(vec![ww(2, 3, 4)]));
+            let mut reversed = new.clone();
+            reversed.reverse();
+            assert_eq!(edge_delta(&old, &reversed), Some(vec![ww(2, 3, 4)]));
+            assert_eq!(edge_delta(&old, &new[1..]), None, "one copy retracted");
+        }
+    }
 }

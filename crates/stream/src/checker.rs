@@ -91,6 +91,11 @@ pub struct FrontierStats {
     pub dirty_keys: usize,
     /// Transactions the gather-delta phase walked this epoch.
     pub scoped_txns: usize,
+    /// Dirty keys whose seal walked only the epoch's own transactions:
+    /// clean list-append keys extended from their cached result, and
+    /// keys no earlier transaction touched.
+    #[serde(default)]
+    pub extended_keys: usize,
     /// Events quarantined by the recovery policy since stream start.
     #[serde(default)]
     pub quarantined_events: usize,
@@ -254,6 +259,14 @@ impl StreamChecker {
         std::mem::size_of_val(history.txns())
             + history.mop_count() * std::mem::size_of::<Mop>()
             + self.analysis.recount_resident_bytes()
+    }
+
+    /// Re-analyze every cached list-append key over its full posting
+    /// list and compare with the cache (see
+    /// [`Analysis::recheck_list_cache`]); call it after a seal.
+    #[doc(hidden)]
+    pub fn recheck_list_cache(&self) -> Result<(), String> {
+        self.analysis.recheck_list_cache(self.pairer.history())
     }
 
     /// Window gauges, `Some` iff a bounded policy is active.
@@ -451,6 +464,7 @@ impl StreamChecker {
                 cached_keys: self.analysis.cached_keys(),
                 dirty_keys: sealed.dirty_keys,
                 scoped_txns: sealed.scoped_txns,
+                extended_keys: sealed.extended_keys,
                 quarantined_events: self.quarantined,
             },
             timings,
@@ -679,6 +693,7 @@ impl<'a> Replay<'a> {
             .history()
             .len()
             .saturating_sub(txns_this_epoch);
+        checker.analysis.resume_epoch(checker.txns_at_seal as u32);
         checker
     }
 }

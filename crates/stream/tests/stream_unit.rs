@@ -2,7 +2,9 @@
 //! produce (duplicate writes poisoning an already-analyzed key, cyclic
 //! register version orders, counter `rr` chains re-linking, NDJSON
 //! ingestion) — each must still match the batch checker byte-for-byte,
-//! exercising the graph-rebuild fallback.
+//! exercising the graph-rebuild fallback — and one stream per reason a
+//! clean list-append key's cached result cannot simply be extended
+//! with the epoch's reads, each asserting that the key was re-analyzed.
 
 use elle_core::{CheckOptions, Checker, RegisterOptions};
 use elle_history::{
@@ -23,13 +25,22 @@ fn log(events: &[(u32, EventKind, Vec<Mop>)]) -> EventLog {
 /// Seal after every `every` events and assert the differential at each
 /// seal; returns the sealed epochs.
 fn differential(l: &EventLog, opts: CheckOptions, every: usize) -> Vec<EpochReport> {
+    let n = l.events().len();
+    let cuts: Vec<usize> = (1..=n).filter(|i| i % every == 0 || *i == n).collect();
+    differential_at(l, opts, &cuts)
+}
+
+/// Seal after each of the (ascending) event counts in `cuts`, asserting
+/// the differential and the cached list results at each seal.
+fn differential_at(l: &EventLog, opts: CheckOptions, cuts: &[usize]) -> Vec<EpochReport> {
     let mut stream = StreamChecker::new(opts);
     let batch = Checker::new(opts);
     let mut out = Vec::new();
     for (i, ev) in l.events().iter().enumerate() {
         stream.ingest_event(ev).expect("well-formed");
-        if (i + 1) % every == 0 || i + 1 == l.events().len() {
+        if cuts.contains(&(i + 1)) {
             let epoch = stream.seal_epoch();
+            stream.recheck_list_cache().expect("cached list results");
             let prefix = EventLog::from_events(l.events()[..=i].to_vec())
                 .unwrap()
                 .pair()
@@ -54,6 +65,40 @@ fn inv(p: u32, mops: Vec<Mop>) -> (u32, EventKind, Vec<Mop>) {
 
 fn ok(p: u32, mops: Vec<Mop>) -> (u32, EventKind, Vec<Mop>) {
     (p, EventKind::Ok, mops)
+}
+
+fn fail(p: u32, mops: Vec<Mop>) -> (u32, EventKind, Vec<Mop>) {
+    (p, EventKind::Fail, mops)
+}
+
+/// One committed transaction's invoke and ok events (reads invoked
+/// without values).
+fn txn(p: u32, mops: Vec<Mop>) -> [(u32, EventKind, Vec<Mop>); 2] {
+    let invoked = mops
+        .iter()
+        .map(|m| match m {
+            Mop::Read { key, .. } => Mop::read(key.0),
+            m => m.clone(),
+        })
+        .collect();
+    [inv(p, invoked), ok(p, mops)]
+}
+
+/// Assert that `epoch` re-analyzed its one dirty key instead of
+/// extending the key's cached result.
+fn re_analyzed(epoch: &EpochReport) {
+    assert_eq!(epoch.frontier.dirty_keys, 1, "epoch {}", epoch.epoch);
+    assert_eq!(epoch.frontier.extended_keys, 0, "epoch {}", epoch.epoch);
+}
+
+/// Assert that `epoch` extended its one dirty key's cached result.
+fn extended(epoch: &EpochReport) {
+    assert_eq!(epoch.frontier.dirty_keys, 1, "epoch {}", epoch.epoch);
+    assert_eq!(epoch.frontier.extended_keys, 1, "epoch {}", epoch.epoch);
+}
+
+fn has(epoch: &EpochReport, typ: elle_core::AnomalyType) -> bool {
+    epoch.report.anomaly_counts.contains_key(&typ)
 }
 
 #[test]
@@ -322,4 +367,175 @@ fn live_run_seals_multiple_epochs_and_matches_batch() {
         serde_json::to_string(&last.report).unwrap(),
         serde_json::to_string(&batch).unwrap()
     );
+}
+
+#[test]
+fn a_lost_update_across_epochs_re_analyzes_the_key() {
+    // Epoch 0: t1 reads [1] and appends 2. Epoch 1 extends the key with
+    // two reads of [1 2]. Epoch 2: t4 also reads [1] and appends, a lost
+    // update against t1's read-then-append of the same version.
+    let l = log(&[
+        txn(0, vec![Mop::append(1, 1)]),
+        txn(1, vec![Mop::read_list(1, [1]), Mop::append(1, 2)]),
+        txn(2, vec![Mop::read_list(1, [1, 2])]),
+        txn(3, vec![Mop::read_list(1, [1, 2])]),
+        txn(4, vec![Mop::read_list(1, [1]), Mop::append(1, 3)]),
+    ]
+    .concat());
+    let epochs = differential_at(&l, CheckOptions::serializable(), &[4, 8, 10]);
+    extended(&epochs[1]);
+    re_analyzed(&epochs[2]);
+    assert!(has(&epochs[2], elle_core::AnomalyType::LostUpdate));
+}
+
+#[test]
+fn a_failed_writer_of_an_observed_element_re_analyzes_the_key() {
+    // t0's append of 5 is read while t0 is still open (an indeterminate
+    // writer is no anomaly). t0 then fails, so the read saw aborted
+    // data: G1a, though the epoch brings no new read to fan it out to.
+    let l = log(&[
+        inv(0, vec![Mop::append(1, 5)]),
+        inv(1, vec![Mop::read(1)]),
+        ok(1, vec![Mop::read_list(1, [5])]),
+        // epoch boundary
+        fail(0, vec![Mop::append(1, 5)]),
+    ]);
+    let epochs = differential_at(&l, CheckOptions::read_committed(), &[3, 4]);
+    assert!(epochs[0].report.ok());
+    re_analyzed(&epochs[1]);
+    assert!(has(&epochs[1], elle_core::AnomalyType::G1a));
+}
+
+#[test]
+fn a_late_incompatible_read_re_analyzes_the_key() {
+    // The late read misses an element of the cached spine: shorter than
+    // the spine, or longer, so the old spine is no prefix of it.
+    for late in [vec![2], vec![1, 3, 2]] {
+        let l = log(&[
+            txn(0, vec![Mop::append(1, 1)]),
+            txn(1, vec![Mop::append(1, 2), Mop::read_list(1, [1, 2])]),
+            txn(2, vec![Mop::read_list(1, [1]), Mop::append(1, 3)]),
+            txn(3, vec![Mop::read_list(1, late)]),
+        ]
+        .concat());
+        let epochs = differential_at(&l, CheckOptions::serializable(), &[4, 6, 8]);
+        extended(&epochs[1]);
+        re_analyzed(&epochs[2]);
+        assert!(has(&epochs[2], elle_core::AnomalyType::IncompatibleOrder));
+    }
+}
+
+#[test]
+fn an_anomalous_new_read_re_analyzes_the_key() {
+    // Each late read grows the cached spine [1 2] by an anomalous tail:
+    // garbage, a repeated element, an aborted append (G1a) and an
+    // intermediate append (G1b).
+    use elle_core::AnomalyType::{DuplicateWrite, G1a, G1b, GarbageRead};
+    for (late, typ) in [
+        (vec![1, 2, 99], GarbageRead),
+        (vec![1, 2, 1], DuplicateWrite),
+        (vec![1, 2, 7], G1a),
+        (vec![1, 2, 8], G1b),
+    ] {
+        let mut events = [
+            txn(0, vec![Mop::append(1, 1)]),
+            txn(1, vec![Mop::append(1, 2), Mop::read_list(1, [1, 2])]),
+            txn(2, vec![Mop::read_list(1, [1])]),
+        ]
+        .concat();
+        events.extend([
+            inv(3, vec![Mop::append(1, 7)]),
+            fail(3, vec![Mop::append(1, 7)]),
+        ]);
+        events.extend(txn(4, vec![Mop::append(1, 8), Mop::append(1, 9)]));
+        events.extend(txn(5, vec![Mop::read_list(1, late)]));
+        let epochs = differential_at(&log(&events), CheckOptions::serializable(), &[4, 6, 12]);
+        extended(&epochs[1]);
+        re_analyzed(&epochs[2]);
+        assert!(has(&epochs[2], typ), "{typ:?}");
+    }
+}
+
+#[test]
+fn a_late_duplicate_append_re_analyzes_the_key() {
+    // The duplicate lands on an element the extended spine holds.
+    let l = log(&[
+        txn(0, vec![Mop::append(1, 1)]),
+        txn(1, vec![Mop::append(1, 2), Mop::read_list(1, [1, 2])]),
+        txn(2, vec![Mop::append(1, 3), Mop::read_list(1, [1, 2, 3])]),
+        txn(3, vec![Mop::append(1, 3)]),
+    ]
+    .concat());
+    let epochs = differential_at(&l, CheckOptions::serializable(), &[4, 6, 8]);
+    extended(&epochs[1]);
+    re_analyzed(&epochs[2]);
+    assert!(epochs[2].rebuilt, "poisoning retracts the key's edges");
+    assert!(has(&epochs[2], elle_core::AnomalyType::DuplicateWrite));
+}
+
+#[test]
+fn a_retyped_key_is_re_analyzed() {
+    // Key 1 is a set until an append makes it a list (lists win a
+    // conflict): it has no list result to extend. List key 2 extends.
+    let l = log(&[
+        txn(0, vec![Mop::add_to_set(1, 5), Mop::append(2, 1)]),
+        txn(1, vec![Mop::read_set(1, [5]), Mop::read_list(2, [1])]),
+        txn(2, vec![Mop::append(1, 6), Mop::read_list(2, [1])]),
+    ]
+    .concat());
+    let epochs = differential_at(&l, CheckOptions::serializable(), &[4, 6]);
+    let e = &epochs[1];
+    assert_eq!(e.frontier.dirty_keys, 2);
+    assert_eq!(e.frontier.extended_keys, 1, "only key 2 extends");
+    assert!(e.rebuilt, "reassignment takes the rebuild path");
+    assert_eq!(e.report.warnings.len(), 1, "conflict warned");
+}
+
+#[test]
+fn a_restored_or_rebuilt_checker_re_analyzes_before_it_extends() {
+    let l = log(&[
+        txn(0, vec![Mop::append(1, 1)]),
+        txn(1, vec![Mop::append(1, 2), Mop::read_list(1, [1, 2])]),
+        txn(2, vec![Mop::read_list(1, [1, 2])]),
+        txn(3, vec![Mop::append(1, 3), Mop::read_list(1, [1, 2, 3])]),
+        txn(4, vec![Mop::read_list(1, [1, 2, 3])]),
+    ]
+    .concat());
+    let opts = CheckOptions::serializable();
+    let events = l.events();
+    let mut original = StreamChecker::new(opts);
+    for ev in &events[..4] {
+        original.ingest_event(ev).unwrap();
+    }
+    original.seal_epoch();
+    let mut restored = StreamChecker::restore(opts, &original.snapshot());
+    let mut rebuilt = StreamChecker::restore(opts, &original.snapshot());
+    rebuilt.inject_seal_panic(1);
+    assert!(rebuilt.seal_epoch_guarded().poisoned.is_some());
+    for (upto, first) in [(6, true), (10, false)] {
+        for checker in [&mut original, &mut restored, &mut rebuilt] {
+            for ev in &events[checker.txn_count() * 2..upto] {
+                checker.ingest_event(ev).unwrap();
+            }
+        }
+        let (eo, er, eb) = (
+            original.seal_epoch(),
+            restored.seal_epoch(),
+            rebuilt.seal_epoch(),
+        );
+        for checker in [&original, &restored, &rebuilt] {
+            checker.recheck_list_cache().unwrap();
+        }
+        let want = serde_json::to_string(&eo.report).unwrap();
+        assert_eq!(serde_json::to_string(&er.report).unwrap(), want);
+        assert_eq!(serde_json::to_string(&eb.report).unwrap(), want);
+        extended(&eo);
+        if first {
+            re_analyzed(&er);
+            re_analyzed(&eb);
+        } else {
+            extended(&er);
+            extended(&eb);
+        }
+    }
 }

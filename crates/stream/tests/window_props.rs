@@ -3,6 +3,8 @@
 //! must say `Indeterminate(window-evicted)` — never silence, never
 //! fabrication — where it is not, and must actually hold resident
 //! memory flat under a byte budget while the unbounded checker grows.
+//! After every seal, each checker's cached list-append results must
+//! equal a re-analysis of their keys over the retained history.
 
 use elle_core::{AnomalyType, CheckOptions};
 use elle_history::{
@@ -94,6 +96,10 @@ fn assert_windowed_differential(
     let check = |w: &mut StreamChecker, u: &mut StreamChecker| -> Result<usize, String> {
         let ew = w.seal_epoch();
         let eu = u.seal_epoch();
+        w.recheck_list_cache()
+            .map_err(|e| format!("windowed: {e}"))?;
+        u.recheck_list_cache()
+            .map_err(|e| format!("unbounded: {e}"))?;
         prop_assert!(eu.window.is_none(), "unbounded epochs carry no window");
         let stats = ew.window.expect("windowed epochs carry window stats");
         prop_assert_eq!(stats.retained_txns + stats.retired_txns, eu.txns);
@@ -203,6 +209,7 @@ fn evicted_witness_reports_window_evicted() {
         checker.ingest_event(ev).expect("well-formed");
     }
     let e0 = checker.seal_epoch();
+    checker.recheck_list_cache().unwrap();
     let w0 = e0.window.expect("windowed");
     assert!(w0.exact, "nothing evicted yet");
     assert!(
@@ -216,6 +223,7 @@ fn evicted_witness_reports_window_evicted() {
         checker.ingest_event(ev).expect("well-formed");
     }
     let e1 = checker.seal_epoch();
+    checker.recheck_list_cache().unwrap();
     let w1 = e1.window.expect("windowed");
     assert!(!w1.exact, "touching a retired key makes the epoch inexact");
     assert_eq!(
@@ -230,6 +238,7 @@ fn evicted_witness_reports_window_evicted() {
     assert!(e1.report.ok(), "window-evicted must not fail the model");
     // Sticky: later epochs that never touch key 1 still disclose it.
     let e2 = checker.seal_epoch();
+    checker.recheck_list_cache().unwrap();
     assert!(!e2.window.expect("windowed").exact);
     assert_eq!(
         e2.report
@@ -258,6 +267,7 @@ fn timestamps_disable_retirement() {
         checker.ingest_event(ev).expect("well-formed");
     }
     let e = checker.seal_epoch();
+    checker.recheck_list_cache().unwrap();
     let w = e.window.expect("windowed");
     assert_eq!(w.retired_txns, 0);
     assert!(w.exact);
@@ -290,6 +300,8 @@ fn soak_resident_bytes_stays_flat_over_500_epochs() {
             since = 0;
             let ew = windowed.seal_epoch();
             unbounded.seal_epoch();
+            windowed.recheck_list_cache().unwrap();
+            unbounded.recheck_list_cache().unwrap();
             epochs += 1;
             let stats = ew.window.expect("windowed");
             assert!(stats.exact, "rotating keys never compromise the window");
@@ -354,6 +366,7 @@ fn resident_bytes_equal_a_full_recount_after_every_event() {
             }
             if n % 12 == 11 {
                 checker.seal_epoch();
+                checker.recheck_list_cache().unwrap();
                 assert_eq!(
                     checker.resident_bytes(),
                     checker.recount_resident_bytes(),
@@ -385,6 +398,7 @@ fn windowed_snapshot_restore_is_byte_identical() {
             if since >= 20 {
                 since = 0;
                 original.seal_epoch();
+                original.recheck_list_cache().unwrap();
             }
         }
         assert!(
@@ -406,6 +420,8 @@ fn windowed_snapshot_restore_is_byte_identical() {
         }
         let eo = original.seal_epoch();
         let er = restored.seal_epoch();
+        original.recheck_list_cache().unwrap();
+        restored.recheck_list_cache().unwrap();
         assert_eq!(
             serde_json::to_string(&eo.report).unwrap(),
             serde_json::to_string(&er.report).unwrap(),
