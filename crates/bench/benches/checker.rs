@@ -67,8 +67,7 @@ fn idsg(h: &History) -> (elle_core::DepGraph, elle_graph::Csr) {
 /// The early-acyclic certificate on a clean history: one Tarjan pass
 /// under the full mask versus the per-class passes it skips.
 fn bench_acyclic_certificate(c: &mut Criterion) {
-    use elle_core::datatype::Parallelism;
-    use elle_core::{find_cycle_anomalies_mode, CycleSearchOptions};
+    use elle_core::{find_cycle_anomalies_frozen, CycleSearchOptions};
     let n = if quick() { 2_000 } else { 16_000 };
     let h = history(n, 20, IsolationLevel::Serializable);
     let (deps, csr) = idsg(&h);
@@ -79,7 +78,7 @@ fn bench_acyclic_certificate(c: &mut Criterion) {
     for (name, certificate) in [("certificate", true), ("all_class_passes", false)] {
         g.bench_function(&format!("{name}_{n}"), |b| {
             b.iter(|| {
-                find_cycle_anomalies_mode(
+                find_cycle_anomalies_frozen(
                     &deps,
                     &csr,
                     &h,
@@ -87,7 +86,6 @@ fn bench_acyclic_certificate(c: &mut Criterion) {
                         certificate,
                         ..base
                     },
-                    Parallelism::Sequential,
                 )
             })
         });
@@ -99,8 +97,7 @@ fn bench_acyclic_certificate(c: &mut Criterion) {
 /// history on 10 active keys: thousands of candidate cycles, of which
 /// the per-type cap keeps a few dozen.
 fn bench_cycle_search_anomalous(c: &mut Criterion) {
-    use elle_core::datatype::Parallelism;
-    use elle_core::{find_cycle_anomalies_mode, CycleSearchOptions};
+    use elle_core::{find_cycle_anomalies_frozen, CycleSearchOptions};
     let n = if quick() { 4_000 } else { 16_000 };
     let params = GenParams {
         active_keys: 10,
@@ -116,15 +113,7 @@ fn bench_cycle_search_anomalous(c: &mut Criterion) {
     let mut g = c.benchmark_group("elle_cycle_search_anomalous");
     g.sample_size(10);
     g.bench_function(&format!("read_committed_{n}"), |b| {
-        b.iter(|| {
-            find_cycle_anomalies_mode(
-                &deps,
-                &csr,
-                &h,
-                CycleSearchOptions::default(),
-                Parallelism::Sequential,
-            )
-        })
+        b.iter(|| find_cycle_anomalies_frozen(&deps, &csr, &h, CycleSearchOptions::default()))
     });
     g.finish();
 }

@@ -191,10 +191,9 @@ const AUTO_PARALLEL_MIN_KEYS: usize = 8;
 
 /// `ELLE_SEQUENTIAL=1` pins [`Parallelism::Auto`] to sequential — used
 /// to record before/after benchmark numbers and to bisect any
-/// parallelism-related suspicion without rebuilding. One knob covers
-/// every parallel stage: the per-key datatype pipeline here and the
-/// (SCC × anomaly class) cycle-search fan-out in
-/// [`crate::cycle_search`].
+/// parallelism-related suspicion without rebuilding. The per-key
+/// datatype pipeline here is the only stage it pins: cycle search runs
+/// on the calling thread.
 pub(crate) fn auto_forced_sequential() -> bool {
     static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FORCED.get_or_init(|| std::env::var_os("ELLE_SEQUENTIAL").is_some_and(|v| v == "1"))

@@ -299,28 +299,26 @@ impl TxnPostings {
     }
 
     /// Merge the epoch tail into the sorted run (pairs are unique, so
-    /// no dedup pass).
+    /// no dedup pass): grow the run and merge backward from its end, so
+    /// only the pairs above the tail's least one move.
     fn seal(&mut self) {
-        if self.tail.is_empty() {
+        let Some(&least) = self.tail.iter().min() else {
             return;
-        }
+        };
         self.tail.sort_unstable();
-        let old = std::mem::take(&mut self.sorted);
-        let mut merged = Vec::with_capacity(old.len() + self.tail.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < self.tail.len() {
-            if old[i] <= self.tail[j] {
-                merged.push(old[i]);
-                i += 1;
+        let mut i = self.sorted.len();
+        self.sorted.resize(i + self.tail.len(), least);
+        let mut w = self.sorted.len();
+        while let Some(&t) = self.tail.last() {
+            w -= 1;
+            if i > 0 && self.sorted[i - 1] > t {
+                i -= 1;
+                self.sorted[w] = self.sorted[i];
             } else {
-                merged.push(self.tail[j]);
-                j += 1;
+                self.sorted[w] = t;
+                self.tail.pop();
             }
         }
-        merged.extend_from_slice(&old[i..]);
-        merged.extend_from_slice(&self.tail[j..]);
-        self.sorted = merged;
-        self.tail.clear();
     }
 
     /// The run of transactions touching `key`, ascending.
@@ -1233,8 +1231,7 @@ impl Analysis {
             let top = cycle_search::admitted(opts);
             self.deps.edges().all(|(_, _, m)| m.0 & !top.0 == 0)
         });
-        let (cycles, sccs) =
-            cycle_search::search(&self.deps, csr, history, opts, Parallelism::Auto);
+        let (cycles, sccs) = cycle_search::search(&self.deps, csr, history, opts);
         self.cyclic_floor = sccs.iter().flatten().min().copied();
         cycles
     }
@@ -1641,6 +1638,30 @@ fn edge_delta(old: &[Edge], new: &[Edge]) -> Option<Vec<Edge>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A seal leaves the sorted union of the run and the tail.
+        #[test]
+        fn seal_leaves_the_sorted_union(
+            pairs in prop::collection::btree_set((0u64..8, 0u32..64), 0..96),
+            split in prop::collection::vec(any::<bool>(), 96..97),
+        ) {
+            let pairs: Vec<(Key, TxnId)> = pairs.into_iter().map(|(k, t)| (Key(k), TxnId(t))).collect();
+            let mut postings = TxnPostings::default();
+            for (i, &p) in pairs.iter().enumerate() {
+                if split[i] {
+                    postings.sorted.push(p);
+                } else {
+                    postings.tail.push(p);
+                }
+            }
+            postings.tail.reverse();
+            postings.seal();
+            prop_assert_eq!(&postings.sorted, &pairs);
+            prop_assert!(postings.tail.is_empty());
+        }
+    }
 
     fn ww(a: u32, b: u32, next: u64) -> Edge {
         let w = Witness::WwList {

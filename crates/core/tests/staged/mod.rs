@@ -2,21 +2,25 @@
 //! public stage functions, in the sequence the checker ran them before
 //! it became a driver of `elle_core::pipeline` — per-datatype
 //! `run_mode` plus `counter::analyze`, the reference `add_*_edges`
-//! derivations, `build` and `freeze`, `find_cycle_anomalies_frozen`,
-//! the coverage count and `assemble_report`. Since the batch and stream
-//! checkers now share the pipeline, "stream == batch" no longer tests
-//! the shared stages; "pipeline == this composition" does.
+//! derivations, `build` and `freeze`, the exhaustive cycle search of
+//! [`cycles`], the coverage count and `assemble_report`. Since the
+//! batch and stream checkers now share the pipeline, "stream == batch"
+//! no longer tests the shared stages; "pipeline == this composition"
+//! does, and it holds the shipped cycle search, which skips work items,
+//! to the exhaustive one.
 //!
 //! Generic over the list, register and set implementations, so the
 //! same composition also runs the seed per-read reference passes
 //! (`elle_core::reference`).
 
+pub mod cycles;
+
 use elle_core::counter;
 use elle_core::datatype::{run_mode, DatatypeAnalysis, DriverOutput, Parallelism};
 use elle_core::{
-    add_process_edges, add_realtime_edges, add_timestamp_edges, assemble_report,
-    find_cycle_anomalies_frozen, CheckOptions, CheckStats, CycleSearchOptions, DataType, DepGraph,
-    ElemIndex, KeyTypes, RegisterOptions, Report,
+    add_process_edges, add_realtime_edges, add_timestamp_edges, assemble_report, CheckOptions,
+    CheckStats, CycleSearchOptions, DataType, DepGraph, ElemIndex, KeyTypes, RegisterOptions,
+    Report,
 };
 use elle_history::{Elem, History, Key};
 use rustc_hash::FxHashSet;
@@ -92,7 +96,7 @@ where
     }
     deps.build();
     let frozen = deps.freeze();
-    anomalies.extend(find_cycle_anomalies_frozen(
+    anomalies.extend(cycles::find_cycle_anomalies(
         &deps,
         &frozen,
         history,
