@@ -49,12 +49,8 @@
 //!   where no 2-cycle has a step that presents as that class.
 //!
 //! A G-single item whose only open types need such an `rw` rest step
-//! is *deferred*: those types usually fill later, from the G2-item
-//! search of the same level, with cycles shorter than any the item
-//! would add. Once the walk is done, each deferred item's cycles of up
-//! to 3 steps are enumerated; if one could still rank among a type's
-//! kept cycles, or a type never filled, the walk runs again without
-//! deferring.
+//! is skipped when its SCC holds no such edge that the level admits
+//! through a derived order, and runs otherwise.
 //!
 //! Each mask's SCCs are computed only when a search first needs them.
 //! Deduplication stays exact: a skipped item's candidates would have
@@ -387,7 +383,6 @@ pub(crate) fn search(
         reached: vec![0; plan.len()],
         skipped: FxHashSet::default(),
         rw_rest: vec![None; passes.masks.len()],
-        deferred: Vec::new(),
         facts,
         plan,
         slots,
@@ -571,9 +566,6 @@ struct Walk<'a> {
     /// Per mask: which SCCs hold an edge of [`Facts::rw_rest`] that the
     /// mask admits through a derived order.
     rw_rest: Vec<Option<Vec<bool>>>,
-    /// Skipped items that could still produce the types listed: see
-    /// [`Walk::run`].
-    deferred: Vec<(usize, usize, Vec<AnomalyType>)>,
     /// The rotation-canonical candidates of skipped items looked up so
     /// far.
     regenerated: FxHashMap<(usize, usize), FxHashSet<Vec<u32>>>,
@@ -581,64 +573,9 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// The walk. A G-single search's item whose only open types need a
-    /// rest step that presents as `rw` is *deferred*: skipped, and
-    /// checked once the walk is done, when those types are usually full
-    /// with cycles shorter than any the item could add. If some deferred
-    /// item could place a cycle after all, the walk runs again without
-    /// deferring.
+    /// The walk: every item in merge order, each searched unless it
+    /// can no longer change the report.
     fn run(&mut self) -> Kept {
-        let kept = self.walk(true);
-        let deferred = std::mem::take(&mut self.deferred);
-        if deferred.iter().all(|d| self.stays_out(d, &kept)) {
-            return kept;
-        }
-        self.reached.fill(0);
-        self.skipped.clear();
-        self.walk(false)
-    }
-
-    /// Whether deferred item `k` of G-single search `i` places no cycle
-    /// of `types` in the report: each type ended full, and none of the
-    /// item's cycles of that type is as short as the type's longest
-    /// kept one. Only lengths up to 3 are checked, over every cycle
-    /// that closes a first (`rw`) edge through at most two rest edges —
-    /// a superset of the item's candidates that short.
-    fn stays_out(&mut self, (i, k, types): &(usize, usize, Vec<AnomalyType>), kept: &Kept) -> bool {
-        let mut longest = Vec::with_capacity(types.len());
-        for typ in types {
-            match kept.get(typ).and_then(|ranked| ranked.last_key_value()) {
-                Some((rank, _)) if kept[typ].len() >= self.max && rank.0 <= 3 => {
-                    longest.push((*typ, rank.0))
-                }
-                _ => return false,
-            }
-        }
-        let csr = self.passes.csr;
-        let allowed = self.plan[*i].allowed();
-        let rest = EdgeMask(allowed.0 & !EdgeMask::RW.0);
-        for &v in &self.passes.sccs(self.slots[*i])[*k] {
-            for w in csr.out_neighbors_masked(v, EdgeMask::RW) {
-                let two = csr.edge_mask(w, v).intersects(rest).then(|| vec![v, w]);
-                let three = csr
-                    .out_neighbors_masked(w, rest)
-                    .filter(|&x| x != v && csr.edge_mask(x, v).intersects(rest))
-                    .map(|x| vec![v, w, x]);
-                for cycle in two.into_iter().chain(three) {
-                    let typ = select(csr, &cycle, allowed);
-                    if longest
-                        .iter()
-                        .any(|&(t, len)| Some(t) == typ && cycle.len() <= len)
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn walk(&mut self, defer: bool) -> Kept {
         let csr = self.passes.csr;
         let max = self.max;
         let mut kept = Kept::new();
@@ -666,16 +603,9 @@ impl Walk<'_> {
                     break;
                 }
                 self.reached[i] += 1;
-                if open.iter().all(|r| r.rw_rest) {
-                    let held = self.holds_rw_rest(i, k);
-                    if !held || defer {
-                        self.skipped.insert((i, k));
-                        if held {
-                            let types = open.iter().map(|r| r.typ).collect();
-                            self.deferred.push((i, k, types));
-                        }
-                        continue;
-                    }
+                if open.iter().all(|r| r.rw_rest) && !self.holds_rw_rest(i, k) {
+                    self.skipped.insert((i, k));
+                    continue;
                 }
                 let scc = &self.passes.sccs(self.slots[i])[k];
                 for cycle in search.candidates(csr, scc, max, &mut self.bfs) {
@@ -1200,49 +1130,6 @@ mod tests {
             got,
             vec![
                 (AnomalyType::GSingle, txns(&[0, 1])),
-                (AnomalyType::GSingleProcess, txns(&[2, 3, 4])),
-                (AnomalyType::G2ItemProcess, txns(&[8, 9, 10])),
-            ]
-        );
-    }
-
-    #[test]
-    fn a_deferred_item_that_could_place_a_cycle_runs_after_all() {
-        // As above, but G2-item is full from {11, 12} first, so the
-        // process level's G-single item in {8, 9, 10} is deferred: its
-        // only open type, G2-item-process, fills from the G2-item
-        // search's cycle in {5, 6, 7}. The deferred item's 3-cycle ranks
-        // ahead of that one, so the walk runs again and reports it.
-        let h = history(13);
-        let mut d = DepGraph::with_txns(13);
-        d.add(TxnId(0), TxnId(1), rw(1));
-        d.add(TxnId(1), TxnId(0), ww(1, 2, 1));
-        d.add(TxnId(2), TxnId(3), rw(2));
-        d.add(TxnId(3), TxnId(4), ww(2, 1, 2));
-        d.add(TxnId(4), TxnId(2), process());
-        d.add(TxnId(5), TxnId(6), rw(3));
-        d.add(TxnId(6), TxnId(7), rw(3));
-        d.add(TxnId(7), TxnId(5), process());
-        d.add(TxnId(8), TxnId(9), rw(4));
-        d.add(TxnId(9), TxnId(10), rw(4));
-        d.add(TxnId(9), TxnId(10), process());
-        d.add(TxnId(10), TxnId(8), process());
-        d.add(TxnId(11), TxnId(12), rw(5));
-        d.add(TxnId(12), TxnId(11), rw(5));
-        let opts = CycleSearchOptions {
-            realtime_edges: false,
-            max_per_type: 1,
-            ..Default::default()
-        };
-        let found = find_cycle_anomalies(&mut d, &h, opts);
-        let got: Vec<(AnomalyType, Vec<TxnId>)> =
-            found.into_iter().map(|a| (a.typ, a.txns)).collect();
-        let txns = |ts: &[u32]| ts.iter().map(|&t| TxnId(t)).collect::<Vec<_>>();
-        assert_eq!(
-            got,
-            vec![
-                (AnomalyType::GSingle, txns(&[0, 1])),
-                (AnomalyType::G2Item, txns(&[11, 12])),
                 (AnomalyType::GSingleProcess, txns(&[2, 3, 4])),
                 (AnomalyType::G2ItemProcess, txns(&[8, 9, 10])),
             ]

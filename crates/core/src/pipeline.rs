@@ -302,12 +302,12 @@ impl TxnPostings {
     /// no dedup pass): grow the run and merge backward from its end, so
     /// only the pairs above the tail's least one move.
     fn seal(&mut self) {
-        let Some(&least) = self.tail.iter().min() else {
+        if self.tail.is_empty() {
             return;
-        };
+        }
         self.tail.sort_unstable();
         let mut i = self.sorted.len();
-        self.sorted.resize(i + self.tail.len(), least);
+        self.sorted.resize(i + self.tail.len(), self.tail[0]);
         let mut w = self.sorted.len();
         while let Some(&t) = self.tail.last() {
             w -= 1;
