@@ -19,7 +19,7 @@ use elle_dbsim::{DbConfig, IsolationLevel, ObjectKind};
 use elle_gen::{run_workload, GenParams};
 use elle_history::{History, HistoryBuilder};
 use elle_knossos::KnossosOptions;
-use elle_sat::{SatModel, SatOptions};
+use elle_sat::SatModel;
 use std::time::Duration;
 
 /// `CRITERION_QUICK=1` (the CI smoke) truncates all three sweeps.
@@ -61,7 +61,7 @@ fn bench_length(c: &mut Criterion) {
             b.iter(|| Checker::new(CheckOptions::serializable()).check(h))
         });
         g.bench_with_input(BenchmarkId::new("sat", n), &h, |b, h| {
-            b.iter(|| elle_sat::check(h, SatModel::Serializable, &SatOptions::default()))
+            b.iter(|| elle_sat::check(h, SatModel::Serializable))
         });
         g.bench_with_input(BenchmarkId::new("dfs", n), &h, |b, h| {
             b.iter(|| {
@@ -85,7 +85,7 @@ fn bench_concurrency(c: &mut Criterion) {
             b.iter(|| Checker::new(CheckOptions::serializable()).check(h))
         });
         g.bench_with_input(BenchmarkId::new("sat", p), &h, |b, h| {
-            b.iter(|| elle_sat::check(h, SatModel::Serializable, &SatOptions::default()))
+            b.iter(|| elle_sat::check(h, SatModel::Serializable))
         });
         g.bench_with_input(BenchmarkId::new("dfs", p), &h, |b, h| {
             b.iter(|| {
@@ -155,7 +155,7 @@ fn bench_hostile(c: &mut Criterion) {
                 b.iter(|| Checker::new(CheckOptions::strict_serializable()).check(h))
             });
             g.bench_with_input(BenchmarkId::new(&format!("sat_{tag}"), n), &h, |b, h| {
-                b.iter(|| elle_sat::check(h, SatModel::Serializable, &SatOptions::default()))
+                b.iter(|| elle_sat::check(h, SatModel::Serializable))
             });
             g.bench_with_input(BenchmarkId::new(&format!("dfs_{tag}"), n), &h, |b, h| {
                 b.iter(|| {

@@ -8,7 +8,7 @@
 use elle_core::{CheckOptions, Checker};
 use elle_history::{History, HistoryBuilder};
 use elle_knossos::{KnossosOptions, KnossosOutcome};
-use elle_sat::{SatModel, SatOptions, SatVerdict};
+use elle_sat::{SatModel, SatVerdict};
 use std::time::Duration;
 
 /// Keep in sync with `hostile_register` in benches/sat_vs_dfs.rs.
@@ -80,7 +80,7 @@ fn only_the_dfs_refutes_the_stale_fenced_read() {
         cy.ok(),
         "cycle engine grew complete on registers — update the hostile sweep notes"
     );
-    let sat = elle_sat::check(&h, SatModel::Serializable, &SatOptions::default());
+    let sat = elle_sat::check(&h, SatModel::Serializable);
     assert!(
         matches!(sat.verdict, SatVerdict::Satisfiable { .. }),
         "PL-3 SAT model grew real-time obligations — update the hostile sweep notes"

@@ -280,18 +280,6 @@ fn search_plan(opts: CycleSearchOptions) -> Vec<Search> {
         .collect()
 }
 
-/// Find and classify all cycle anomalies. Seals and freezes the IDSG
-/// internally (hence `&mut`); callers that already hold a built graph
-/// and its [`Csr`] snapshot should use [`find_cycle_anomalies_frozen`].
-pub fn find_cycle_anomalies(
-    deps: &mut DepGraph,
-    history: &History,
-    opts: CycleSearchOptions,
-) -> Vec<Anomaly> {
-    let csr = deps.freeze();
-    find_cycle_anomalies_frozen(deps, &csr, history, opts)
-}
-
 /// Find and classify all cycle anomalies over a pre-frozen IDSG snapshot.
 pub fn find_cycle_anomalies_frozen(
     deps: &DepGraph,
@@ -878,6 +866,11 @@ mod tests {
         b.build()
     }
 
+    fn find(d: &mut DepGraph, h: &History, opts: CycleSearchOptions) -> Vec<Anomaly> {
+        let csr = d.freeze();
+        find_cycle_anomalies_frozen(d, &csr, h, opts)
+    }
+
     fn ww(k: u64, p: u64, n: u64) -> Witness {
         Witness::WwList {
             key: Key(k),
@@ -892,7 +885,7 @@ mod tests {
         let mut d = DepGraph::with_txns(2);
         d.add(TxnId(0), TxnId(1), ww(1, 1, 2));
         d.add(TxnId(1), TxnId(0), ww(1, 2, 1));
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::G0);
         assert_eq!(found[0].steps.len(), 2);
@@ -912,7 +905,7 @@ mod tests {
                 elem: Elem(2),
             },
         );
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::G1c);
     }
@@ -931,7 +924,7 @@ mod tests {
                 next: Elem(2),
             },
         );
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::GSingle);
     }
@@ -958,7 +951,7 @@ mod tests {
                 next: Elem(1),
             },
         );
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::G2Item);
     }
@@ -980,7 +973,7 @@ mod tests {
             },
         );
         d.add(TxnId(1), TxnId(0), ww(1, 2, 1));
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found[0].typ, AnomalyType::G0);
     }
 
@@ -1005,7 +998,7 @@ mod tests {
                 invoke: 1,
             },
         );
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::GSingleRealtime);
     }
@@ -1030,7 +1023,7 @@ mod tests {
                 process: ProcessId(0),
             },
         );
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::GSingleProcess);
     }
@@ -1060,7 +1053,7 @@ mod tests {
             realtime_edges: false,
             ..Default::default()
         };
-        assert!(find_cycle_anomalies(&mut d, &h, opts).is_empty());
+        assert!(find(&mut d, &h, opts).is_empty());
     }
 
     #[test]
@@ -1077,7 +1070,7 @@ mod tests {
             max_per_type: 2,
             ..Default::default()
         };
-        let found = find_cycle_anomalies(&mut d, &h, opts);
+        let found = find(&mut d, &h, opts);
         assert_eq!(found.len(), 2);
     }
 
@@ -1122,7 +1115,7 @@ mod tests {
             max_per_type: 1,
             ..Default::default()
         };
-        let found = find_cycle_anomalies(&mut d, &h, opts);
+        let found = find(&mut d, &h, opts);
         let got: Vec<(AnomalyType, Vec<TxnId>)> =
             found.into_iter().map(|a| (a.typ, a.txns)).collect();
         let txns = |ts: &[u32]| ts.iter().map(|&t| TxnId(t)).collect::<Vec<_>>();
@@ -1213,7 +1206,7 @@ mod tests {
             },
         );
         d.add(TxnId(1), TxnId(0), Witness::Rr { key: Key(1) });
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::GSingle);
     }
@@ -1248,7 +1241,7 @@ mod tests {
                 invoke: 2,
             },
         );
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::GSingleRealtime);
     }
@@ -1268,7 +1261,7 @@ mod tests {
                 },
             );
         }
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].typ, AnomalyType::G2Item);
         assert_eq!(found[0].steps.len(), 3);
@@ -1290,7 +1283,7 @@ mod tests {
             },
         );
         d.add(TxnId(3), TxnId(2), ww(2, 1, 2));
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         let mut types: Vec<AnomalyType> = found.iter().map(|a| a.typ).collect();
         types.sort_unstable();
         assert_eq!(types, vec![AnomalyType::G0, AnomalyType::GSingle]);
@@ -1302,7 +1295,7 @@ mod tests {
         let mut d = DepGraph::with_txns(2);
         d.add(TxnId(0), TxnId(1), ww(7, 1, 2));
         d.add(TxnId(1), TxnId(0), ww(7, 2, 1));
-        let found = find_cycle_anomalies(&mut d, &h, CycleSearchOptions::default());
+        let found = find(&mut d, &h, CycleSearchOptions::default());
         assert_eq!(found[0].key, Some(Key(7)));
     }
 

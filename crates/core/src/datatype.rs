@@ -257,16 +257,6 @@ pub trait DatatypeAnalysis {
     );
 }
 
-/// Run a datatype's full pipeline with [`Parallelism::Auto`].
-pub fn run<D: DatatypeAnalysis>(
-    history: &History,
-    elems: &ProvenanceIndex,
-    keys: &[Key],
-    config: D::Config,
-) -> DriverOutput {
-    run_mode::<D>(history, elems, keys, config, Parallelism::Auto)
-}
-
 /// Run a datatype's full pipeline with an explicit scheduling mode.
 pub fn run_mode<D: DatatypeAnalysis>(
     history: &History,

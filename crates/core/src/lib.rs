@@ -67,7 +67,7 @@ pub use checker::{
     assemble_report, panic_message, CheckOptions, CheckStats, Checker, InternalError, Report,
     StageTimings,
 };
-pub use cycle_search::{find_cycle_anomalies, find_cycle_anomalies_frozen, CycleSearchOptions};
+pub use cycle_search::{find_cycle_anomalies_frozen, CycleSearchOptions};
 pub use datatype::{DatatypeAnalysis, GatherStats, Parallelism, ProvenanceIndex};
 pub use deps::DepGraph;
 pub use gather::{GatherBuf, Grouped, KeySlots};

@@ -40,30 +40,16 @@
 //! falling back to [`ListAppend::analyze_key`] over the key's whole
 //! posting list wherever the two could differ.
 
-use crate::anomaly::{Anomaly, AnomalyType, Witness};
+use crate::anomaly::{AnomalyType, Witness};
 use crate::datatype::{
-    self, internal_pass, report_lost_updates, AnalysisCtx, DatatypeAnalysis, InternalMismatch,
-    KeySink, ProvenanceScan, Vocab,
+    internal_pass, report_lost_updates, AnalysisCtx, DatatypeAnalysis, InternalMismatch, KeySink,
+    ProvenanceScan, Vocab,
 };
-use crate::deps::DepGraph;
 use crate::gather::GatherBuf;
-use crate::observation::{DataType, ElemIndex, WriteRef};
+use crate::observation::{DataType, WriteRef};
 use crate::versions::{VersionId, VersionTable};
-use elle_history::{Elem, History, Key, Mop, ReadValue, Transaction, TxnId, TxnStatus};
+use elle_history::{Elem, Key, Mop, ReadValue, Transaction, TxnId, TxnStatus};
 use rustc_hash::{FxHashMap, FxHashSet};
-
-/// Result of the list-append analysis: dependency edges plus the non-cycle
-/// anomalies found along the way.
-#[derive(Debug, Default)]
-pub struct ListAppendAnalysis {
-    /// Inferred dependency edges (merged into the IDSG by the checker).
-    pub deps: DepGraph,
-    /// Non-cycle anomalies.
-    pub anomalies: Vec<Anomaly>,
-    /// Inferred version order per key: the trace of the longest committed
-    /// read (§4.3.2's `x_f`).
-    pub version_orders: FxHashMap<Key, Vec<Elem>>,
-}
 
 /// One committed read occurrence.
 #[derive(Debug, Clone, Copy)]
@@ -144,16 +130,6 @@ pub(crate) fn show_list(v: &[Elem]) -> String {
     }
     s.push(']');
     s
-}
-
-/// Run the analysis over every list key of the history.
-pub fn analyze(history: &History, elems: &ElemIndex, list_keys: &[Key]) -> ListAppendAnalysis {
-    let out = datatype::run::<ListAppend>(history, elems, list_keys, ());
-    ListAppendAnalysis {
-        deps: out.deps,
-        anomalies: out.anomalies,
-        version_orders: out.version_orders,
-    }
 }
 
 /// A provenance event one version fans out to each of its readers, in
@@ -1066,17 +1042,19 @@ impl DatatypeAnalysis for ListAppend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{DataType, KeyTypes};
+    use crate::datatype::{run_mode, DriverOutput, Parallelism};
+    use crate::observation::{ElemIndex, KeyTypes};
     use elle_graph::EdgeMask;
-    use elle_history::HistoryBuilder;
+    use elle_history::{History, HistoryBuilder};
 
-    fn run(h: &History) -> ListAppendAnalysis {
+    fn run(h: &History) -> DriverOutput {
         let elems = ElemIndex::build(h);
         let kt = KeyTypes::infer(h);
-        analyze(h, &elems, &kt.keys_of(DataType::List))
+        let keys = kt.keys_of(DataType::List);
+        run_mode::<ListAppend>(h, &elems, &keys, (), Parallelism::Auto)
     }
 
-    fn types(a: &ListAppendAnalysis) -> Vec<AnomalyType> {
+    fn types(a: &DriverOutput) -> Vec<AnomalyType> {
         let mut t: Vec<AnomalyType> = a.anomalies.iter().map(|x| x.typ).collect();
         t.sort_unstable();
         t.dedup();

@@ -19,8 +19,8 @@
 //! backing storage through the layout-keyed arena
 //! (`take_layout` / `put_layout`), which only cares that
 //! `(size_of, align_of)` match. The pool is instrumented with a peak
-//! gauge (see [`peak_bytes`]) surfaced in `--timing` output alongside
-//! the edge-buffer peak.
+//! gauge (see [`take_peak_bytes`]) surfaced in `--timing` output
+//! alongside the edge-buffer peak.
 
 // The layout-keyed arena below is the crate's one unsafe island: it
 // recycles raw `Vec` backing storage across element types that share a
@@ -216,15 +216,9 @@ pub(crate) fn put_layout<T>(mut v: Vec<T>) {
     });
 }
 
-/// Peak bytes resident in this thread's pool since the last
-/// [`take_peak_bytes`] — the size of the scratch working set being
-/// recycled instead of re-faulted.
-pub fn peak_bytes() -> usize {
-    POOL.with(|p| p.borrow().peak)
-}
-
-/// Read and reset the peak-resident gauge (mirrors
-/// `DepGraph::take_edge_buf_peak`).
+/// Read and reset the peak bytes resident in this thread's pool since
+/// the last call — the size of the scratch working set being recycled
+/// instead of re-faulted (mirrors `DepGraph::take_edge_buf_peak`).
 pub fn take_peak_bytes() -> usize {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -251,7 +245,7 @@ mod tests {
         assert!(v.iter().all(|&x| x == 0));
         let cap = v.capacity();
         put_u32(v);
-        assert!(peak_bytes() >= cap * 4);
+        assert!(take_peak_bytes() >= cap * 4);
 
         // The recycled buffer comes back zeroed at the new length.
         let mut v = take_u32(10);
@@ -277,7 +271,7 @@ mod tests {
         v.extend((0..512u32).map(|i| (i, i)));
         let cap = v.capacity();
         put_layout(v);
-        assert!(peak_bytes() >= cap * 8);
+        assert!(take_peak_bytes() >= cap * 8);
 
         // A *different* type with the same (size 8, align 4) layout
         // adopts the storage — that's the point of keying by layout,

@@ -26,17 +26,16 @@
 //! consistency scaffolding) live in [`crate::datatype`]; this module
 //! contributes version-order inference and its cycle check.
 
-use crate::anomaly::{Anomaly, AnomalyType, Witness};
+use crate::anomaly::{AnomalyType, Witness};
 use crate::datatype::{
-    self, internal_pass, report_lost_updates, AnalysisCtx, DatatypeAnalysis, InternalMismatch,
-    KeySink, Provenance, ProvenanceScan, Vocab,
+    internal_pass, report_lost_updates, AnalysisCtx, DatatypeAnalysis, InternalMismatch, KeySink,
+    Provenance, ProvenanceScan, Vocab,
 };
-use crate::deps::DepGraph;
 use crate::gather::GatherBuf;
-use crate::observation::{DataType, ElemIndex};
+use crate::observation::DataType;
 use crate::versions::VersionTable;
 use elle_graph::{interval_order_reduction, EdgeBuf, EdgeMask, Interval, Scratch};
-use elle_history::{Elem, History, Key, Mop, ReadValue, Transaction, TxnId, TxnStatus};
+use elle_history::{Elem, Key, Mop, ReadValue, Transaction, TxnId, TxnStatus};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// A register version: `None` is the initial nil.
@@ -66,18 +65,6 @@ impl Default for RegisterOptions {
     }
 }
 
-/// Result of the register analysis.
-#[derive(Debug, Default)]
-pub struct RegisterAnalysis {
-    /// Inferred dependency edges.
-    pub deps: DepGraph,
-    /// Non-cycle anomalies (internal, G1a/G1b, garbage, lost update,
-    /// cyclic version orders).
-    pub anomalies: Vec<Anomaly>,
-    /// Keys whose inferred version order was cyclic (discarded).
-    pub cyclic_keys: Vec<Key>,
-}
-
 /// Where a version-order edge came from (for cyclic-order reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VSource {
@@ -95,21 +82,6 @@ impl VSource {
             VSource::Process => "sequential-keys",
             VSource::Realtime => "linearizable-keys",
         }
-    }
-}
-
-/// Run the analysis over the register keys.
-pub fn analyze(
-    history: &History,
-    elems: &ElemIndex,
-    register_keys: &[Key],
-    opts: RegisterOptions,
-) -> RegisterAnalysis {
-    let out = datatype::run::<RwRegister>(history, elems, register_keys, opts);
-    RegisterAnalysis {
-        deps: out.deps,
-        anomalies: out.anomalies,
-        cyclic_keys: out.cyclic_keys,
     }
 }
 
@@ -588,17 +560,20 @@ impl DatatypeAnalysis for RwRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{DataType, KeyTypes};
+    use crate::anomaly::Anomaly;
+    use crate::datatype::{run_mode, DriverOutput, Parallelism};
+    use crate::observation::{ElemIndex, KeyTypes};
     use elle_graph::EdgeClass;
-    use elle_history::HistoryBuilder;
+    use elle_history::{History, HistoryBuilder};
 
-    fn run(h: &History, opts: RegisterOptions) -> RegisterAnalysis {
+    fn run(h: &History, opts: RegisterOptions) -> DriverOutput {
         let elems = ElemIndex::build(h);
         let kt = KeyTypes::infer(h);
-        analyze(h, &elems, &kt.keys_of(DataType::Register), opts)
+        let keys = kt.keys_of(DataType::Register);
+        run_mode::<RwRegister>(h, &elems, &keys, opts, Parallelism::Auto)
     }
 
-    fn types(a: &RegisterAnalysis) -> Vec<AnomalyType> {
+    fn types(a: &DriverOutput) -> Vec<AnomalyType> {
         let mut t: Vec<AnomalyType> = a.anomalies.iter().map(|x| x.typ).collect();
         t.sort_unstable();
         t.dedup();

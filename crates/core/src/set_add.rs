@@ -24,36 +24,16 @@
 //! and per-read anomalies/edges fan out from version ids — byte-identical
 //! to the seed per-read pass preserved in [`crate::reference`].
 
-use crate::anomaly::{Anomaly, AnomalyType, Witness};
+use crate::anomaly::{AnomalyType, Witness};
 use crate::datatype::{
-    self, internal_pass, AnalysisCtx, DatatypeAnalysis, InternalMismatch, KeySink, ProvenanceScan,
-    Vocab,
+    internal_pass, AnalysisCtx, DatatypeAnalysis, InternalMismatch, KeySink, ProvenanceScan, Vocab,
 };
-use crate::deps::DepGraph;
 use crate::gather::GatherBuf;
-use crate::observation::{DataType, ElemIndex};
+use crate::observation::DataType;
 use crate::versions::{VersionId, VersionTable};
-use elle_history::{Elem, History, Key, Mop, ReadValue, TxnId, TxnStatus};
+use elle_history::{Elem, Key, Mop, ReadValue, TxnId, TxnStatus};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
-
-/// Result of the set analysis.
-#[derive(Debug, Default)]
-pub struct SetAnalysis {
-    /// Inferred dependency edges.
-    pub deps: DepGraph,
-    /// Non-cycle anomalies.
-    pub anomalies: Vec<Anomaly>,
-}
-
-/// Run the analysis over the set keys.
-pub fn analyze(history: &History, elems: &ElemIndex, set_keys: &[Key]) -> SetAnalysis {
-    let out = datatype::run::<SetAdd>(history, elems, set_keys, ());
-    SetAnalysis {
-        deps: out.deps,
-        anomalies: out.anomalies,
-    }
-}
 
 /// One committed micro-op on a set key, as emitted by the flat gather
 /// scan.
@@ -363,17 +343,19 @@ pub(crate) fn is_subset_sorted(a: &[Elem], b: &[Elem]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{DataType, KeyTypes};
+    use crate::datatype::{run_mode, DriverOutput, Parallelism};
+    use crate::observation::{ElemIndex, KeyTypes};
     use elle_graph::EdgeClass;
-    use elle_history::HistoryBuilder;
+    use elle_history::{History, HistoryBuilder};
 
-    fn run(h: &History) -> SetAnalysis {
+    fn run(h: &History) -> DriverOutput {
         let elems = ElemIndex::build(h);
         let kt = KeyTypes::infer(h);
-        analyze(h, &elems, &kt.keys_of(DataType::Set))
+        let keys = kt.keys_of(DataType::Set);
+        run_mode::<SetAdd>(h, &elems, &keys, (), Parallelism::Auto)
     }
 
-    fn types(a: &SetAnalysis) -> Vec<AnomalyType> {
+    fn types(a: &DriverOutput) -> Vec<AnomalyType> {
         let mut t: Vec<AnomalyType> = a.anomalies.iter().map(|x| x.typ).collect();
         t.sort_unstable();
         t.dedup();

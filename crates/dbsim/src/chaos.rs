@@ -1,4 +1,4 @@
-//! Multi-tenant chaos client plans for `elle-serve`.
+//! Multi-tenant chaos client plans for `elle-serve`'s test suite.
 //!
 //! A [`ChaosSession`] is one tenant's deterministic torture script: the
 //! tenant-tagged wire lines to send (optionally damaged by a
@@ -11,9 +11,9 @@
 //! Everything is a pure function of its seeds, so a failing schedule
 //! replays exactly. [`drive`] is transport-generic (any
 //! `io::Write` factory: an in-process submit shim, a `TcpStream`, a
-//! child's stdin), which is what lets the same plans run against the
-//! in-process [`Server`](https://docs.rs/elle-serve) engine and the
-//! real binary.
+//! child's stdin), so the same plans can run against the in-process
+//! [`Server`](https://docs.rs/elle-serve) engine, as
+//! `tests/serve_suite.rs` runs them, or against the real binary.
 
 use crate::faults::{FaultLog, FaultSchedule};
 use elle_history::{events_to_ndjson, EventLog};
@@ -108,7 +108,9 @@ pub fn delivered_lines(session: &ChaosSession) -> Vec<String> {
 /// Drive one session against a transport. `connect` is called once per
 /// attempt (cut count + 1); each connection receives the script from
 /// line 0 — full resend — up to its cut, and the final connection
-/// delivers everything. Returns the number of connections made.
+/// delivers everything. Dropping a connection is its kill; the cut
+/// line's torn prefix is the last thing written to it. Returns the
+/// number of connections made.
 pub fn drive<W, F>(session: &ChaosSession, mut connect: F) -> io::Result<usize>
 where
     W: Write,

@@ -24,8 +24,10 @@
 //! A satisfiable answer decodes into a **witness order** of real
 //! transaction ids (verifiable by serial replay,
 //! [`verify_serial_order`]); an unsatisfiable one is delta-debugged
-//! down to a **1-minimal witness**: a smallest transaction subset that
-//! is still refutable on its own.
+//! down to a **1-minimal witness**: a transaction subset that is still
+//! refutable on its own and stops being refutable when any one of its
+//! transactions is removed. The verdict's `minimized` flag says whether
+//! the search finished within its probe budget.
 
 #![forbid(unsafe_code)]
 
@@ -34,63 +36,25 @@ mod order;
 
 pub use encode::SatModel;
 
-use elle_core::{CheckOptions, Checker, DepGraph};
+use elle_core::{CheckOptions, Checker};
 use elle_history::{History, Mop, ReadValue, TxnId};
 use rustc_hash::FxHashMap;
 use std::time::Instant;
 
-/// Tuning knobs for [`check`].
-#[derive(Debug, Clone, Copy)]
-pub struct SatOptions {
-    /// Total CDCL conflict budget across CEGAR rounds; exhausted →
-    /// [`SatVerdict::Unknown`].
-    pub max_conflicts: u64,
-    /// Cap on transitivity-refinement rounds.
-    pub max_rounds: usize,
-    /// Cap on pair variables (events²/2); larger systems → Unknown
-    /// rather than unbounded memory.
-    pub max_vars: usize,
-    /// Delta-debug UNSAT verdicts down to a 1-minimal witness.
-    pub minimize: bool,
-    /// Cap on solver probes spent minimizing.
-    pub minimize_solve_cap: usize,
-    /// Assert the cycle engine's inferred ww/wr/rw edges as unit
-    /// clauses (sound pruning).
-    pub idsg_units: bool,
-}
-
-impl Default for SatOptions {
-    fn default() -> Self {
-        SatOptions {
-            max_conflicts: 2_000_000,
-            max_rounds: 400,
-            max_vars: 2_000_000,
-            minimize: true,
-            minimize_solve_cap: 600,
-            idsg_units: true,
-        }
-    }
-}
-
-impl SatOptions {
-    /// Builder-style: conflict budget.
-    pub fn with_max_conflicts(mut self, n: u64) -> Self {
-        self.max_conflicts = n;
-        self
-    }
-
-    /// Builder-style: toggle witness minimization.
-    pub fn with_minimize(mut self, on: bool) -> Self {
-        self.minimize = on;
-        self
-    }
-
-    /// Builder-style: toggle IDSG unit clauses.
-    pub fn with_idsg_units(mut self, on: bool) -> Self {
-        self.idsg_units = on;
-        self
-    }
-}
+/// Total CDCL conflict budget across CEGAR rounds; exhausted →
+/// [`SatVerdict::Unknown`].
+const MAX_CONFLICTS: u64 = 2_000_000;
+/// Cap on transitivity-refinement rounds.
+const MAX_ROUNDS: usize = 400;
+/// Cap on pair variables (events²/2); larger systems → Unknown rather
+/// than unbounded memory.
+const MAX_VARS: usize = 2_000_000;
+/// Cap on solver probes spent minimizing a witness.
+const MINIMIZE_SOLVE_CAP: usize = 600;
+/// Conflict budget of one minimization probe.
+const PROBE_CONFLICTS: u64 = 100_000;
+/// Refinement-round cap of one minimization probe.
+const PROBE_ROUNDS: usize = 100;
 
 /// The SAT engine's answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +69,8 @@ pub enum SatVerdict {
     Violated {
         /// Transactions whose sub-history is already refutable.
         witness: Vec<TxnId>,
-        /// Whether `witness` was delta-debugged to 1-minimality.
+        /// Whether `witness` is 1-minimal. False when delta-debugging
+        /// ran out of solver probes before it finished.
         minimized: bool,
         /// Human-readable account of the refutation.
         explanation: String,
@@ -170,17 +135,12 @@ pub struct SatReport {
 }
 
 /// Check `history` against `model` with the SAT engine.
-pub fn check(history: &History, model: SatModel, opts: &SatOptions) -> SatReport {
+pub fn check(history: &History, model: SatModel) -> SatReport {
     let start = Instant::now();
     let mut stats = SatStats::default();
 
-    let idsg: Option<DepGraph> = if opts.idsg_units {
-        Some(Checker::new(CheckOptions::serializable()).infer_idsg(history))
-    } else {
-        None
-    };
-
-    let verdict = match encode::encode(history, model, idsg.as_ref()) {
+    let idsg = Checker::new(CheckOptions::serializable()).infer_idsg(history);
+    let verdict = match encode::encode(history, model, Some(&idsg)) {
         encode::Encoded::Unsupported { reason } => SatVerdict::Unsupported { reason },
         encode::Encoded::Refuted { txns, explanation } => {
             stats.included = txns.len();
@@ -194,22 +154,18 @@ pub fn check(history: &History, model: SatModel, opts: &SatOptions) -> SatReport
             stats.included = sys.txns.len();
             stats.events = sys.n_events as usize;
             let n = sys.n_events as usize;
-            if n * n.saturating_sub(1) / 2 > opts.max_vars {
+            if n * n.saturating_sub(1) / 2 > MAX_VARS {
                 SatVerdict::Unknown {
                     reason: format!(
                         "{} events need {} order variables, over the {} cap",
                         n,
                         n * (n - 1) / 2,
-                        opts.max_vars
+                        MAX_VARS
                     ),
                 }
             } else {
-                let solved = order::solve_order(
-                    sys.n_events,
-                    &sys.clauses,
-                    opts.max_conflicts,
-                    opts.max_rounds,
-                );
+                let solved =
+                    order::solve_order(sys.n_events, &sys.clauses, MAX_CONFLICTS, MAX_ROUNDS);
                 stats.vars = solved.stats.vars;
                 stats.clauses = solved.stats.clauses;
                 stats.rounds = solved.stats.rounds;
@@ -222,41 +178,17 @@ pub fn check(history: &History, model: SatModel, opts: &SatOptions) -> SatReport
                         order: decode_order(&sys, &events),
                     },
                     order::Outcome::Unsat => {
-                        let seed: Vec<TxnId> = if solved.conflict_events.is_empty() {
-                            sys.txns.clone()
-                        } else {
-                            let mut ids: Vec<TxnId> = solved
-                                .conflict_events
-                                .iter()
-                                .map(|&e| sys.txns[event_txn(&sys, e) as usize])
-                                .collect();
-                            ids.sort_unstable();
-                            ids.dedup();
-                            ids
-                        };
-                        if opts.minimize {
-                            let witness =
-                                minimize(history, model, sys.txns.clone(), opts, &mut stats);
-                            let explanation = format!(
-                                "no {model} order exists over {} ({} transactions, CEGAR UNSAT)",
-                                encode::txn_list(&witness),
-                                witness.len(),
-                            );
-                            SatVerdict::Violated {
-                                witness,
-                                minimized: true,
-                                explanation,
-                            }
-                        } else {
-                            let explanation = format!(
-                                "no {model} order exists; final conflict clause touches {}",
-                                encode::txn_list(&seed),
-                            );
-                            SatVerdict::Violated {
-                                witness: seed,
-                                minimized: false,
-                                explanation,
-                            }
+                        let (witness, minimized) =
+                            minimize(history, model, sys.txns, MINIMIZE_SOLVE_CAP, &mut stats);
+                        let explanation = format!(
+                            "no {model} order exists over {} ({} transactions, CEGAR UNSAT)",
+                            encode::txn_list(&witness),
+                            witness.len(),
+                        );
+                        SatVerdict::Violated {
+                            witness,
+                            minimized,
+                            explanation,
                         }
                     }
                 }
@@ -266,14 +198,6 @@ pub fn check(history: &History, model: SatModel, opts: &SatOptions) -> SatReport
 
     stats.elapsed = start.elapsed();
     SatReport { verdict, stats }
-}
-
-/// Which transaction (index into `sys.txns`) an event belongs to.
-fn event_txn(sys: &encode::System, event: u32) -> u32 {
-    match sys.model {
-        SatModel::Serializable => event,
-        SatModel::SnapshotIsolation => event / 2,
-    }
 }
 
 /// Decode a transitive event order into a transaction order: under SI,
@@ -305,35 +229,41 @@ fn probe_unsat(history: &History, model: SatModel, keep: &[TxnId], stats: &mut S
     stats.minimize_solves += 1;
     match encode::encode(&sub, model, None) {
         encode::Encoded::System(sys) => {
-            let solved = order::solve_order(sys.n_events, &sys.clauses, 100_000, 100);
+            let solved =
+                order::solve_order(sys.n_events, &sys.clauses, PROBE_CONFLICTS, PROBE_ROUNDS);
             matches!(solved.outcome, order::Outcome::Unsat)
         }
         _ => false,
     }
 }
 
-/// Delta-debug an UNSAT verdict to a 1-minimal witness: ddmin over the
-/// included transactions, accepting a removal only when the remaining
-/// sub-history is still solver-refutable on its own. The result is a
-/// self-contained counterexample — checking just those transactions
-/// reproduces the violation.
+/// Delta-debug an UNSAT verdict toward a 1-minimal witness: ddmin over
+/// the included transactions, accepting a removal only when the
+/// remaining sub-history is still solver-refutable on its own. The
+/// result is a self-contained counterexample — checking just those
+/// transactions reproduces the violation. Returns whether ddmin
+/// finished (no single transaction can be removed) before `cap` probes
+/// ran out; if not, the witness is refutable but maybe not 1-minimal.
 fn minimize(
     history: &History,
     model: SatModel,
     mut current: Vec<TxnId>,
-    opts: &SatOptions,
+    cap: usize,
     stats: &mut SatStats,
-) -> Vec<TxnId> {
+) -> (Vec<TxnId>, bool) {
     let mut granularity = 2usize;
-    while current.len() >= 2 && stats.minimize_solves < opts.minimize_solve_cap {
+    while current.len() >= 2 {
         let chunk = current.len().div_ceil(granularity);
         let mut reduced = false;
         let mut start = 0;
-        while start < current.len() && stats.minimize_solves < opts.minimize_solve_cap {
+        while start < current.len() {
+            if stats.minimize_solves >= cap {
+                return (current, false);
+            }
             let end = (start + chunk).min(current.len());
             let mut candidate: Vec<TxnId> = current[..start].to_vec();
             candidate.extend_from_slice(&current[end..]);
-            if !candidate.is_empty() && probe_unsat(history, model, &candidate, stats) {
+            if probe_unsat(history, model, &candidate, stats) {
                 current = candidate;
                 reduced = true;
                 break;
@@ -348,7 +278,7 @@ fn minimize(
             granularity = (granularity * 2).min(current.len());
         }
     }
-    current
+    (current, true)
 }
 
 /// Replay `order` as a serial execution and verify every observed read
@@ -427,11 +357,11 @@ mod tests {
     use elle_history::HistoryBuilder;
 
     fn ser(h: &History) -> SatReport {
-        check(h, SatModel::Serializable, &SatOptions::default())
+        check(h, SatModel::Serializable)
     }
 
     fn si(h: &History) -> SatReport {
-        check(h, SatModel::SnapshotIsolation, &SatOptions::default())
+        check(h, SatModel::SnapshotIsolation)
     }
 
     /// The paper's §7.1 G-single trio (the TiDB case study shape):
@@ -458,7 +388,7 @@ mod tests {
         b.txn(2).read_list(1, [1, 2]).commit();
         let h = b.build();
         for model in [SatModel::Serializable, SatModel::SnapshotIsolation] {
-            let r = check(&h, model, &SatOptions::default());
+            let r = check(&h, model);
             let SatVerdict::Satisfiable { order } = &r.verdict else {
                 panic!("{model}: expected satisfiable, got {:?}", r.verdict);
             };
@@ -470,7 +400,8 @@ mod tests {
     #[test]
     fn g_single_violates_both_models() {
         let h = g_single_history();
-        for r in [ser(&h), si(&h)] {
+        for model in [SatModel::Serializable, SatModel::SnapshotIsolation] {
+            let r = check(&h, model);
             let SatVerdict::Violated {
                 witness, minimized, ..
             } = &r.verdict
@@ -483,6 +414,29 @@ mod tests {
             // than the five transactions of the trio.
             assert!(witness.len() <= 5, "witness too large: {witness:?}");
             assert!(witness.contains(&TxnId(2)) && witness.contains(&TxnId(3)));
+
+            // The CEGAR loop refutes this history, so the witness comes
+            // from delta debugging, which says whether it finished: one
+            // probe is not enough, the real cap is, and the finished
+            // witness loses its refutation without any one transaction.
+            let encode::Encoded::System(sys) = encode::encode(&h, model, None) else {
+                panic!("{model}: expected a CEGAR system");
+            };
+            let (_, finished) = minimize(&h, model, sys.txns.clone(), 1, &mut SatStats::default());
+            assert!(!finished, "{model}: one probe cannot finish ddmin");
+            let mut stats = SatStats::default();
+            let (minimal, finished) = minimize(&h, model, sys.txns, MINIMIZE_SOLVE_CAP, &mut stats);
+            assert!(finished, "{model}: ddmin hit the cap");
+            assert_eq!(&minimal, witness);
+            for drop in 0..minimal.len() {
+                let mut fewer = minimal.clone();
+                fewer.remove(drop);
+                assert!(
+                    !probe_unsat(&h, model, &fewer, &mut stats),
+                    "{model}: {minimal:?} is not 1-minimal without {:?}",
+                    minimal[drop]
+                );
+            }
         }
     }
 

@@ -37,8 +37,6 @@ pub(crate) struct OrderStats {
 pub(crate) struct OrderSolve {
     pub outcome: Outcome,
     pub stats: OrderStats,
-    /// Event ids mentioned in the final conflict clause (UNSAT only).
-    pub conflict_events: Vec<u32>,
 }
 
 /// Triangle clauses added per CEGAR round; bounds round latency while
@@ -57,7 +55,6 @@ pub(crate) fn solve_order(
         return OrderSolve {
             outcome: Outcome::Sat((0..n_events).collect()),
             stats,
-            conflict_events: Vec::new(),
         };
     }
 
@@ -83,24 +80,6 @@ pub(crate) fn solve_order(
     }
     stats.vars = n_vars;
 
-    let conflict_events_of = |s: &Solver| -> Vec<u32> {
-        let mut evs: Vec<u32> = Vec::new();
-        for l in s.final_conflict() {
-            // Invert the triangular numbering: find a via base[], then b.
-            let idx = l.var() as usize;
-            let a = match base.binary_search(&idx) {
-                Ok(a) => a,
-                Err(ins) => ins - 1,
-            };
-            let b = a + 1 + (idx - base[a]);
-            evs.push(a as u32);
-            evs.push(b as u32);
-        }
-        evs.sort_unstable();
-        evs.dedup();
-        evs
-    };
-
     let mut ok = true;
     for c in clauses {
         let lits: Vec<Lit> = c
@@ -115,11 +94,9 @@ pub(crate) fn solve_order(
     }
     stats.clauses = clauses.len();
     if !ok {
-        let conflict_events = conflict_events_of(&s);
         return OrderSolve {
             outcome: Outcome::Unsat,
             stats,
-            conflict_events,
         };
     }
 
@@ -135,17 +112,14 @@ pub(crate) fn solve_order(
             return OrderSolve {
                 outcome: Outcome::Unknown("conflict budget exhausted".to_string()),
                 stats,
-                conflict_events: Vec::new(),
             };
         }
         match s.solve_limited(budget) {
             SolveResult::Unsat => {
-                let conflict_events = conflict_events_of(&s);
                 stats.absorb(&s);
                 return OrderSolve {
                     outcome: Outcome::Unsat,
                     stats,
-                    conflict_events,
                 };
             }
             SolveResult::Unknown => {
@@ -153,7 +127,6 @@ pub(crate) fn solve_order(
                 return OrderSolve {
                     outcome: Outcome::Unknown("conflict budget exhausted".to_string()),
                     stats,
-                    conflict_events: Vec::new(),
                 };
             }
             SolveResult::Sat => {}
@@ -213,18 +186,15 @@ pub(crate) fn solve_order(
             return OrderSolve {
                 outcome: Outcome::Sat(order),
                 stats,
-                conflict_events: Vec::new(),
             };
         }
         for [u, v, c] in batch {
             // ¬(u<v ∧ v<c ∧ c<u)
             if !s.add_clause(&[lit(v, u), lit(c, v), lit(u, c)]) {
-                let conflict_events = conflict_events_of(&s);
                 stats.absorb(&s);
                 return OrderSolve {
                     outcome: Outcome::Unsat,
                     stats,
-                    conflict_events,
                 };
             }
             stats.clauses += 1;
@@ -234,7 +204,6 @@ pub(crate) fn solve_order(
     OrderSolve {
         outcome: Outcome::Unknown("transitivity refinement did not converge".to_string()),
         stats,
-        conflict_events: Vec::new(),
     }
 }
 

@@ -20,10 +20,11 @@
 //!   budgets are checked *before* a line is enqueued; exceeding one is
 //!   an explicit `429`-style reject line, never unbounded memory.
 //! * **Watchdog seals** — `max_epoch` forces a seal on any tenant whose
-//!   epoch stays open too long with events buffered, generalizing
-//!   `elle-stream --max-epoch-ms` across tenants. Each worker keeps its
-//!   own tick and checks its tenants between lines, parking no longer
-//!   than the next tick.
+//!   epoch stays open too long with events buffered. Each worker keeps
+//!   its own tick and parks no longer than the next one, so a tenant
+//!   whose producer goes quiet is sealed without further input — unlike
+//!   `elle-stream --max-epoch-ms`, which is checked only as lines
+//!   arrive.
 //! * **Crash consistency** — with a data directory, every accepted
 //!   event is journaled (write-ahead) before ingest, once: the journal
 //!   is the tenant's durable history. Each seal, every
@@ -55,5 +56,5 @@ pub mod wire;
 pub use config::{valid_tenant_id, ServeConfig};
 pub use server::{Server, Sink, Submitted};
 pub use store::TenantStore;
-pub use tenant::{solo_verdict, IngestReply, Tenant, TenantFinal};
+pub use tenant::{IngestReply, Tenant, TenantFinal};
 pub use wire::{parse_request, reject, tag_event_line, warning, Request, WireError};

@@ -27,7 +27,7 @@
 
 use crate::config::ServeConfig;
 use crate::store::{Checkpoint, JournalLine, Restored, TenantStore};
-use elle_history::{trim_json_ws, Event, Recovered, RecoveryPolicy, SnapshotMeta};
+use elle_history::{Event, Recovered, RecoveryPolicy, SnapshotMeta};
 use elle_stream::{EpochReport, Gauges, Replay, StreamChecker, WindowCarry, WindowPolicy};
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -657,32 +657,4 @@ impl Tenant {
             serde_json::to_string(&epoch.report).expect("report serializes"),
         )
     }
-}
-
-/// Reference oracle for differential tests and the `--chaos` self
-/// check: process `lines` exactly as one worker thread would for a
-/// single *ephemeral* tenant (no journaling) and return the final
-/// close verdict. Because one tenant's processing is serial and
-/// independent of every other tenant, a served tenant's verdict must
-/// equal this, byte for byte, whatever else the service survived.
-pub fn solo_verdict(cfg: &ServeConfig, tenant: &str, lines: &[String]) -> String {
-    let mut cfg = cfg.clone();
-    cfg.data_dir = None;
-    let (mut t, _) = Tenant::open(tenant, &cfg).expect("ephemeral tenants cannot fail to open");
-    for line in lines {
-        if trim_json_ws(line).is_empty() || line.len() > cfg.max_line_bytes || t.failed().is_some()
-        {
-            continue;
-        }
-        match crate::wire::parse_request(line) {
-            Ok(crate::wire::Request::Event { event, .. }) => {
-                let _ = t.ingest_owned(&cfg, *event);
-            }
-            Ok(crate::wire::Request::BadEvent { message, .. }) => {
-                let _ = t.ingest_bad(&cfg, &message);
-            }
-            _ => {} // rejected at the wire, never reaches a tenant
-        }
-    }
-    t.close().verdict
 }

@@ -429,14 +429,6 @@ impl StreamChecker {
         self.quarantined += 1;
     }
 
-    /// Ingest every event of a log in order.
-    pub fn ingest_log(&mut self, log: &elle_history::EventLog) -> Result<(), PairingError> {
-        for ev in log.events() {
-            self.ingest_event(ev)?;
-        }
-        Ok(())
-    }
-
     /// Seal the current epoch: run the pipeline over the epoch's delta
     /// and report on the entire prefix ingested so far, then retire
     /// what the window allows.

@@ -2,11 +2,10 @@
 //!
 //! Incremental, epoch-based checking of **live** histories: the batch
 //! Elle checker turned into an online pipeline. A [`StreamChecker`]
-//! ingests events continuously (from the NDJSON wire format, an
-//! [`EventLog`](elle_history::EventLog), or directly from the
-//! `elle_dbsim` simulator in live mode), seals an *epoch* whenever a
-//! watermark fires, and at each seal re-analyzes only the epoch's delta
-//! before producing a full-prefix verdict.
+//! ingests events one at a time (decoded from the NDJSON wire format,
+//! or straight from the `elle_dbsim` simulator in live mode), seals an
+//! *epoch* whenever a watermark fires, and at each seal re-analyzes
+//! only the epoch's delta before producing a full-prefix verdict.
 //!
 //! ## The epoch lifecycle
 //!
@@ -74,4 +73,4 @@ pub use checker::{
 };
 pub use envelope::Gauges;
 pub use epoch::EpochPolicy;
-pub use live::{run_live, run_live_windowed};
+pub use live::run_live;

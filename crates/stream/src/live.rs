@@ -14,21 +14,11 @@ use elle_gen::{GenParams, Workload};
 use elle_history::RecoveryPolicy;
 use std::time::Instant;
 
-/// Generate and run a workload against the simulator, checking it live.
-/// `on_epoch` fires at every seal (including the final, end-of-stream
-/// seal). Returns the final epoch's report.
+/// Generate and run a workload against the simulator, checking it live
+/// under the retirement `window`. `on_epoch` fires at every seal
+/// (including the final, end-of-stream seal). Returns the final epoch's
+/// report.
 pub fn run_live(
-    params: GenParams,
-    db: DbConfig,
-    policy: EpochPolicy,
-    opts: CheckOptions,
-    on_epoch: impl FnMut(&EpochReport),
-) -> EpochReport {
-    run_live_windowed(params, db, policy, opts, WindowPolicy::Unbounded, on_epoch)
-}
-
-/// [`run_live`] under a bounded-memory retirement window.
-pub fn run_live_windowed(
     params: GenParams,
     db: DbConfig,
     policy: EpochPolicy,

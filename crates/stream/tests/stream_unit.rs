@@ -339,7 +339,7 @@ fn conflicted_counter_and_set_key_reports_no_duplicate_write() {
 fn live_run_seals_multiple_epochs_and_matches_batch() {
     use elle_dbsim::{DbConfig, IsolationLevel, ObjectKind};
     use elle_gen::GenParams;
-    use elle_stream::{run_live, EpochPolicy};
+    use elle_stream::{run_live, EpochPolicy, WindowPolicy};
     let params = GenParams::contended(120, ObjectKind::ListAppend).with_seed(7);
     let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
         .with_processes(4)
@@ -350,6 +350,7 @@ fn live_run_seals_multiple_epochs_and_matches_batch() {
         db,
         EpochPolicy::every_txns(25),
         CheckOptions::strict_serializable(),
+        WindowPolicy::Unbounded,
         |_| n += 1,
     );
     assert!(n >= 4, "expected several epochs, got {n}");

@@ -374,7 +374,7 @@ fn run_sat(history: &History, expected: ConsistencyModel, as_json: bool, timing:
     let Some(model) = sat_model_of(expected, "sat") else {
         return Status::BadInput;
     };
-    let report = elle::sat::check(history, model, &SatOptions::default());
+    let report = elle::sat::check(history, model);
     if timing {
         sat_timing_line(&report);
     }
@@ -477,7 +477,7 @@ fn run_both(history: &History, opts: CheckOptions, as_json: bool, timing: bool) 
             return Status::Unknown;
         }
     };
-    let sat = elle::sat::check(history, model, &SatOptions::default());
+    let sat = elle::sat::check(history, model);
     if timing {
         sat_timing_line(&sat);
     }

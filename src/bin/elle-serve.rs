@@ -6,7 +6,6 @@
 //! ```sh
 //! elle-serve --data-dir /var/lib/elle < tagged-events.ndjson
 //! elle-serve --listen 127.0.0.1:7199 --data-dir /var/lib/elle
-//! elle-serve --chaos 4 --seeds 8       # self-test: chaos vs oracle
 //! ```
 //!
 //! The wire protocol is NDJSON both ways; every request line is either
@@ -19,8 +18,7 @@
 //! (strict-mode) tenants, 3 when any final epoch was poisoned.
 
 use elle::cli::{self, read_line_capped, Args, Cli, LineRead, Status, Stop};
-use elle::prelude::*;
-use elle::serve::{signal, solo_verdict, ServeConfig, Server, Sink, Submitted, TenantFinal};
+use elle::serve::{signal, ServeConfig, Server, Sink, Submitted, TenantFinal};
 use elle_history::RecoveryPolicy;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -64,12 +62,7 @@ gracefully: every tenant is final-sealed and its verdict printed.",
                    force a retirement seal, at the budget tighten the
                    tenant's window (forced-window) and keep serving
 --strict           fail a tenant on its first damaged line instead of
-                   quarantining (other tenants unaffected)
---chaos <n>        self-test: n concurrent chaos tenants (kills,
-                   reconnects, damaged wires) against the in-process
-                   engine, each verdict checked against a solo oracle
---seeds <n>        chaos schedules to run (default 4)
---chaos-txns <n>   transactions per chaos tenant (default 120)",
+                   quarantining (other tenants unaffected)",
     exit_notes: "\
 The status is the worst final verdict over all tenants: a strict-mode
 tenant that failed on damaged input counts as 2, a poisoned final epoch
@@ -198,126 +191,6 @@ fn serve_conn(server: &Server, stream: TcpStream, cap: usize, drain_requested: &
     }
 }
 
-/// `--chaos`: concurrent seeded chaos tenants against the in-process
-/// engine, every final verdict byte-checked against the solo oracle.
-fn run_chaos(
-    mut cfg: ServeConfig,
-    tenants: usize,
-    seeds: u64,
-    txns: usize,
-) -> Result<Status, Stop> {
-    use elle::dbsim::{chaos_session, delivered_lines, drive, FaultSchedule};
-
-    cfg.data_dir = None;
-    // Chaos wants convergence pressure, not admission pressure: roomy
-    // budgets so no line is ever 429'd (a reject would desync the
-    // oracle), small epochs so seals interleave with kills.
-    cfg.max_tenant_bytes = cfg.max_tenant_bytes.max(64 << 20);
-    cfg.max_total_bytes = cfg.max_total_bytes.max(256 << 20);
-    if cfg.epoch_txns == Some(1000) {
-        cfg.epoch_txns = Some(25);
-    }
-    let mut bad = 0usize;
-    for seed in 0..seeds {
-        let sessions: Vec<_> = (0..tenants)
-            .map(|t| {
-                let name = format!("chaos-{t}");
-                let params = GenParams::contended(txns, ObjectKind::ListAppend)
-                    .with_seed(seed * 1009 + t as u64);
-                let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
-                    .with_processes(4)
-                    .with_seed(seed * 2003 + t as u64);
-                let log = elle::gen::run_workload_log(params, db);
-                // Tenant 0 gets a damaged wire; the rest stay clean, so
-                // the run also demonstrates isolation under chaos.
-                let schedule = if t == 0 {
-                    FaultSchedule::typical(seed + 11)
-                } else {
-                    FaultSchedule::none()
-                };
-                chaos_session(&name, &log, &schedule, 2, seed * 31 + t as u64)
-            })
-            .collect();
-        let discard: Sink = Arc::new(|_| {});
-        let server = Server::start(cfg.clone(), Arc::clone(&discard))
-            .map_err(|e| Stop::Input(format!("elle-serve: chaos start failed: {e}")))?;
-        std::thread::scope(|scope| {
-            for session in &sessions {
-                let server = &server;
-                let discard = Arc::clone(&discard);
-                scope.spawn(move || {
-                    drive(session, |_attempt| {
-                        Ok(SubmitWriter {
-                            server,
-                            sink: Arc::clone(&discard),
-                            buf: Vec::new(),
-                        })
-                    })
-                    .expect("in-process transport cannot fail")
-                });
-            }
-        });
-        let finals = server.drain();
-        for session in &sessions {
-            let want = solo_verdict(&cfg, &session.tenant, &delivered_lines(session));
-            let got = finals
-                .iter()
-                .find(|f| f.tenant == session.tenant)
-                .map(|f| f.verdict.clone())
-                .unwrap_or_default();
-            if got == want {
-                eprintln!("chaos seed {seed} {}: converged", session.tenant);
-            } else {
-                bad += 1;
-                eprintln!(
-                    "chaos seed {seed} {}: DIVERGED\n  served: {got}\n  oracle: {want}",
-                    session.tenant
-                );
-            }
-        }
-    }
-    if bad == 0 {
-        println!("chaos: all {} verdicts converged", seeds as usize * tenants);
-    } else {
-        println!("chaos: {bad} verdicts diverged");
-    }
-    Ok(Status::verdict(bad == 0))
-}
-
-/// An in-process "connection": buffers written bytes, submits each
-/// completed line; a final unterminated fragment is submitted on drop,
-/// exactly as the TCP reader surfaces a torn line at EOF.
-struct SubmitWriter<'a> {
-    server: &'a Server,
-    sink: Sink,
-    buf: Vec<u8>,
-}
-
-impl Write for SubmitWriter<'_> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        while let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
-            let rest = self.buf.split_off(i + 1);
-            let line = std::mem::replace(&mut self.buf, rest);
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            self.server.submit(&line, &self.sink);
-        }
-        Ok(data.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for SubmitWriter<'_> {
-    fn drop(&mut self) {
-        if !self.buf.is_empty() {
-            let line = String::from_utf8_lossy(&self.buf).into_owned();
-            self.server.submit(&line, &self.sink);
-        }
-    }
-}
-
 fn main() -> ExitCode {
     CLI.run(run)
 }
@@ -325,9 +198,6 @@ fn main() -> ExitCode {
 fn run(args: &mut Args) -> Result<Status, Stop> {
     let mut cfg = ServeConfig::default();
     let mut listen: Option<String> = None;
-    let mut chaos: Option<usize> = None;
-    let mut seeds = 4u64;
-    let mut chaos_txns = 120usize;
 
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -345,18 +215,6 @@ fn run(args: &mut Args) -> Result<Status, Stop> {
             "--window-txns" => cfg.window = elle::stream::WindowPolicy::TxnCount(args.parse()?),
             "--max-tenant-resident-bytes" => cfg.max_tenant_resident_bytes = Some(args.parse()?),
             "--strict" => cfg.recovery = RecoveryPolicy::Strict,
-            // Undocumented test hook: panic inside the named tenant's
-            // seal of epoch N ("tenant:N"), to exercise poisoned-epoch
-            // isolation across tenants end to end.
-            "--inject-seal-panic" => {
-                cfg.inject_seal_panic = Some(args.parse_with(|spec| {
-                    let (tenant, epoch) = spec.rsplit_once(':')?;
-                    Some((tenant.to_string(), epoch.parse().ok()?))
-                })?);
-            }
-            "--chaos" => chaos = Some(args.parse()?),
-            "--seeds" => seeds = args.parse()?,
-            "--chaos-txns" => chaos_txns = args.parse()?,
             "--help" | "-h" => return Err(Stop::Help),
             flag if cli::check_flag(flag, args, &mut cfg.opts)? => {}
             other => return Err(Stop::unrecognized(other)),
@@ -364,9 +222,8 @@ fn run(args: &mut Args) -> Result<Status, Stop> {
     }
 
     signal::install();
-    match (chaos, listen) {
-        (Some(n), _) => run_chaos(cfg, n.max(1), seeds, chaos_txns),
-        (None, Some(addr)) => run_listen(cfg, &addr),
-        (None, None) => run_stdin(cfg),
+    match listen {
+        Some(addr) => run_listen(cfg, &addr),
+        None => run_stdin(cfg),
     }
 }

@@ -44,8 +44,11 @@ sealing an epoch — and printing a full-prefix verdict — at each watermark.",
 --epoch-events <n> seal every n events
 --epoch-ms <ms>    also seal when this much wall time has passed
 --max-epoch-ms <ms>  force a seal when an epoch stays open this long,
-                   even mid-watermark (a stalled producer cannot
-                   leave buffered events unreported)
+                   even mid-watermark; checked, like --epoch-ms, only
+                   after a non-blank line or (--follow on a file) after
+                   each 50 ms poll at end of file, so a producer that
+                   stalls without closing its pipe holds the epoch
+                   until its next line
 --follow           keep reading as the file grows (tail -f)
 --retries <n>      bounded retries (exponential backoff + jitter) on
                    read errors in --follow mode (default 5)
@@ -399,10 +402,9 @@ fn run(args: &mut Args) -> Result<Status, Stop> {
         let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
             .with_processes(8)
             .with_seed(0xE11E);
-        let last =
-            elle::stream::run_live_windowed(params, db, cfg.policy, cfg.opts, cfg.window, |e| {
-                emit(e, cfg.as_json, cfg.timing, 0)
-            });
+        let last = elle::stream::run_live(params, db, cfg.policy, cfg.opts, cfg.window, |e| {
+            emit(e, cfg.as_json, cfg.timing, 0)
+        });
         return Ok(Status::epoch(&last));
     }
 

@@ -55,5 +55,5 @@ pub mod prelude {
         Transaction, TxnId, TxnStatus,
     };
     pub use elle_knossos::{KnossosOptions, KnossosOutcome, KnossosResult};
-    pub use elle_sat::{SatModel, SatOptions, SatReport, SatVerdict};
+    pub use elle_sat::{SatModel, SatReport, SatVerdict};
 }

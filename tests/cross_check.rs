@@ -28,7 +28,7 @@ use elle::prelude::*;
 use std::time::Duration;
 
 fn sat_check(h: &History, model: SatModel) -> SatVerdict {
-    elle::sat::check(h, model, &SatOptions::default()).verdict
+    elle::sat::check(h, model).verdict
 }
 
 fn cycle_report(h: &History, model: ConsistencyModel) -> Report {

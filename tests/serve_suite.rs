@@ -1,14 +1,16 @@
 //! End-to-end robustness suite for `elle-serve`: multi-tenant soak
-//! differentials against the batch checker, per-tenant fault isolation
-//! (seal panics, budgets), and crash-consistent recovery — in-process
-//! through [`Server`] and through the real binary under SIGKILL.
+//! differentials against the batch checker, chaos clients against the
+//! single-tenant oracle, per-tenant fault isolation (seal panics,
+//! budgets), and crash-consistent recovery — in-process through
+//! [`Server`] and through the real binary under SIGKILL.
 
-use elle::dbsim::{chaos_session, delivered_lines, FaultSchedule};
+use elle::dbsim::{chaos_session, delivered_lines, drive, FaultSchedule};
+use elle::history::trim_json_ws;
 use elle::prelude::*;
 use elle::serve::{
-    parse_request, solo_verdict, Request, ServeConfig, Server, Sink, Submitted, Tenant, TenantFinal,
+    parse_request, Request, ServeConfig, Server, Sink, Submitted, Tenant, TenantFinal,
 };
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
@@ -58,6 +60,33 @@ fn final_for<'a>(finals: &'a [TenantFinal], tenant: &str) -> &'a TenantFinal {
 fn report_slice(line: &str) -> &str {
     let at = line.find("\"report\":").expect("envelope has a report");
     &line[at..]
+}
+
+/// The single-tenant oracle: process `lines` exactly as one worker
+/// thread processes them for one ephemeral tenant (no journaling) and
+/// return the final close verdict. One tenant's processing is serial
+/// and independent of every other tenant, so a served tenant's verdict
+/// must equal this, byte for byte, whatever else the service survived.
+fn solo_verdict(cfg: &ServeConfig, tenant: &str, lines: &[String]) -> String {
+    let mut cfg = cfg.clone();
+    cfg.data_dir = None;
+    let (mut t, _) = Tenant::open(tenant, &cfg).expect("ephemeral tenants cannot fail to open");
+    for line in lines {
+        if trim_json_ws(line).is_empty() || line.len() > cfg.max_line_bytes || t.failed().is_some()
+        {
+            continue;
+        }
+        match parse_request(line) {
+            Ok(Request::Event { event, .. }) => {
+                let _ = t.ingest_owned(&cfg, *event);
+            }
+            Ok(Request::BadEvent { message, .. }) => {
+                let _ = t.ingest_bad(&cfg, &message);
+            }
+            _ => {} // rejected at the wire, never reaches a tenant
+        }
+    }
+    t.close().verdict
 }
 
 #[test]
@@ -329,6 +358,108 @@ fn crash_recovery_differential_50_seeds() {
         }
         let _ = std::fs::remove_dir_all(&dir_a);
         let _ = std::fs::remove_dir_all(&dir_b);
+    }
+}
+
+/// An in-process connection for [`drive`]: buffers written bytes and
+/// submits each completed line; a final unterminated fragment is
+/// submitted on drop, exactly as the TCP reader surfaces a torn line at
+/// EOF.
+struct SubmitWriter<'a> {
+    server: &'a Server,
+    sink: Sink,
+    buf: Vec<u8>,
+}
+
+impl Write for SubmitWriter<'_> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.buf.extend_from_slice(data);
+        while let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
+            let rest = self.buf.split_off(i + 1);
+            let line = std::mem::replace(&mut self.buf, rest);
+            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+            self.server.submit(&line, &self.sink);
+        }
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Drop for SubmitWriter<'_> {
+    fn drop(&mut self) {
+        if !self.buf.is_empty() {
+            let line = String::from_utf8_lossy(&self.buf).into_owned();
+            self.server.submit(&line, &self.sink);
+        }
+    }
+}
+
+/// The chaos differential: for each of four seeds, three concurrent
+/// tenants of 120 contended list-append transactions against one
+/// ephemeral server. Tenant 0's wire is damaged by a typical fault
+/// schedule; every tenant's connection is cut mid-line twice and
+/// resends from the start through [`drive`]. Each final verdict must
+/// equal the solo oracle's on the lines delivered, byte for byte.
+#[test]
+fn chaos_sessions_converge_to_the_solo_oracle() {
+    // Convergence pressure, not admission pressure: roomy budgets so no
+    // line is ever 429'd (a reject would desync the oracle), small
+    // epochs so seals interleave with kills.
+    let cfg = ServeConfig {
+        epoch_txns: Some(25),
+        max_tenant_bytes: 64 << 20,
+        max_total_bytes: 256 << 20,
+        ..ServeConfig::default()
+    };
+    for seed in 0..4u64 {
+        let sessions: Vec<_> = (0..3u64)
+            .map(|t| {
+                let params =
+                    GenParams::contended(120, ObjectKind::ListAppend).with_seed(seed * 1009 + t);
+                let db = DbConfig::new(IsolationLevel::Serializable, ObjectKind::ListAppend)
+                    .with_processes(4)
+                    .with_seed(seed * 2003 + t);
+                let log = elle::gen::run_workload_log(params, db);
+                // Tenant 0 gets a damaged wire; the rest stay clean, so
+                // the run also shows isolation under chaos.
+                let schedule = if t == 0 {
+                    FaultSchedule::typical(seed + 11)
+                } else {
+                    FaultSchedule::none()
+                };
+                chaos_session(&format!("chaos-{t}"), &log, &schedule, 2, seed * 31 + t)
+            })
+            .collect();
+        let discard: Sink = Arc::new(|_| {});
+        let server = Server::start(cfg.clone(), Arc::clone(&discard)).unwrap();
+        std::thread::scope(|scope| {
+            for session in &sessions {
+                let server = &server;
+                let discard = Arc::clone(&discard);
+                scope.spawn(move || {
+                    drive(session, |_attempt| {
+                        Ok(SubmitWriter {
+                            server,
+                            sink: Arc::clone(&discard),
+                            buf: Vec::new(),
+                        })
+                    })
+                    .expect("in-process transport cannot fail")
+                });
+            }
+        });
+        let finals = server.drain();
+        for session in &sessions {
+            let want = solo_verdict(&cfg, &session.tenant, &delivered_lines(session));
+            assert_eq!(
+                final_for(&finals, &session.tenant).verdict,
+                want,
+                "chaos seed {seed} {}: served verdict diverged from the solo oracle",
+                session.tenant
+            );
+        }
     }
 }
 
