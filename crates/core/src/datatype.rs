@@ -521,26 +521,7 @@ impl ProvenanceScan {
         if cx.elems.writer(key, elem).is_some() {
             return false;
         }
-        let fresh = if vocab.garbage_per_reader {
-            self.garbage_pairs.insert((reader, elem))
-        } else {
-            self.garbage_elems.insert(elem)
-        };
-        if fresh {
-            sink.anomaly(
-                AnomalyType::GarbageRead,
-                vec![reader],
-                key,
-                format!(
-                    "{}\n  observed {item} {elem} of {object} {key}, which no transaction \
-                     ever {wrote}",
-                    cx.history.get(reader).to_notation(),
-                    item = vocab.item,
-                    object = vocab.object,
-                    wrote = vocab.wrote,
-                ),
-            );
-        }
+        self.garbage_classified(cx, vocab, key, reader, elem, sink);
         true
     }
 
@@ -635,22 +616,7 @@ impl ProvenanceScan {
             return Provenance::Unusable;
         }
         if w.status == TxnStatus::Aborted {
-            if self.g1a_seen.insert((reader, elem)) {
-                sink.anomaly(
-                    AnomalyType::G1a,
-                    vec![reader, w.txn],
-                    key,
-                    format!(
-                        "{}\n  observed {item} {elem} of {object} {key}, {written} by aborted \
-                         transaction {}",
-                        cx.history.get(reader).to_notation(),
-                        cx.history.get(w.txn).to_notation(),
-                        item = vocab.item,
-                        object = vocab.object,
-                        written = vocab.written,
-                    ),
-                );
-            }
+            self.g1a_classified(cx, vocab, key, reader, elem, w.txn, sink);
             return Provenance::Aborted(w);
         }
         Provenance::Ok(w)

@@ -108,21 +108,6 @@ pub fn explain_cycle(history: &History, steps: &[CycleStep]) -> String {
     s
 }
 
-/// Render the full dependency neighbourhood of a cycle — every IDSG edge
-/// among `txns`, not just the presented steps — as Graphviz DOT, from a
-/// frozen [`Csr`](elle_graph::Csr) snapshot. CSR rows are sorted, so the
-/// output is a deterministic function of the edge set (byte-identical
-/// across runs and insertion orders). Restrict with `allowed` to drop
-/// derived orders from the plot.
-pub fn component_dot(
-    csr: &elle_graph::Csr,
-    txns: &[TxnId],
-    allowed: elle_graph::EdgeMask,
-) -> String {
-    let vertices: Vec<u32> = txns.iter().map(|t| t.0).collect();
-    elle_graph::to_dot(csr, Some(&vertices), allowed, &|v| format!("T{v}"))
-}
-
 /// Render a cycle as Graphviz DOT (Figure 3 style), labeling each edge with
 /// its presented dependency class.
 pub fn cycle_dot(steps: &[CycleStep]) -> String {
@@ -199,44 +184,6 @@ mod tests {
         }];
         let dot = cycle_dot(&steps);
         assert!(dot.contains("\"T0\" -> \"T1\" [label=\"rw\"]"));
-    }
-
-    #[test]
-    fn component_dot_renders_all_edges_among_txns() {
-        use crate::deps::DepGraph;
-        use elle_graph::EdgeMask;
-        let mut d = DepGraph::with_txns(3);
-        d.add(
-            TxnId(0),
-            TxnId(1),
-            Witness::WwList {
-                key: Key(1),
-                prev: Elem(1),
-                next: Elem(2),
-            },
-        );
-        d.add(
-            TxnId(1),
-            TxnId(0),
-            Witness::WrList {
-                key: Key(1),
-                elem: Elem(2),
-            },
-        );
-        // An edge leaving the component must not be rendered.
-        d.add(
-            TxnId(1),
-            TxnId(2),
-            Witness::WrList {
-                key: Key(1),
-                elem: Elem(2),
-            },
-        );
-        let csr = d.freeze();
-        let dot = component_dot(&csr, &[TxnId(0), TxnId(1)], EdgeMask::ALL);
-        assert!(dot.contains("\"T0\" -> \"T1\" [label=\"ww\"]"), "{dot}");
-        assert!(dot.contains("\"T1\" -> \"T0\" [label=\"wr\"]"), "{dot}");
-        assert!(!dot.contains("T2"), "{dot}");
     }
 
     #[test]

@@ -12,15 +12,12 @@
 //! slice; key-partitioned parallel sharding falls out of the sorted
 //! runs for free, and no `FxHashMap<Key, …>` remains on the hot path.
 //!
-//! The counting-sort scratch comes from the thread-local buffer pool
-//! ([`crate::pool`]), so repeated runs — streaming epochs, benchmark
-//! sweeps — recycle pre-faulted pages instead of paying first-touch
-//! faults on every build. The items side recycles unconditionally
-//! through the pool's layout-keyed arena (`pool::take_layout` /
-//! `put_layout`): history-borrowing occurrence types can't be
-//! type-erased behind a `TypeId`, but their raw backing storage only
-//! has a `(size, align)`, so the scan-order buffer and the grouped copy
-//! both come back on later runs regardless of lifetimes.
+//! The slot column and the counting-sort scratch come from the
+//! thread-local buffer pool ([`crate::pool`]), so repeated runs —
+//! streaming epochs, benchmark sweeps — recycle pre-faulted pages
+//! instead of paying first-touch faults on every build. The occurrence
+//! buffers themselves (the scan-order items and the grouped copy) are
+//! plain `Vec`s.
 
 use crate::pool;
 use elle_history::Key;
@@ -108,13 +105,12 @@ impl<T> Default for GatherBuf<T> {
 }
 
 impl<T> GatherBuf<T> {
-    /// A fresh buffer with both sides recycled from the buffer pool:
-    /// slot storage from the `u32` pool, items from the layout-keyed
-    /// arena (which serves history-borrowing occurrence types too).
+    /// A fresh buffer: slot storage recycled from the `u32` pool, items
+    /// in a new `Vec`.
     pub fn new() -> Self {
         GatherBuf {
             slots: pool::take_u32_empty(),
-            items: pool::take_layout(),
+            items: Vec::new(),
         }
     }
 
@@ -161,19 +157,7 @@ impl<T> GatherBuf<T> {
     where
         T: Copy,
     {
-        // Both the scan-order items and the grouped copy cycle through
-        // the layout arena, which folds them into the pool's peak gauge
-        // as they are stashed.
-        let (grouped, items) = self.group_core(n_slots, pool::take_layout());
-        pool::put_layout(items);
-        grouped
-    }
-
-    fn group_core(self, n_slots: usize, mut grouped: Vec<T>) -> (Grouped<T>, Vec<T>)
-    where
-        T: Copy,
-    {
-        let GatherBuf { slots, mut items } = self;
+        let GatherBuf { slots, items } = self;
         let n = items.len();
         debug_assert!(n < u32::MAX as usize);
 
@@ -206,18 +190,13 @@ impl<T> GatherBuf<T> {
         // in-place cycle-chasing permutation at 512k+ histories (swap
         // chains serialize on cache misses), at the cost of a second,
         // transient items allocation.
-        grouped.reserve(n);
-        grouped.extend(idx[..n].iter().map(|&i| items[i as usize]));
+        let grouped = idx[..n].iter().map(|&i| items[i as usize]).collect();
         pool::put_u32(idx);
-        items.clear();
 
-        (
-            Grouped {
-                items: grouped,
-                offsets,
-            },
-            items,
-        )
+        Grouped {
+            items: grouped,
+            offsets,
+        }
     }
 }
 
@@ -265,7 +244,6 @@ impl<T> Grouped<T> {
 impl<T> Drop for Grouped<T> {
     fn drop(&mut self) {
         pool::put_u32(std::mem::take(&mut self.offsets));
-        pool::put_layout(std::mem::take(&mut self.items));
     }
 }
 
@@ -329,31 +307,6 @@ mod tests {
                 assert_eq!(g.run(slot as u32), expect.as_slice());
             }
         }
-    }
-
-    #[test]
-    fn pooled_path_groups_identically_and_recycles() {
-        let fill = |buf: &mut GatherBuf<u64>| {
-            for (slot, item) in [(2, 20), (0, 1), (2, 21), (1, 10), (0, 2)] {
-                buf.push(slot, item);
-            }
-        };
-        let mut first: GatherBuf<u64> = GatherBuf::new();
-        let mut second: GatherBuf<u64> = GatherBuf::new();
-        fill(&mut first);
-        fill(&mut second);
-        let g1 = first.group(3);
-        let g2 = second.group(3);
-        for s in 0..3 {
-            assert_eq!(g1.run(s), g2.run(s));
-        }
-        drop(g1);
-        drop(g2);
-
-        // Dropping returns the items allocation to the pool; the next
-        // buffer gets it back.
-        let back: GatherBuf<u64> = GatherBuf::new();
-        assert!(back.items.capacity() >= 5, "items allocation recycled");
     }
 
     #[test]

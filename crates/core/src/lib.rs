@@ -36,12 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the buffer pool's layout-keyed arena
-// (`pool::take_layout` / `put_layout`) is the one audited unsafe island
-// in the workspace — raw allocation recycling across element types that
-// share a layout — and opts back in locally. Everything else stays
-// unsafe-free, and the arena is exercised under Miri and ASan in CI.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod anomaly;
 mod checker;

@@ -10,8 +10,7 @@
 //!   including the paper's "exactly one read-write edge" search used for
 //!   G-single,
 //! * transitive reduction of interval orders (used for real-time edges,
-//!   §5.1's `O(n · p)` construction),
-//! * DOT export for the Figure-3-style visualizations.
+//!   §5.1's `O(n · p)` construction).
 //!
 //! There is one graph type, the immutable [`Csr`]: flat sorted adjacency,
 //! no hash maps, mask filtering at traversal time, and reusable
@@ -30,12 +29,10 @@
 mod class;
 mod csr;
 mod cycles;
-mod dot;
 mod reduction;
 mod tarjan;
 
 pub use class::{EdgeClass, EdgeMask};
 pub use csr::{Csr, EdgeBuf, Scratch};
 pub use cycles::CycleSpec;
-pub use dot::to_dot;
 pub use reduction::{interval_order_reduction, Interval};

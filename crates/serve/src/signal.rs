@@ -20,11 +20,6 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Test hook: arm the latch as if a signal had arrived.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
 #[cfg(unix)]
 mod imp {
     use super::SHUTDOWN;

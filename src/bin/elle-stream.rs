@@ -44,11 +44,11 @@ sealing an epoch — and printing a full-prefix verdict — at each watermark.",
 --epoch-events <n> seal every n events
 --epoch-ms <ms>    also seal when this much wall time has passed
 --max-epoch-ms <ms>  force a seal when an epoch stays open this long,
-                   even mid-watermark; checked, like --epoch-ms, only
-                   after a non-blank line or (--follow on a file) after
-                   each 50 ms poll at end of file, so a producer that
-                   stalls without closing its pipe holds the epoch
-                   until its next line
+                   even mid-watermark; checked, like --epoch-ms, after
+                   every line, blank ones included, or (--follow on a
+                   file) after each 50 ms poll at end of file, so a
+                   producer that stalls without closing its pipe holds
+                   the epoch until its next line
 --follow           keep reading as the file grows (tail -f)
 --retries <n>      bounded retries (exponential backoff + jitter) on
                    read errors in --follow mode (default 5)
@@ -294,7 +294,7 @@ fn run_reader(reader: &mut dyn BufRead, cfg: &ReaderConfig) -> Result<EpochRepor
                 Some(IngestError { pos, cause })
             }
             Next::Line(text, pos) => match decode_event_line(text, pos) {
-                Ok(None) => continue,
+                Ok(None) => None,
                 Ok(Some(ev)) => {
                     match checker.ingest_owned(ev, cfg.recovery) {
                         Err(e) => return Err(IngestError::from_pairing(pos, e).to_string()),

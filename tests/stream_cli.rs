@@ -439,6 +439,74 @@ fn follow_mode_resumes_a_partial_line() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Blank keepalive lines run the epoch clock: a producer that sends
+/// events and then only blank lines, without closing its pipe, gets its
+/// epoch force-sealed once it has been open longer than
+/// `--max-epoch-ms`, before EOF.
+#[test]
+fn blank_keepalive_lines_force_a_seal_before_eof() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::process::Stdio;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+    let fixture = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/lost_ack.ndjson"
+    ))
+    .unwrap();
+    let events: String = fixture
+        .lines()
+        .take(4)
+        .map(|l| l.to_string() + "\n")
+        .collect();
+
+    let mut child = stream_bin()
+        .args(["-", "--max-epoch-ms", "50", "--quarantine", "--json"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let (tx, rx) = mpsc::channel();
+    let stdout = child.stdout.take().unwrap();
+    std::thread::spawn(move || {
+        for l in BufReader::new(stdout).lines() {
+            if tx.send(l.unwrap()).is_err() {
+                break;
+            }
+        }
+    });
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(events.as_bytes()).unwrap();
+    // One blank line every 20 ms, with stdin held open throughout: about
+    // 20 of them normally, more only if the binary is slow to start.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let forced = loop {
+        std::thread::sleep(Duration::from_millis(20));
+        stdin.write_all(b"\n").unwrap();
+        if let Ok(line) = rx.try_recv() {
+            break Some(line);
+        }
+        if Instant::now() > deadline {
+            break None;
+        }
+    };
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let forced = forced.unwrap_or_else(|| {
+        panic!(
+            "no epoch before EOF: {}",
+            String::from_utf8_lossy(&out.stderr)
+        )
+    });
+    assert!(
+        forced.starts_with("{\"epoch\":0,\"txns\":3,\"events\":4,"),
+        "{forced}"
+    );
+    assert!(forced.contains("\"forced_seals\":1,"), "{forced}");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
 /// The `"epoch":N,"txns":N,"events":N` prefix of each verdict line,
 /// from `elle-stream --json` or `elle-serve` output alike.
 fn epoch_splits(stdout: &str) -> Vec<String> {
